@@ -1,73 +1,18 @@
 """Certified local epigraph representations of sublevel sets."""
 
 from .core import (
-    NORM_KINDS,
     Direction,
-    FunctionOracle,
-    Membership,
     NormedSpace,
     NumericConfig,
-    ProblemInstance,
     ReferenceData,
     canonical_json,
     finite_difference_gradients,
     internal_verify_seed,
-    membership,
     membership_codes,
     sample_ball,
-    stream_rng,
-    to_jsonable,
 )
-from .expressions import ExpressionError, compile_expression
-from .clarke import (
-    DirectionalDerivativeEstimate,
-    GradientHull,
-    LipschitzEstimate,
-    NondegeneracyResult,
-    directional_derivative,
-    estimate_gradient_hull,
-    is_nondegenerate,
-    local_lipschitz_constant,
-    min_norm_point,
-)
-from .epirep import (
-    BracketViolation,
-    CertificationFailure,
-    CylinderError,
-    DescentWitness,
-    EpigraphCertificate,
-    NormingFunctional,
-    RadiusUnderflow,
-    certificate_from_json,
-    certify,
-    epsilon_formula,
-    find_descent_radius,
-    from_graph_coordinates,
-    lambda_eval,
-    lambda_values,
-    measured_cylinder_lipschitz,
-    norming_functional,
-    sample_cylinder,
-    to_graph_coordinates,
-)
-from .verify import (
-    LemmaCheck,
-    SeedReuseError,
-    VerificationReport,
-    pointedness_margin,
-    run_suite,
-)
-from .signed_distance import (
-    SignedDistanceOracle,
-    Theorem2Result,
-    as_function_oracle,
-    check_theorem2,
-    promote_to_certificate,
-    sd_lipschitz_check,
-    signed_distance,
-    signed_distance_values,
-)
-from .catalog import CatalogEntry, catalog_ids, list_catalog, load, rockafellar_truncation
-from .instancefile import InstanceSpecError, load_instance_file, parse_instance
+from .expressions import compile_expression
+from .epirep import CertificationFailure, EpigraphCertificate, certify
+from .catalog import load
 
 __version__ = "0.1.0"

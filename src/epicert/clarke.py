@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PLAIN,
     Direction,
     FunctionOracle,
     NormedSpace,
     NumericConfig,
     ProblemInstance,
+    Scales,
     sample_ball,
 )
 
@@ -41,13 +43,14 @@ __all__ = [
     "LipschitzEstimate",
     "local_lipschitz_constant",
     "WITNESS_TOL",
-    "HULL_ZERO_TOL",
     "SAFETY",
 ]
 
 WITNESS_TOL = 1e-6     # a direction counts as descending only below this
 HULL_ZERO_TOL = 1e-3   # hull min-norm below this reads as 0 in the hull
 SAFETY = 1.25          # inflation applied to raw sampled Lipschitz quotients
+MNP_TOL = 1e-10        # Wolfe optimality tolerance, relative to max(1, |x|^2)
+MNP_MAX_ITER = 10000   # Wolfe major cycles
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,7 @@ def directional_derivative(
     v: np.ndarray,
     cfg: NumericConfig,
     *,
-    delta0: float | None = None,
-    delta_floor: float | None = None,
-    stab_tol: float | None = None,
-    seed_tag: str = "dirderiv",
+    scales: Scales = PLAIN,
 ) -> DirectionalDerivativeEstimate:
     """Estimate the generalized directional derivative of f at x along v.
 
@@ -81,17 +81,16 @@ def directional_derivative(
     """
     x = np.asarray(x, dtype=float)
     scale = 1.0 + float(space.norm(x))
-    if delta0 is None:
-        delta0 = 0.1 * scale
-    if delta_floor is None:
-        delta_floor = 1e-8 * scale
-    if stab_tol is None:
-        stab_tol = cfg.tol_value
+    delta0 = 0.1 * scale if scales.dd_delta0 is None else scales.dd_delta0
+    delta_floor = (
+        1e-8 * scale if scales.dd_delta_floor is None else scales.dd_delta_floor
+    )
+    stab_tol = cfg.tol_value if scales.dd_stab_tol is None else scales.dd_stab_tol
     vnorm = float(space.norm(np.asarray(v, dtype=float)))
     u = Direction.make(space, v).coords
 
     n_per_level = max(16, cfg.sample_budget // 32)
-    rng = cfg.rng(seed_tag, f.descriptor, *np.round(x, 12).tolist())
+    rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
 
     delta = float(delta0)
     prev = None
@@ -125,11 +124,7 @@ def directional_derivative(
     )
 
 
-def min_norm_point(
-    points: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> tuple[np.ndarray, np.ndarray]:
+def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum euclidean-norm point of conv(points) via Wolfe's method.
 
     Returns (point, weights); weights sum to 1 over the input rows, with the
@@ -152,11 +147,11 @@ def min_norm_point(
     w = np.array([1.0])
     x = P[start].copy()
 
-    for _ in range(max_iter):
+    for _ in range(MNP_MAX_ITER):
         dots = P @ x
         xx = float(x @ x)
         j = int(np.argmin(dots))
-        if dots[j] > xx - tol * max(1.0, xx):
+        if dots[j] > xx - MNP_TOL * max(1.0, xx):
             break
         if j in active:
             break  # numerically stuck, current x is as good as it gets
@@ -227,9 +222,7 @@ def estimate_gradient_hull(
     x: np.ndarray,
     cfg: NumericConfig,
     *,
-    perturbation: float | None = None,
-    fd_step: float | None = None,
-    seed_tag: str = "hull",
+    scales: Scales = PLAIN,
 ) -> GradientHull:
     """Gradients at points jittered around x, hulled.
 
@@ -240,11 +233,10 @@ def estimate_gradient_hull(
     x = np.asarray(x, dtype=float)
     d = space.dim
     scale = 1.0 + float(space.norm(x))
-    if perturbation is None:
-        perturbation = 1e-5 * scale
-    if fd_step is None:
-        fd_step = 1e-6 * scale
-    rng = cfg.rng(seed_tag, f.descriptor, *np.round(x, 12).tolist())
+    perturbation = (
+        1e-5 * scale if scales.hull_perturbation is None else scales.hull_perturbation
+    )
+    rng = cfg.rng("hull", f.descriptor, *np.round(x, 12).tolist())
 
     n_target = min(4 * d + 8, 48)
     dirs = []
@@ -263,7 +255,7 @@ def estimate_gradient_hull(
     D = np.stack(dirs)
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     pts = x[None, :] + perturbation * D
-    grads = f.gradients(pts, fd_step=fd_step)
+    grads = f.gradients(pts, fd_step=1e-6 * scale)
     mnp, weights = min_norm_point(grads)
     return GradientHull(
         generators=grads,
@@ -290,11 +282,7 @@ def is_nondegenerate(
     x: np.ndarray,
     cfg: NumericConfig,
     *,
-    hull_perturbation: float | None = None,
-    hull_fd_step: float | None = None,
-    dd_delta0: float | None = None,
-    dd_delta_floor: float | None = None,
-    dd_stab_tol: float | None = None,
+    scales: Scales = PLAIN,
 ) -> NondegeneracyResult:
     """Search for a descent direction at a boundary point.
 
@@ -306,10 +294,7 @@ def is_nondegenerate(
     """
     space = inst.space
     x = np.asarray(x, dtype=float)
-    hull = estimate_gradient_hull(
-        space, inst.f, x, cfg,
-        perturbation=hull_perturbation, fd_step=hull_fd_step,
-    )
+    hull = estimate_gradient_hull(space, inst.f, x, cfg, scales=scales)
 
     candidates: list[np.ndarray] = []
     if hull.min_norm_value > HULL_ZERO_TOL:
@@ -334,10 +319,7 @@ def is_nondegenerate(
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(c)
-        est = directional_derivative(
-            space, inst.f, x, u, cfg,
-            delta0=dd_delta0, delta_floor=dd_delta_floor, stab_tol=dd_stab_tol,
-        )
+        est = directional_derivative(space, inst.f, x, u, cfg, scales=scales)
         if est.value < -WITNESS_TOL:
             witness = Direction.make(space, u)
             witness_value = est.value
@@ -397,8 +379,7 @@ def local_lipschitz_constant(
     radius: float,
     cfg: NumericConfig,
     *,
-    chord_fraction: float = 1e-4,
-    seed_tag: str = "lipschitz",
+    scales: Scales = PLAIN,
 ) -> LipschitzEstimate:
     """Lipschitz bound for f on the closed ball B(center, radius).
 
@@ -410,7 +391,8 @@ def local_lipschitz_constant(
     a consistent analytic hint caps it.
     """
     center = np.asarray(center, dtype=float)
-    rng = cfg.rng(seed_tag, f.descriptor, round(radius, 12))
+    chord_fraction = scales.chord_fraction
+    rng = cfg.rng("lipschitz", f.descriptor, round(radius, 12))
     d = space.dim
     n_q = 0
     raw = 0.0

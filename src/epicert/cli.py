@@ -48,16 +48,6 @@ _FAILURE_EXIT = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    instance_path_or_id: str
-    point: np.ndarray | None
-    seed: int | None
-    out: str | None
-    format: str
-
-
 def _error(message: str, extra: dict | None = None) -> None:
     payload = dict(extra or {})
     payload.pop("message", None)
@@ -98,6 +88,8 @@ def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
             p = np.asarray([float(t) for t in args.point.split(",")], dtype=float)
         except ValueError as exc:
             raise InstanceSpecError(f"bad --point: {exc}") from exc
+        if not np.all(np.isfinite(p)):
+            raise InstanceSpecError(f"bad --point: non-finite coordinate in {args.point!r}")
         if p.shape != (inst.space.dim,):
             raise InstanceSpecError(
                 f"--point has {p.shape[0]} coordinates, space has {inst.space.dim}"
@@ -168,6 +160,13 @@ def cmd_verify(args) -> int:
             cert = certificate_from_json(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise InstanceSpecError(f"cannot load certificate: {exc}") from exc
+    stored = (cert.space.dim, cert.space.norm_kind, cert.instance_descriptor)
+    wanted = (inst.space.dim, inst.space.norm_kind, inst.f.descriptor)
+    for field, got, want in zip(("dim", "norm", "descriptor"), stored, wanted):
+        if got != want:
+            raise InstanceSpecError(
+                f"certificate {field} {got!r} does not match the instance's {want!r}"
+            )
     if args.seed is None:
         # fresh by default; an explicit matching --seed still trips the guard
         cfg = dataclasses.replace(cfg, rng_seed=cert.seed + 1)

@@ -9,26 +9,24 @@ the contract.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 __all__ = [
     "NORM_KINDS",
-    "DUAL_KIND",
     "stream_rng",
     "NormedSpace",
     "Direction",
     "FunctionOracle",
     "finite_difference_gradients",
     "NumericConfig",
-    "Membership",
-    "membership",
+    "Scales",
+    "PLAIN",
     "membership_codes",
     "ReferenceData",
     "ProblemInstance",
@@ -215,10 +213,25 @@ class NumericConfig:
         return stream_rng(self.rng_seed, *labels)
 
 
-class Membership(enum.Enum):
-    INSIDE = "inside"
-    BOUNDARY_BAND = "boundary_band"
-    OUTSIDE = "outside"
+@dataclass(frozen=True)
+class Scales:
+    """Sampling scales of the certification pipeline.
+
+    The plain route and the signed-distance route run the same construction
+    and differ only in these values.  A ``None`` field takes its default
+    relative to 1 + |x| at the point under test (``dd_stab_tol``: the
+    config's ``tol_value``).
+    """
+
+    hull_perturbation: float | None = None  # offset of hull gradient samples
+    dd_delta0: float | None = None          # first directional-derivative scale
+    dd_delta_floor: float | None = None     # smallest directional-derivative scale
+    dd_stab_tol: float | None = None        # agreement that ends the ladder
+    t_min_fraction: float = 1e-4            # shortest descent-radius step, over 2r
+    chord_fraction: float = 1e-4            # Lipschitz chord half-length, over r
+
+
+PLAIN = Scales()
 
 
 def membership_codes(f: FunctionOracle, points: np.ndarray, cfg: NumericConfig) -> np.ndarray:
@@ -228,15 +241,6 @@ def membership_codes(f: FunctionOracle, points: np.ndarray, cfg: NumericConfig) 
     out[vals <= -cfg.tol_value] = -1
     out[vals >= cfg.tol_value] = 1
     return out
-
-
-def membership(f: FunctionOracle, point: np.ndarray, cfg: NumericConfig) -> Membership:
-    code = int(membership_codes(f, np.asarray(point, dtype=float)[None, :], cfg)[0])
-    if code < 0:
-        return Membership.INSIDE
-    if code > 0:
-        return Membership.OUTSIDE
-    return Membership.BOUNDARY_BAND
 
 
 @dataclass(frozen=True, eq=False)

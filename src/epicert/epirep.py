@@ -28,14 +28,15 @@ from .clarke import (
     local_lipschitz_constant,
 )
 from .core import (
+    PLAIN,
     Direction,
     FunctionOracle,
-    Membership,
     NormedSpace,
     NumericConfig,
     ProblemInstance,
+    Scales,
     internal_verify_seed,
-    membership,
+    membership_codes,
     sample_ball,
     to_jsonable,
 )
@@ -55,7 +56,6 @@ __all__ = [
     "to_graph_coordinates",
     "from_graph_coordinates",
     "lambda_values",
-    "lambda_eval",
     "sample_cylinder",
     "measured_cylinder_lipschitz",
     "EpigraphCertificate",
@@ -63,6 +63,9 @@ __all__ = [
     "certificate_from_json",
     "certify",
 ]
+
+
+N_LAMBDA_SAMPLES = 256  # stored (point, lambda) pairs per certificate
 
 
 class RadiusUnderflow(RuntimeError):
@@ -172,9 +175,7 @@ def find_descent_radius(
     alpha: float,
     cfg: NumericConfig,
     *,
-    r0: float = 1.0,
-    t_min_fraction: float = 1e-4,
-    seed_tag: str = "radius",
+    scales: Scales = PLAIN,
 ) -> float:
     """Largest grid radius on which the sampled descent inequality holds.
 
@@ -186,10 +187,11 @@ def find_descent_radius(
     """
     x = np.asarray(x, dtype=float)
     u = Direction.make(space, v).coords
-    rng = cfg.rng(seed_tag, f.descriptor, *np.round(x, 12).tolist())
+    rng = cfg.rng("radius", f.descriptor, *np.round(x, 12).tolist())
     n = max(256, cfg.sample_budget // 2)
-    r = float(r0)
-    floor = 1e-8 * r0
+    t_min_fraction = scales.t_min_fraction
+    r = 1.0
+    floor = 1e-8
     while True:
         ys = sample_ball(space, x, 2.0 * r, n, rng)
         n_log = n // 4
@@ -298,20 +300,6 @@ def lambda_values(
     return roots + shift
 
 
-def lambda_eval(
-    space: NormedSpace,
-    f: FunctionOracle,
-    witness: DescentWitness,
-    phi: NormingFunctional,
-    y: np.ndarray,
-    cfg: NumericConfig,
-) -> float:
-    """Scalar convenience wrapper over lambda_values."""
-    return float(
-        lambda_values(space, f, witness, phi, np.asarray(y, dtype=float)[None, :], cfg)[0]
-    )
-
-
 def sample_cylinder(
     space: NormedSpace,
     witness: DescentWitness,
@@ -320,9 +308,8 @@ def sample_cylinder(
     rng: np.random.Generator,
     *,
     tau_halfwidth: float,
-    margin: float = 0.98,
 ) -> np.ndarray:
-    """n points with ker-phi part within margin*epsilon of x and height
+    """n points with ker-phi part within 0.98*epsilon of x and height
     within tau_halfwidth of x's level.  Rejection-sampled so the cylinder
     precondition of lambda_values holds with slack.
     """
@@ -334,7 +321,7 @@ def sample_cylinder(
     for _ in range(200):
         u = sample_ball(space, zero, eps, max(2 * n, 64), rng)
         xi = u - np.multiply.outer(phi(u), v)
-        keep = np.asarray(space.norm(xi), dtype=float) < margin * eps
+        keep = np.asarray(space.norm(xi), dtype=float) < 0.98 * eps
         xi = xi[keep]
         if xi.shape[0]:
             collected.append(xi)
@@ -442,23 +429,31 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
 
     Values are taken as stored, without revalidation; the verification suite
     is the place where a tampered field turns into a reported failure rather
-    than a parse error.
+    than a parse error.  Only the shapes are checked: every vector must have
+    ``dim`` entries, else ValueError.
     """
     info = data["instance"]
     space = NormedSpace(int(info["dim"]), str(info["norm"]))
+
+    def vector(value, name: str) -> np.ndarray:
+        out = np.asarray(value, dtype=float)
+        if out.shape != (space.dim,):
+            raise ValueError(f"{name} has shape {out.shape}, expected ({space.dim},)")
+        return out
+
     w = DescentWitness(
-        x=np.asarray(data["x"], dtype=float),
-        v=np.asarray(data["v"], dtype=float),
+        x=vector(data["x"], "x"),
+        v=vector(data["v"], "v"),
         alpha=float(data["alpha"]),
         r=float(data["r"]),
         k=float(data["k"]),
         epsilon=float(data["epsilon"]),
     )
-    weights = np.asarray(data["phi_weights"], dtype=float)
+    weights = vector(data["phi_weights"], "phi_weights")
     phi = NormingFunctional(weights=weights, dual_norm=float(space.dual_norm(weights)))
     samples = tuple(
-        (np.asarray(s["point"], dtype=float), float(s["value"]))
-        for s in data.get("lambda_samples", [])
+        (vector(s["point"], f"lambda sample {i} point"), float(s["value"]))
+        for i, s in enumerate(data.get("lambda_samples", []))
     )
     return EpigraphCertificate(
         witness=w,
@@ -497,12 +492,7 @@ def certify(
     x: np.ndarray,
     cfg: NumericConfig,
     *,
-    r0: float = 1.0,
-    t_min_fraction: float = 1e-4,
-    chord_fraction: float = 1e-4,
-    n_lambda_samples: int = 256,
-    dd_overrides: dict | None = None,
-    include_signed_distance: bool = False,
+    scales: Scales = PLAIN,
 ) -> EpigraphCertificate | CertificationFailure:
     """Full pipeline: witness -> radius -> Lipschitz -> epsilon -> phi ->
     lambda samples -> lemma suite.  Returns a certificate only when every
@@ -512,15 +502,16 @@ def certify(
 
     space = inst.space
     x = np.asarray(x, dtype=float)
-    state = membership(inst.f, x, cfg)
-    if state is not Membership.BOUNDARY_BAND:
+    code = int(membership_codes(inst.f, x[None, :], cfg)[0])
+    if code != 0:
+        side = "inside" if code < 0 else "outside"
         return CertificationFailure(
             stage="precondition",
-            message=f"x is {state.value}, not in the boundary band "
+            message=f"x is {side}, not in the boundary band "
                     f"(f(x) = {inst.f.value(x):.6g})",
         )
 
-    nd = is_nondegenerate(inst, x, cfg, **(dd_overrides or {}))
+    nd = is_nondegenerate(inst, x, cfg, scales=scales)
     if nd.witness is None:
         msg = "no descent direction found"
         if nd.degenerate:
@@ -534,17 +525,13 @@ def certify(
     alpha = float(nd.alpha)
 
     try:
-        r = find_descent_radius(
-            space, inst.f, x, v, alpha, cfg, r0=r0, t_min_fraction=t_min_fraction
-        )
+        r = find_descent_radius(space, inst.f, x, v, alpha, cfg, scales=scales)
     except RadiusUnderflow as exc:
         return CertificationFailure(
             stage="radius-underflow", message=str(exc), hull=nd.hull, nondegeneracy=nd,
         )
 
-    lip = local_lipschitz_constant(
-        space, inst.f, x, r, cfg, chord_fraction=chord_fraction
-    )
+    lip = local_lipschitz_constant(space, inst.f, x, r, cfg, scales=scales)
     witness = DescentWitness.assemble(space, x, v, alpha, r, lip.value)
     phi = norming_functional(space, v)
 
@@ -553,7 +540,7 @@ def certify(
     rng = cfg.rng("lambda-samples", inst.f.descriptor)
     try:
         pts = sample_cylinder(
-            space, witness, phi, n_lambda_samples, rng,
+            space, witness, phi, N_LAMBDA_SAMPLES, rng,
             tau_halfwidth=witness.r / 256.0,
         )
         lam = lambda_values(space, inst.f, witness, phi, pts, cfg)
@@ -578,8 +565,7 @@ def certify(
         space=space,
     )
     verify_cfg = replace(cfg, rng_seed=internal_verify_seed(cfg.rng_seed))
-    report = run_suite(inst, cert, verify_cfg,
-                       include_signed_distance=include_signed_distance)
+    report = run_suite(inst, cert, verify_cfg)
     cert = replace(cert, report=report)
     if not report.overall:
         failed = [lid for lid, c in report.per_lemma.items() if not c.passed]

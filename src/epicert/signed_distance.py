@@ -26,9 +26,9 @@ from .clarke import NondegeneracyResult, is_nondegenerate
 from .core import (
     Direction,
     FunctionOracle,
-    NormedSpace,
     NumericConfig,
     ProblemInstance,
+    Scales,
     finite_difference_gradients,
     membership_codes,
     sample_ball,
@@ -36,9 +36,9 @@ from .core import (
 )
 
 __all__ = [
+    "SD_SCALES",
     "SignedDistanceOracle",
     "signed_distance_values",
-    "signed_distance",
     "as_function_oracle",
     "sd_lipschitz_check",
     "Theorem2Result",
@@ -47,29 +47,46 @@ __all__ = [
 ]
 
 
+SEARCH_RADIUS = 1.5
+
+# Scales of the Theorem 2 route: the signed distance is only known to about
+# probe_resolution, so derivative ladders stop well above that floor, hull
+# gradients are taken at wide offsets, and descent steps and Lipschitz chords
+# stay long.  Written as factors of SEARCH_RADIUS, not rounded literals:
+# 6e-3 * 1.5 != 0.009 in binary64, and certificates depend on the exact bits.
+SD_SCALES = Scales(
+    hull_perturbation=5e-3 * SEARCH_RADIUS,
+    dd_delta0=0.04 * SEARCH_RADIUS,
+    dd_delta_floor=6e-3 * SEARCH_RADIUS,
+    dd_stab_tol=1e-3,
+    t_min_fraction=0.05,
+    chord_fraction=3e-2,
+)
+
+
 @dataclass(frozen=True, eq=False)
 class SignedDistanceOracle:
+    """Signed distance to the set of ``base``; ``seed`` keys the probe
+    directions.  The search settings are class constants."""
+
     base: ProblemInstance
-    search_radius: float = 1.5
-    resolution: int = 24            # radial grid points per direction
-    n_directions: int = 16          # raised to 2*dim+4 if below
-    refine_rounds: int = 9
-    refine_step: float = 0.6
-    refine_shrink: float = 0.55
-    refine_proposals: int = 4
     seed: int = 0
-    bisect_tol: float = 1e-12
 
-    @cached_property
-    def probe_resolution(self) -> float:
-        """Conservative bound on magnitude overestimation.
+    search_radius = SEARCH_RADIUS
+    resolution = 24            # radial grid points per direction
+    n_directions = 16          # raised to 2*dim+4 if below
+    refine_rounds = 9
+    refine_step = 0.6
+    refine_shrink = 0.55
+    refine_proposals = 4
+    bisect_tol = 1e-12
 
-        Direction search ends with proposal cones of angular scale
-        refine_step * refine_shrink**(rounds-1); the induced overestimate is
-        second order in that angle, scaled to the search radius.
-        """
-        sigma = self.refine_step * self.refine_shrink ** (self.refine_rounds - 1)
-        return 4.0 * self.search_radius * sigma * sigma + 100.0 * self.bisect_tol
+    # Conservative bound on magnitude overestimation.  Direction search ends
+    # with proposal cones of angular scale refine_step *
+    # refine_shrink**(rounds-1); the induced overestimate is second order in
+    # that angle, scaled to the search radius.
+    _sigma = refine_step * refine_shrink ** (refine_rounds - 1)
+    probe_resolution = 4.0 * search_radius * _sigma * _sigma + 100.0 * bisect_tol
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -194,28 +211,17 @@ def signed_distance_values(
     return vals, flags
 
 
-def signed_distance(sd: SignedDistanceOracle, y: np.ndarray, cfg: NumericConfig) -> float:
-    return float(signed_distance_values(sd, np.asarray(y, dtype=float)[None, :], cfg)[0][0])
-
-
-def as_function_oracle(
-    sd: SignedDistanceOracle,
-    cfg: NumericConfig,
-    fd_step: float | None = None,
-) -> FunctionOracle:
+def as_function_oracle(sd: SignedDistanceOracle, cfg: NumericConfig) -> FunctionOracle:
     """Wrap the signed distance as a plain oracle for the witness machinery.
 
     The gradient uses wide central differences so that probe noise is
     averaged out instead of amplified; value_noise carries the probe
     resolution so verification tolerances account for it.
     """
-    if fd_step is None:
-        fd_step = max(1e-3 * sd.search_radius, 20.0 * sd.probe_resolution)
-
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(sd, P, cfg)[0]
 
-    step = float(fd_step)
+    step = max(1e-3 * sd.search_radius, 20.0 * sd.probe_resolution)
 
     def gradient(P: np.ndarray) -> np.ndarray:
         return finite_difference_gradients(evaluate, P, step)
@@ -234,15 +240,14 @@ def sd_lipschitz_check(
     center: np.ndarray,
     radius: float,
     cfg: NumericConfig,
-    n_pairs: int = 500,
-    seed_tag: str = "sd-lipschitz",
 ) -> dict:
     """Sampled check of the modulus-one property with additive probe slack:
 
     |D(p) - D(q)| <= 1.02 |p - q| + 2 * probe_resolution on all pairs.
     """
     space = sd.base.space
-    rng = cfg.rng(seed_tag, sd.base.f.descriptor)
+    n_pairs = 500
+    rng = cfg.rng("sd-lipschitz", sd.base.f.descriptor)
     P = sample_ball(space, center, radius, n_pairs, rng)
     Q = sample_ball(space, center, radius, n_pairs, rng)
     vp, _ = signed_distance_values(sd, P, cfg)
@@ -265,27 +270,15 @@ class Theorem2Result:
     note: str = ""
 
 
-def _sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> tuple[ProblemInstance, SignedDistanceOracle]:
+def _sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
-    oracle = as_function_oracle(sd, cfg)
-    wrapped = ProblemInstance(
+    return ProblemInstance(
         space=inst.space,
-        f=oracle,
+        f=as_function_oracle(sd, cfg),
         boundary_points=inst.boundary_points,
         reference=None,
         label=(inst.label + "+signed-distance") if inst.label else "signed-distance",
     )
-    return wrapped, sd
-
-
-def _sd_search_params(sd: SignedDistanceOracle) -> dict:
-    sr = sd.search_radius
-    return {
-        "hull_perturbation": 5e-3 * sr,
-        "dd_delta0": 0.04 * sr,
-        "dd_delta_floor": 6e-3 * sr,
-        "dd_stab_tol": 1e-3,
-    }
 
 
 def check_theorem2(
@@ -296,20 +289,19 @@ def check_theorem2(
     """Nondegeneracy of the signed distance at a boundary point.
 
     Wraps the signed distance as the function under test and reruns the
-    witness search with scales adapted to probe noise: neighbourhood ladders
-    stop well above the resolution floor and hull gradients are taken at
-    wide offsets.
+    witness search with the ``SD_SCALES`` preset, adapted to probe noise:
+    neighbourhood ladders stop well above the resolution floor and hull
+    gradients are taken at wide offsets.
     """
-    wrapped, sd = _sd_instance(inst, cfg)
     budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, 768))
-    nd = is_nondegenerate(wrapped, np.asarray(x, dtype=float), budget_cfg,
-                          **_sd_search_params(sd))
+    nd = is_nondegenerate(_sd_instance(inst, cfg), np.asarray(x, dtype=float),
+                          budget_cfg, scales=SD_SCALES)
     return Theorem2Result(
         nondegenerate=nd.witness is not None,
         witness=nd.witness,
         alpha=nd.alpha,
         nondegeneracy=nd,
-        probe_resolution=sd.probe_resolution,
+        probe_resolution=SignedDistanceOracle.probe_resolution,
         directions_tried=nd.directions_tried,
         note=nd.note,
     )
@@ -319,15 +311,9 @@ def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericCon
     """Run the full construction against the signed distance itself.
 
     The bisections stay exact (the signed distance's sign is the base
-    membership), so the standard pipeline applies with coarser sampling
-    scales.  Returns whatever certify returns.
+    membership), so the standard pipeline applies with the coarser
+    ``SD_SCALES`` preset.  Returns whatever certify returns.
     """
     from .epirep import certify
 
-    wrapped, sd = _sd_instance(inst, cfg)
-    return certify(
-        wrapped, x, cfg,
-        t_min_fraction=0.05,
-        chord_fraction=3e-2,
-        dd_overrides=_sd_search_params(sd),
-    )
+    return certify(_sd_instance(inst, cfg), x, cfg, scales=SD_SCALES)

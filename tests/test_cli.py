@@ -84,6 +84,15 @@ def test_input_errors_exit_1(capsys, argv):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["certify", "theorem2"])
+@pytest.mark.parametrize("point", ["nan,0", "0,inf"])
+def test_non_finite_point_exit_1(capsys, command, point):
+    code, out, err = run(capsys, command, "--catalog", "halfspace", "--point", point)
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in json.loads(err)["error"]
+
+
 def test_certify_unknown_catalog_message(capsys):
     code, _, err = run(capsys, "certify", "--catalog", "zorp")
     assert code == 1
@@ -131,6 +140,31 @@ def test_verify_tampered_certificate_exit_3(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["overall"] is False
     assert rep["per_lemma"]["L1"]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "catalog_id, tamper, needle",
+    [
+        ("rockafellar_3", False, "dim"),            # wrong dimension
+        ("halfspace", True, "x has shape (3,)"),    # malformed certificate
+        ("max_two_planes", False, "descriptor"),    # wrong instance, same space
+    ],
+    ids=["wrong-dim", "malformed-x", "wrong-instance"],
+)
+def test_verify_refuses_mismatched_certificate_exit_1(capsys, tmp_path, catalog_id,
+                                                      tamper, needle):
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--catalog", "halfspace", "--seed", "42",
+        "--out", str(cert))
+    if tamper:
+        data = json.loads(cert.read_text())
+        data["x"] = data["x"] + [0.0]
+        cert.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--catalog", catalog_id,
+                         "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert needle in json.loads(err)["error"]
 
 
 def test_verify_missing_certificate_exit_1(capsys, tmp_path):

@@ -21,7 +21,6 @@ from epicert.epirep import (
     epsilon_formula,
     find_descent_radius,
     from_graph_coordinates,
-    lambda_eval,
     lambda_values,
     measured_cylinder_lipschitz,
     norming_functional,
@@ -160,7 +159,9 @@ def test_lambda_translation_identity(halfspace_cert, cfg42):
 def test_lambda_scalar_wrapper(halfspace_cert, cfg42):
     entry, cert = halfspace_cert
     y = cert.witness.x + 0.01 * cert.witness.v
-    got = lambda_eval(cert.space, entry.instance.f, cert.witness, cert.phi, y, cfg42)
+    got = lambda_values(
+        cert.space, entry.instance.f, cert.witness, cert.phi, y[None, :], cfg42
+    )[0]
     assert got == pytest.approx(-0.01, abs=1e-10)
 
 
@@ -168,7 +169,7 @@ def test_lambda_rejects_far_query(halfspace_cert, cfg42):
     entry, cert = halfspace_cert
     y = cert.witness.x + np.array([0.0, 10.0])
     with pytest.raises(CylinderError):
-        lambda_eval(cert.space, entry.instance.f, cert.witness, cert.phi, y, cfg42)
+        lambda_values(cert.space, entry.instance.f, cert.witness, cert.phi, y[None, :], cfg42)
 
 
 def test_bracket_violation_surfaces_not_degrades(cfg42):

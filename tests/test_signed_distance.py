@@ -10,7 +10,6 @@ from epicert.signed_distance import (
     as_function_oracle,
     check_theorem2,
     sd_lipschitz_check,
-    signed_distance,
     signed_distance_values,
 )
 
@@ -32,7 +31,7 @@ def half_sd():
 
 def test_ball_center_distance(ball_sd, cfg):
     # distance from the origin to the complement of the unit ball is 1
-    d = signed_distance(ball_sd, np.zeros(2), cfg)
+    d = signed_distance_values(ball_sd, np.zeros((1, 2)), cfg)[0][0]
     assert d == pytest.approx(-1.0, abs=1e-6)
     # interior means negative here, magnitude may only overestimate
     assert d <= -1.0 + ball_sd.probe_resolution
@@ -59,7 +58,7 @@ def test_batch_purity(half_sd, cfg):
     rng = np.random.default_rng(10)
     pts = rng.uniform(-1, 1, (12, 2))
     full, _ = signed_distance_values(half_sd, pts, cfg)
-    singles = np.array([signed_distance(half_sd, p, cfg) for p in pts])
+    singles = np.array([signed_distance_values(half_sd, p[None, :], cfg)[0][0] for p in pts])
     np.testing.assert_array_equal(full, singles)
     perm = rng.permutation(12)
     shuffled, _ = signed_distance_values(half_sd, pts[perm], cfg)
