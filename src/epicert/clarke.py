@@ -155,6 +155,7 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         if j in active:
             break  # numerically stuck, current x is as good as it gets
+        state = (list(active), w.tobytes(), x.tobytes())
         active.append(j)
         w = np.append(w, 0.0)
         # minor cycles: affine minimiser over the active set, then pull the
@@ -196,6 +197,10 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             x = w @ P[active]
             if len(active) == 1:
                 break
+        if (active, w.tobytes(), x.tobytes()) == state:
+            # the minor cycle dropped j again with theta = 0; the loop is
+            # deterministic in (active, w, x), so it would repeat to the cap
+            break
 
     weights_full = np.zeros(m)
     acc = np.zeros(uniq.shape[0])
@@ -255,7 +260,7 @@ def estimate_gradient_hull(
     D = np.stack(dirs)
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     pts = x[None, :] + perturbation * D
-    grads = f.gradients(pts, fd_step=1e-6 * scale)
+    grads = f.gradients(pts)
     mnp, weights = min_norm_point(grads)
     return GradientHull(
         generators=grads,
@@ -421,7 +426,7 @@ def local_lipschitz_constant(
     n_q += n_chord
 
     # chords along the steepest direction each local gradient allows
-    grads = f.gradients(bases, fd_step=max(1e-7, 1e-6 * radius))
+    grads = f.gradients(bases)
     gnorm = np.linalg.norm(grads, axis=1)
     live = gnorm > 1e-12
     if np.any(live):
@@ -433,7 +438,6 @@ def local_lipschitz_constant(
     # ascent on the dual gradient norm: move toward the shell point that the
     # gradient's directional growth suggests, recording a chord each step.
     # needed in higher dimension where random sampling undershoots the sup.
-    fd = max(1e-7, 1e-6 * radius)
     hv_step = 1e-4 * radius
     T = max(60, 2 * d)
     for _ in range(4):
@@ -441,7 +445,7 @@ def local_lipschitz_constant(
         p = center + 0.999 * radius * space.unit(g0)
         prev_dir = None
         for _ in range(T):
-            g = f.gradients(p[None, :], fd_step=fd)[0]
+            g = f.gradients(p[None, :])[0]
             if np.linalg.norm(g) > 1e-12:
                 u = space.dual_norming_direction(g)
                 base = center + (p - center) * (1.0 - 2.0 * chord_fraction)
@@ -450,8 +454,8 @@ def local_lipschitz_constant(
                 n_q += 1
             else:
                 u = space.unit(rng.standard_normal(d))
-            gp = f.gradients((p + hv_step * u)[None, :], fd_step=fd)[0]
-            gm = f.gradients((p - hv_step * u)[None, :], fd_step=fd)[0]
+            gp = f.gradients((p + hv_step * u)[None, :])[0]
+            gm = f.gradients((p - hv_step * u)[None, :])[0]
             hv = (gp - gm) / (2.0 * hv_step)
             if np.linalg.norm(hv) < 1e-12:
                 break

@@ -30,7 +30,7 @@ from .epirep import (
     certificate_from_json,
     certify,
 )
-from .instancefile import InstanceSpecError, load_instance_file
+from .instancefile import InstanceSpecError, load_instance_file, parse_json
 from .signed_distance import check_theorem2, promote_to_certificate
 from .verify import SeedReuseError, run_suite
 
@@ -94,15 +94,19 @@ def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
             raise InstanceSpecError(
                 f"--point has {p.shape[0]} coordinates, space has {inst.space.dim}"
             )
-        return p
-    idx = getattr(args, "point_index", 0) or 0
-    if not inst.boundary_points:
-        raise InstanceSpecError("instance declares no boundary points; use --point")
-    if not (0 <= idx < len(inst.boundary_points)):
-        raise InstanceSpecError(
-            f"--point-index {idx} out of range ({len(inst.boundary_points)} declared)"
-        )
-    return np.asarray(inst.boundary_points[idx], dtype=float)
+    else:
+        idx = getattr(args, "point_index", 0) or 0
+        if not inst.boundary_points:
+            raise InstanceSpecError("instance declares no boundary points; use --point")
+        if not (0 <= idx < len(inst.boundary_points)):
+            raise InstanceSpecError(
+                f"--point-index {idx} out of range ({len(inst.boundary_points)} declared)"
+            )
+        p = np.asarray(inst.boundary_points[idx], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(inst.f.value(p)):
+            raise InstanceSpecError(f"f is not finite at the point {p.tolist()}")
+    return p
 
 
 def _certificate_text(cert: EpigraphCertificate, fmt: str) -> str:
@@ -157,8 +161,8 @@ def cmd_verify(args) -> int:
     inst, cfg, _ = _resolve_instance(args)
     try:
         with open(args.certificate) as fh:
-            cert = certificate_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            cert = certificate_from_json(parse_json(fh.read()))
+    except (OSError, KeyError, ValueError, TypeError) as exc:
         raise InstanceSpecError(f"cannot load certificate: {exc}") from exc
     stored = (cert.space.dim, cert.space.norm_kind, cert.instance_descriptor)
     wanted = (inst.space.dim, inst.space.norm_kind, inst.f.descriptor)

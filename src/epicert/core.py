@@ -24,6 +24,7 @@ __all__ = [
     "Direction",
     "FunctionOracle",
     "finite_difference_gradients",
+    "bisect_sign_change",
     "NumericConfig",
     "Scales",
     "PLAIN",
@@ -149,22 +150,40 @@ def finite_difference_gradients(
     return (fp - fm) / (2.0 * step)
 
 
+def bisect_sign_change(
+    values: Callable[[np.ndarray], np.ndarray], origins: np.ndarray, dirs: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray, width: float, tol: float,
+) -> np.ndarray:
+    """Per-row sign bisection of t -> values(origins + t dirs) on [lo, hi].
+
+    Assumes values > 0 at lo and <= 0 at hi (checked by callers); the
+    iteration count is sized for brackets of length width.  Rows never mix.
+    """
+    for _ in range(math.ceil(math.log2(max(width / tol, 2.0)))):
+        mid = 0.5 * (lo + hi)
+        cross = values(origins + mid[:, None] * dirs) <= 0.0
+        hi = np.where(cross, mid, hi)
+        lo = np.where(cross, lo, mid)
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionOracle:
     """Locally Lipschitz function given by batch evaluation.
 
-    eval: (n, dim) -> (n,).  grad, when present, is trusted only away from
-    the nonsmooth locus; estimators that need derivatives at kink points use
-    difference quotients instead.  lipschitz_hint, when present, is an
-    analytic bound on the local Lipschitz constant near the region of
-    interest and is cross-checked rather than believed outright.
-    value_noise declares how far eval may sit from the ideal function it
-    stands for (0 for closed forms; the probe resolution for estimated
-    oracles); magnitude-sensitive checks add it to their tolerance.
+    eval: (n, dim) -> (n,).  grad: (n, dim) -> (n, dim) is required, and is
+    trusted only away from the nonsmooth locus; estimators that need
+    derivatives at kink points use difference quotients instead.
+    lipschitz_hint, when present, is an analytic bound on the local Lipschitz
+    constant near the region of interest and is cross-checked rather than
+    believed outright.  value_noise declares how far eval may sit from the
+    ideal function it stands for (0 for closed forms; the probe resolution
+    for estimated oracles); magnitude-sensitive checks add it to their
+    tolerance.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    grad: Callable[[np.ndarray], np.ndarray]
     lipschitz_hint: float | None = None
     descriptor: str = ""
     value_noise: float = 0.0
@@ -181,14 +200,12 @@ class FunctionOracle:
     def value(self, point: np.ndarray) -> float:
         return float(self.values(np.asarray(point, dtype=float)[None, :])[0])
 
-    def gradients(self, points: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
+    def gradients(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.grad is not None:
-            g = np.asarray(self.grad(points), dtype=float)
-            if g.shape != points.shape:
-                raise ValueError(f"grad returned shape {g.shape}")
-            return g
-        return finite_difference_gradients(self.values, points, fd_step)
+        g = np.asarray(self.grad(points), dtype=float)
+        if g.shape != points.shape:
+            raise ValueError(f"grad returned shape {g.shape}")
+        return g
 
 
 @dataclass(frozen=True)
@@ -202,11 +219,12 @@ class NumericConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tol_bisect <= 0 or self.tol_value <= 0:
+        # written so that NaN fails every check
+        if not (self.tol_bisect > 0 and self.tol_value > 0):
             raise ValueError("tolerances must be positive")
         if not (0 < self.shrink_factor < 1):
             raise ValueError("shrink_factor must be in (0, 1)")
-        if self.sample_budget < 16:
+        if not (self.sample_budget >= 16):
             raise ValueError("sample_budget too small")
 
     def rng(self, *labels: Any) -> np.random.Generator:

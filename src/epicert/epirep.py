@@ -35,6 +35,7 @@ from .core import (
     NumericConfig,
     ProblemInstance,
     Scales,
+    bisect_sign_change,
     internal_verify_seed,
     membership_codes,
     sample_ball,
@@ -224,30 +225,6 @@ def from_graph_coordinates(v: np.ndarray, xi: np.ndarray, t: np.ndarray) -> np.n
     return np.asarray(xi, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), v)
 
 
-def _bisect_roots(
-    f: FunctionOracle,
-    bases: np.ndarray,
-    v: np.ndarray,
-    half_width: float,
-    tol: float,
-) -> np.ndarray:
-    """Vectorised sign bisection of s -> f(base + s v) on [-w, +w].
-
-    Assumes f(base - w v) > 0 and f(base + w v) <= 0 (checked by callers).
-    """
-    n = bases.shape[0]
-    lo = np.full(n, -half_width)
-    hi = np.full(n, half_width)
-    iters = max(1, math.ceil(math.log2(max(2.0 * half_width / tol, 2.0))))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        g = f.values(bases + mid[:, None] * v[None, :])
-        neg = g <= 0.0
-        hi = np.where(neg, mid, hi)
-        lo = np.where(neg, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def lambda_values(
     space: NormedSpace,
     f: FunctionOracle,
@@ -296,7 +273,8 @@ def lambda_values(
             f"sign bracket failed at base {bases[i].tolist()}: "
             f"f(-r/4)={f_lo[i]:.6g}, f(+r/4)={f_hi[i]:.6g}"
         )
-    roots = _bisect_roots(f, bases, v, w, cfg.tol_bisect)
+    roots = bisect_sign_change(f.values, bases, v[None, :], np.full(len(bases), -w),
+                               np.full(len(bases), w), 2.0 * w, cfg.tol_bisect)
     return roots + shift
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,21 @@ from . import catalog
 from .core import NORM_KINDS, FunctionOracle, NormedSpace, NumericConfig, ProblemInstance
 from .expressions import compile_expression
 
-__all__ = ["InstanceSpecError", "parse_instance", "load_instance_file"]
+__all__ = ["InstanceSpecError", "parse_json", "parse_instance", "load_instance_file"]
 
 
 class InstanceSpecError(ValueError):
     pass
+
+
+def parse_json(text: str):
+    """json.loads that refuses NaN, Infinity and numbers that overflow."""
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {token}")
+        return value
+    return json.loads(text, parse_float=finite, parse_constant=finite)
 
 
 def _parse_space(data: dict) -> NormedSpace:
@@ -115,9 +126,9 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig, catalog.
 
 def load_instance_file(path: str | Path) -> tuple[ProblemInstance, NumericConfig, catalog.CatalogEntry | None]:
     try:
-        data = json.loads(Path(path).read_text())
+        data = parse_json(Path(path).read_text())
     except OSError as exc:
         raise InstanceSpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InstanceSpecError(f"invalid JSON in {path}: {exc}") from exc
     return parse_instance(data)

@@ -16,7 +16,6 @@ batch cannot change any value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,6 +28,7 @@ from .core import (
     NumericConfig,
     ProblemInstance,
     Scales,
+    bisect_sign_change,
     finite_difference_gradients,
     membership_codes,
     sample_ball,
@@ -130,29 +130,16 @@ def _ray_crossings(
     g = signs[:, None, None] * raw
     neg = g <= 0.0
     hit = neg.any(axis=2)
-    j0 = np.argmax(neg, axis=2)           # index into rho[1:], first crossing
-    lo = rho[j0]
-    hi = rho[j0 + 1]
-    flat_hit = hit.ravel()
-    dist = np.full((n, p), radius)
-    if np.any(flat_hit):
-        idx = np.nonzero(flat_hit)[0]
+    j0 = np.argmax(neg, axis=2).ravel()   # index into rho[1:], first crossing
+    dist = np.full(n * p, radius)
+    idx = np.nonzero(hit.ravel())[0]
+    if idx.size:
         O = np.repeat(origins[:, None, :], p, axis=1).reshape(n * p, d)[idx]
         U = dirs.reshape(n * p, d)[idx]
         S = np.repeat(signs, p)[idx]
-        tlo = lo.ravel()[idx].copy()
-        thi = hi.ravel()[idx].copy()
-        iters = max(1, math.ceil(math.log2(max((radius / resolution) / tol, 2.0))))
-        for _ in range(iters):
-            mid = 0.5 * (tlo + thi)
-            gm = S * f_values(O + mid[:, None] * U)
-            cross = gm <= 0.0
-            thi = np.where(cross, mid, thi)
-            tlo = np.where(cross, tlo, mid)
-        out = np.full(n * p, radius)
-        out[idx] = 0.5 * (tlo + thi)
-        dist = out.reshape(n, p)
-    return dist, hit
+        dist[idx] = bisect_sign_change(lambda P: S * f_values(P), O, U, rho[j0[idx]],
+                                       rho[j0[idx] + 1], radius / resolution, tol)
+    return dist.reshape(n, p), hit
 
 
 def signed_distance_values(

@@ -4,8 +4,8 @@ Re-derives every certified claim on fresh samples: the ray-value bound (L1),
 the translation identity (L2), boundary containment of ray crossings (L3),
 the cylinder Lipschitz bound (L4), the sublevel characterisation on the
 epsilon-ball (L5), and the graph/membership equivalence on the half-size
-ball plus split-map invertibility (L6).  A pointedness diagnostic and an
-optional signed-distance nondegeneracy check ride along without gating.
+ball plus split-map invertibility (L6).  A pointedness diagnostic rides
+along without gating.
 
 The suite refuses to run on the seed the certificate was built with; reusing
 build samples would let an overfitted certificate check itself.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import WITNESS_TOL, GradientHull, estimate_gradient_hull
+from .clarke import GradientHull, estimate_gradient_hull
 from .core import (
     NumericConfig,
     ProblemInstance,
@@ -47,8 +47,6 @@ __all__ = [
 
 # sample counts are part of the reporting contract, not tunables
 CHECK_SAMPLE_COUNTS = {"L1": 200, "L2": 200, "L3": 200, "L4": 500, "L5": 500, "L6": 1000}
-
-_GATING = ("L1", "L2", "L3", "L4", "L5", "L6")
 
 
 class SeedReuseError(ValueError):
@@ -119,8 +117,12 @@ def pointedness_margin(hull: GradientHull) -> float:
     return best
 
 
-def _failed(lemma_id: str, samples: int, tolerance: float, note: str) -> LemmaCheck:
-    return LemmaCheck(lemma_id, False, -1.0, samples, tolerance, note)
+def _agreement(agree: np.ndarray, gap: np.ndarray, empty: float) -> tuple[bool, float]:
+    """(passed, margin): the smallest |gap| when every sample agrees, else
+    minus the largest |gap| among the disagreeing ones."""
+    if bool(np.all(agree)):
+        return True, float(np.min(np.abs(gap))) if gap.size else empty
+    return False, -float(np.max(np.abs(gap[~agree])))
 
 
 def _structural_problems(inst: ProblemInstance, cert: EpigraphCertificate,
@@ -158,8 +160,6 @@ def run_suite(
     inst: ProblemInstance,
     cert: EpigraphCertificate,
     cfg: NumericConfig,
-    *,
-    include_signed_distance: bool = False,
 ) -> VerificationReport:
     """Evaluate all lemma checks against fresh samples drawn from cfg's seed."""
     if cfg.rng_seed == cert.seed:
@@ -171,28 +171,22 @@ def run_suite(
     f = inst.f
     w = cert.witness
     phi = cert.phi
-    x, v, r, eps, k, alpha = w.x, w.v, w.r, w.epsilon, w.k, w.alpha
-    noise = f.value_noise
-    checks: dict[str, LemmaCheck] = {}
+    x, v, r, eps, k = w.x, w.v, w.r, w.epsilon, w.k
+    counts = CHECK_SAMPLE_COUNTS
 
-    problems = _structural_problems(inst, cert, cfg)
-    if problems:
-        checks["L1"] = _failed("L1", 0, cfg.tol_bisect,
-                               "structural: " + "; ".join(problems))
-    else:
-        n = CHECK_SAMPLE_COUNTS["L1"]
-        try:
-            Y = sample_ball(space, x, eps, n, cfg.rng("verify", "L1"))
-            lam = lambda_values(space, f, w, phi, Y, cfg)
-            bound = r / 4.0 + cfg.tol_bisect
-            worst = float(np.max(np.abs(lam)))
-            checks["L1"] = LemmaCheck("L1", worst <= bound, bound - worst, n,
-                                      cfg.tol_bisect)
-        except (BracketViolation, CylinderError) as exc:
-            checks["L1"] = _failed("L1", n, cfg.tol_bisect, str(exc))
+    # each check returns (passed, margin, samples, note)
+    def l1():
+        problems = _structural_problems(inst, cert, cfg)
+        if problems:
+            return False, -1.0, 0, "structural: " + "; ".join(problems)
+        Y = sample_ball(space, x, eps, counts["L1"], cfg.rng("verify", "L1"))
+        lam = lambda_values(space, f, w, phi, Y, cfg)
+        bound = r / 4.0 + cfg.tol_bisect
+        worst = float(np.max(np.abs(lam)))
+        return worst <= bound, bound - worst, counts["L1"], ""
 
-    n = CHECK_SAMPLE_COUNTS["L2"]
-    try:
+    def l2():
+        n = counts["L2"]
         rng = cfg.rng("verify", "L2")
         pts = sample_cylinder(space, w, phi, n, rng, tau_halfwidth=r / 8.0)
         s = rng.uniform(-r / 4.0, r / 4.0, n)
@@ -200,60 +194,38 @@ def run_suite(
         lamB = lambda_values(space, f, w, phi, pts + s[:, None] * v[None, :], cfg)
         err = float(np.max(np.abs(lamB - (lamA - s))))
         bound = 2.0 * cfg.tol_bisect
-        checks["L2"] = LemmaCheck("L2", err <= bound, bound - err, n, bound)
-    except (BracketViolation, CylinderError) as exc:
-        checks["L2"] = _failed("L2", n, 2.0 * cfg.tol_bisect, str(exc))
+        return err <= bound, bound - err, n, ""
 
-    n = CHECK_SAMPLE_COUNTS["L3"]
-    try:
-        pts = sample_cylinder(space, w, phi, n, cfg.rng("verify", "L3"),
+    def l3():
+        pts = sample_cylinder(space, w, phi, counts["L3"], cfg.rng("verify", "L3"),
                               tau_halfwidth=r / 8.0)
         lam = lambda_values(space, f, w, phi, pts, cfg)
         crossings = pts + lam[:, None] * v[None, :]
         dist_slack = (r / 2.0 + cfg.tol_bisect) - float(np.max(space.norm(crossings - x)))
-        value_cap = k * cfg.tol_bisect + 2.0 * noise
+        value_cap = k * cfg.tol_bisect + 2.0 * f.value_noise
         value_slack = value_cap - float(np.max(np.abs(f.values(crossings))))
         margin = min(dist_slack, value_slack)
-        checks["L3"] = LemmaCheck(
-            "L3", margin >= 0.0, margin, n, cfg.tol_bisect,
-            note=f"distance slack {dist_slack:.3g}, residual slack {value_slack:.3g}",
-        )
-    except (BracketViolation, CylinderError) as exc:
-        checks["L3"] = _failed("L3", n, cfg.tol_bisect, str(exc))
+        return (margin >= 0.0, margin, counts["L3"],
+                f"distance slack {dist_slack:.3g}, residual slack {value_slack:.3g}")
 
-    n = CHECK_SAMPLE_COUNTS["L4"]
-    try:
-        maxq = measured_cylinder_lipschitz(space, f, w, phi, cfg, n_pairs=n,
+    def l4():
+        maxq = measured_cylinder_lipschitz(space, f, w, phi, cfg, n_pairs=counts["L4"],
                                            seed_tag="verify-L4")
         bound = 1.01 * cert.lipschitz_bound
-        checks["L4"] = LemmaCheck("L4", maxq <= bound, bound - maxq, n, 0.01)
-    except (BracketViolation, CylinderError) as exc:
-        checks["L4"] = _failed("L4", n, 0.01, str(exc))
+        return maxq <= bound, bound - maxq, counts["L4"], ""
 
-    n = CHECK_SAMPLE_COUNTS["L5"]
-    try:
-        Y = sample_ball(space, x, eps, n, cfg.rng("verify", "L5"))
+    def l5():
+        Y = sample_ball(space, x, eps, counts["L5"], cfg.rng("verify", "L5"))
         codes = membership_codes(f, Y, cfg)
         keep = codes != 0
         lam = lambda_values(space, f, w, phi, Y[keep], cfg)
         inside = codes[keep] < 0
         agree = inside == (lam <= 0.0)
-        if bool(np.all(agree)):
-            margin = float(np.min(np.abs(lam))) if lam.size else cfg.tol_value
-            passed = True
-        else:
-            margin = -float(np.max(np.abs(lam[~agree])))
-            passed = False
-        checks["L5"] = LemmaCheck(
-            "L5", passed, margin, int(np.sum(keep)), cfg.tol_value,
-            note=f"{int(np.sum(~agree))} disagreements",
-        )
-    except (BracketViolation, CylinderError) as exc:
-        checks["L5"] = _failed("L5", n, cfg.tol_value, str(exc))
+        passed, margin = _agreement(agree, lam, cfg.tol_value)
+        return passed, margin, int(np.sum(keep)), f"{int(np.sum(~agree))} disagreements"
 
-    n = CHECK_SAMPLE_COUNTS["L6"]
-    try:
-        Y = sample_ball(space, x, eps / 2.0, n, cfg.rng("verify", "L6"))
+    def l6():
+        Y = sample_ball(space, x, eps / 2.0, counts["L6"], cfg.rng("verify", "L6"))
         codes = membership_codes(f, Y, cfg)
         keep = codes != 0
         xiY, phiY = to_graph_coordinates(phi, v, Y)
@@ -264,21 +236,29 @@ def run_suite(
         Z = sample_ball(space, x, r / 2.0, 100, cfg.rng("verify", "L6-invert"))
         xiZ, tZ = to_graph_coordinates(phi, v, Z)
         inv_err = float(np.max(space.norm(from_graph_coordinates(v, xiZ, tZ) - Z)))
-        inv_ok = inv_err <= 1e-12
-        if bool(np.all(agree)) and inv_ok:
-            margin = float(np.min(np.abs(gap))) if gap.size else cfg.tol_value
-            passed = True
-        else:
-            passed = False
-            margin = (-float(np.max(np.abs(gap[~agree])))
-                      if not bool(np.all(agree)) else -inv_err)
-        checks["L6"] = LemmaCheck(
-            "L6", passed, margin, int(np.sum(keep)), cfg.tol_value,
-            note=f"{int(np.sum(~agree))} disagreements; "
-                 f"split-map round trip max error {inv_err:.2e}",
-        )
-    except (BracketViolation, CylinderError) as exc:
-        checks["L6"] = _failed("L6", n, cfg.tol_value, str(exc))
+        passed, margin = _agreement(agree, gap, cfg.tol_value)
+        if passed and not (inv_err <= 1e-12):
+            passed, margin = False, -inv_err
+        return (passed, margin, int(np.sum(keep)),
+                f"{int(np.sum(~agree))} disagreements; "
+                f"split-map round trip max error {inv_err:.2e}")
+
+    lemmas = (
+        ("L1", l1, cfg.tol_bisect),
+        ("L2", l2, 2.0 * cfg.tol_bisect),
+        ("L3", l3, cfg.tol_bisect),
+        ("L4", l4, 0.01),
+        ("L5", l5, cfg.tol_value),
+        ("L6", l6, cfg.tol_value),
+    )
+    checks: dict[str, LemmaCheck] = {}
+    for lemma_id, check, tolerance in lemmas:
+        try:
+            passed, margin, samples, note = check()
+        except (BracketViolation, CylinderError) as exc:
+            passed, margin, samples, note = False, -1.0, counts[lemma_id], str(exc)
+        checks[lemma_id] = LemmaCheck(lemma_id, passed, margin, samples, tolerance, note)
+    overall = all(c.passed for c in checks.values())
 
     hull = estimate_gradient_hull(space, f, x, cfg)
     pm = pointedness_margin(hull)
@@ -286,17 +266,4 @@ def run_suite(
         "pointedness", True, pm, hull.generators.shape[0], 0.0,
         note="diagnostic only; near 0 suggests the generated cone is not pointed",
     )
-
-    if include_signed_distance:
-        from .signed_distance import check_theorem2  # heavy import kept lazy
-
-        t2 = check_theorem2(inst, x, cfg)
-        checks["T2"] = LemmaCheck(
-            "T2", t2.nondegenerate,
-            t2.alpha if t2.alpha is not None else -1.0,
-            t2.directions_tried, WITNESS_TOL,
-            note=t2.note,
-        )
-
-    overall = all(checks[i].passed for i in _GATING if i in checks)
     return VerificationReport(per_lemma=checks, overall=overall, seed=cfg.rng_seed)

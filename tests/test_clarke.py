@@ -217,3 +217,22 @@ def test_local_lipschitz_bad_hint_flagged(e2):
     est = local_lipschitz_constant(e2, f, np.zeros(2), 1.0, cfg)
     assert est.hint_inconsistent
     assert est.value == pytest.approx(SAFETY * est.raw_max, rel=1e-12)
+
+
+def test_min_norm_point_stops_at_a_repeated_state(monkeypatch):
+    # at this curved point a major cycle adds a generator that the minor
+    # cycle drops again with theta = 0; the state repeats exactly, so the
+    # loop must stop rather than run to its iteration cap
+    entry = load("unit_ball_euclid")
+    hull = estimate_gradient_hull(entry.instance.space, entry.instance.f,
+                                  np.array([1.0, 0.0]), NumericConfig(rng_seed=3))
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    min_norm_point(hull.generators)
+    assert len(calls) < 100

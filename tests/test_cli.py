@@ -237,3 +237,46 @@ def test_instance_file_certify(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["instance"]["label"] == "my-halfspace"
     assert cert["seed"] == 5
+
+
+def run_input_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"space": {"dim": 2}, "function": {"expression": "x1"}, '
+                    '"boundary_points": [[NaN, 0.0]]}')
+    run_input_error(capsys, "certify", "--instance", str(inst))
+
+
+def test_non_finite_config_in_file_exit_1(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"space": {"dim": 2}, "function": {"expression": "x1"}, '
+                    '"boundary_points": [[0.0, 0.0]], "config": {"tol_value": NaN}}')
+    run_input_error(capsys, "certify", "--instance", str(inst))
+
+
+@pytest.mark.parametrize("command", ["certify", "theorem2"])
+def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command):
+    # inf * 0 makes f NaN everywhere
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "space": {"dim": 2},
+        "function": {"expression": ["+", "x1", ["*", ["*", 1e308, 10], 0]]},
+        "boundary_points": [[0.0, 0.0]],
+    }))
+    run_input_error(capsys, command, "--instance", str(inst))
+
+
+def test_verify_refuses_non_finite_certificate_exit_1(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "certify", "--catalog", "halfspace", "--seed", "42")
+    assert code == 0
+    path.write_text(out.replace('"seed":42', '"seed":42,"k":NaN', 1))
+    run_input_error(capsys, "verify", "--catalog", "halfspace",
+                    "--certificate", str(path))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epicert as ec
-from epicert.core import NORM_KINDS, stream_rng
+from epicert.core import NORM_KINDS, bisect_sign_change, stream_rng
 
 DIMS = st.integers(min_value=1, max_value=5)
 KINDS = st.sampled_from(NORM_KINDS)
@@ -210,3 +210,42 @@ def test_function_oracle_value_shape_checks():
     with pytest.raises(ValueError):
         f.values(np.zeros((3, 4)))         # wrong dim
     assert f.value(np.array([2.5, 0.0])) == 2.5
+
+
+def test_bisect_sign_change_finds_linear_roots():
+    # values(p) = c - p[0] along +e1 from the origin crosses at t = c
+    roots = np.array([-0.7, 0.0, 0.123456789, 0.9])
+    origins = np.zeros((4, 2))
+    dirs = np.array([[1.0, 0.0]])
+
+    def values(P):
+        return roots - P[:, 0]
+
+    tol = 1e-10
+    got = bisect_sign_change(values, origins, dirs, np.full(4, -1.0),
+                             np.full(4, 1.0), 2.0, tol)
+    assert np.all(np.abs(got - roots) <= tol)
+
+
+def test_bisect_sign_change_rows_are_independent():
+    # a row's result is bitwise the same alone and inside a mixed batch
+    rng = np.random.default_rng(0)
+    origins = rng.uniform(-1.0, 1.0, (6, 3))
+    dirs = rng.standard_normal((6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lo, hi = np.full(6, -2.0), np.linspace(1.0, 3.0, 6)
+
+    def values(P):
+        return 1.0 - np.sum(P * P, axis=1)
+
+    batch = bisect_sign_change(values, origins, dirs, lo, hi, 5.0, 1e-12)
+    for i in range(6):
+        alone = bisect_sign_change(values, origins[i:i + 1], dirs[i:i + 1],
+                                   lo[i:i + 1], hi[i:i + 1], 5.0, 1e-12)
+        assert alone.tobytes() == batch[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("field", ["tol_bisect", "tol_value", "sample_budget"])
+def test_numeric_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        ec.NumericConfig(**{field: float("nan")})

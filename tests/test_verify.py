@@ -139,18 +139,6 @@ def test_margins_are_comfortable_on_halfspace(halfspace_cert):
         assert c.margin > 10.0 * c.tolerance, (lid, c.margin, c.tolerance)
 
 
-def test_optional_nondegeneracy_check_rides_along(halfspace_cert, cfg42):
-    entry, cert = halfspace_cert
-    rep = run_suite(
-        entry.instance, cert, replace(cfg42, rng_seed=912),
-        include_signed_distance=True,
-    )
-    assert "T2" in rep.per_lemma
-    assert rep.overall  # T2 never gates
-    gating_only = run_suite(entry.instance, cert, replace(cfg42, rng_seed=912))
-    assert gating_only.overall == rep.overall
-
-
 def test_all_catalog_reports_green(catalog_certs):
     for (cid, i), (entry, cert) in catalog_certs.items():
         assert cert.report.overall, (cid, i)
