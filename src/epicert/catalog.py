@@ -40,6 +40,15 @@ class CatalogEntry:
         return self.instance.reference
 
 
+def _entry(cid: str, space: NormedSpace, f: FunctionOracle, ref: ReferenceData,
+           certifiable: tuple[np.ndarray, ...],
+           degenerate: tuple[np.ndarray, ...] = ()) -> CatalogEntry:
+    """Entry labelled cid whose instance declares every listed point."""
+    inst = ProblemInstance(space=space, f=f, boundary_points=certifiable + degenerate,
+                           reference=ref, label=cid)
+    return CatalogEntry(cid, inst, certifiable_at=certifiable, degenerate_at=degenerate)
+
+
 def _pt(*coords: float) -> np.ndarray:
     return np.asarray(coords, dtype=float)
 
@@ -81,9 +90,7 @@ def _halfspace() -> CatalogEntry:
         smooth_points=(_pt(0.2, -0.3), _pt(-0.5, 0.1)),
         notes="linear boundary, crossing height equals the first coordinate",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(x0,),
-                           reference=ref, label="halfspace")
-    return CatalogEntry("halfspace", inst, certifiable_at=(x0,), degenerate_at=())
+    return _entry("halfspace", space, f, ref, (x0,))
 
 
 def _unit_ball_euclid() -> CatalogEntry:
@@ -105,9 +112,7 @@ def _unit_ball_euclid() -> CatalogEntry:
         smooth_points=(p1, _pt(0.6, 0.1)),
         notes="distance-to-origin sublevel set, gradient has unit norm away from 0",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(p1, p2),
-                           reference=ref, label="unit_ball_euclid")
-    return CatalogEntry("unit_ball_euclid", inst, certifiable_at=(p1, p2), degenerate_at=())
+    return _entry("unit_ball_euclid", space, f, ref, (p1, p2))
 
 
 def _box_sup() -> CatalogEntry:
@@ -132,9 +137,7 @@ def _box_sup() -> CatalogEntry:
         smooth_points=(p1, _pt(0.2, -0.9)),
         notes="sup-norm box; both listed points sit on a single face",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(p1, p2),
-                           reference=ref, label="box_sup")
-    return CatalogEntry("box_sup", inst, certifiable_at=(p1, p2), degenerate_at=())
+    return _entry("box_sup", space, f, ref, (p1, p2))
 
 
 def _max_two_planes() -> CatalogEntry:
@@ -161,9 +164,7 @@ def _max_two_planes() -> CatalogEntry:
         smooth_points=(_pt(0.5, -0.2), _pt(-0.7, 0.0)),
         notes="kink along the diagonal; generalized gradient at 0 is the segment [e1, e2]",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(p1, p2),
-                           reference=ref, label="max_two_planes")
-    return CatalogEntry("max_two_planes", inst, certifiable_at=(p1, p2), degenerate_at=())
+    return _entry("max_two_planes", space, f, ref, (p1, p2))
 
 
 def _union_balls() -> CatalogEntry:
@@ -190,9 +191,7 @@ def _union_balls() -> CatalogEntry:
         smooth_points=(p1, p2),
         notes="two unit balls centered (+-1.5, 0); both listed points lie on the right ball",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(p1, p2),
-                           reference=ref, label="union_balls")
-    return CatalogEntry("union_balls", inst, certifiable_at=(p1, p2), degenerate_at=())
+    return _entry("union_balls", space, f, ref, (p1, p2))
 
 
 def _singleton_sq() -> CatalogEntry:
@@ -204,9 +203,7 @@ def _singleton_sq() -> CatalogEntry:
         smooth_points=(_pt(0.3, 0.4), x0),
         notes="sublevel set is the single point 0; its gradient vanishes there, no descent direction exists",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(x0,),
-                           reference=ref, label="singleton_sq")
-    return CatalogEntry("singleton_sq", inst, certifiable_at=(), degenerate_at=(x0,))
+    return _entry("singleton_sq", space, f, ref, (), (x0,))
 
 
 def _abs_wall() -> CatalogEntry:
@@ -218,9 +215,7 @@ def _abs_wall() -> CatalogEntry:
         smooth_points=(_pt(0.5, 0.1), _pt(-0.3, 0.7)),
         notes="sublevel set is the x2 axis, a set with empty interior; 0 lies between the two gradient branches",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(x0,),
-                           reference=ref, label="abs_wall")
-    return CatalogEntry("abs_wall", inst, certifiable_at=(), degenerate_at=(x0,))
+    return _entry("abs_wall", space, f, ref, (), (x0,))
 
 
 def rockafellar_truncation(d: int) -> CatalogEntry:
@@ -274,9 +269,7 @@ def rockafellar_truncation(d: int) -> CatalogEntry:
         smooth_points=(x0, smooth),
         notes="curvature along the last xi coordinate grows with d, shrinking the certified slab",
     )
-    inst = ProblemInstance(space=space, f=f, boundary_points=(x0,),
-                           reference=ref, label=f"rockafellar_{d}")
-    return CatalogEntry(f"rockafellar_{d}", inst, certifiable_at=(x0,), degenerate_at=())
+    return _entry(f"rockafellar_{d}", space, f, ref, (x0,))
 
 
 _FIXED_BUILDERS = {

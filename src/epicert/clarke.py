@@ -30,6 +30,7 @@ from .core import (
     ProblemInstance,
     Scales,
     sample_ball,
+    signed_axes,
 )
 
 __all__ = [
@@ -244,16 +245,7 @@ def estimate_gradient_hull(
     rng = cfg.rng("hull", f.descriptor, *np.round(x, 12).tolist())
 
     n_target = min(4 * d + 8, 48)
-    dirs = []
-    for j in range(d):
-        for s in (1.0, -1.0):
-            e = np.zeros(d)
-            e[j] = s
-            dirs.append(e + 1e-3 * rng.standard_normal(d))
-            if len(dirs) >= n_target:
-                break
-        if len(dirs) >= n_target:
-            break
+    dirs = [e + 1e-3 * rng.standard_normal(d) for e in signed_axes(d)[:n_target]]
     while len(dirs) < n_target:
         g = rng.standard_normal(d)
         dirs.append(g / np.linalg.norm(g))
@@ -304,15 +296,9 @@ def is_nondegenerate(
     candidates: list[np.ndarray] = []
     if hull.min_norm_value > HULL_ZERO_TOL:
         candidates.append(-hull.min_norm_point)
-    for j in range(space.dim):
-        for s in (-1.0, 1.0):
-            e = np.zeros(space.dim)
-            e[j] = s
-            candidates.append(e)
+    candidates.extend(-signed_axes(space.dim))
     rng = cfg.rng("witness-dirs", inst.f.descriptor, *np.round(x, 12).tolist())
-    for _ in range(16):
-        g = rng.standard_normal(space.dim)
-        candidates.append(g)
+    candidates.extend(rng.standard_normal(space.dim) for _ in range(16))
 
     witness = None
     witness_value = None

@@ -4,7 +4,8 @@ Subcommands: certify, verify, theorem2, sweep-rockafellar, list-catalog.
 
 Exit codes are a stable contract:
     0  success
-    1  input error (bad flags, unreadable files, point not on the boundary)
+    1  input error (bad flags, unreadable files, point not on the boundary,
+       f or its gradient not finite near the point)
     2  degenerate point (no descent direction; also theorem2 = false, and
        a descent radius that shrinks to nothing)
     3  lemma-check failure (certificate produced or loaded, suite rejected
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import catalog as _catalog
-from .core import NumericConfig, ProblemInstance, canonical_json
+from .core import NonFiniteValue, NumericConfig, ProblemInstance, canonical_json
 from .epirep import (
     CertificationFailure,
     EpigraphCertificate,
@@ -52,7 +53,13 @@ def _error(message: str, extra: dict | None = None) -> None:
     payload = dict(extra or {})
     payload.pop("message", None)
     payload["error"] = message
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    print(json.dumps(payload, sort_keys=True, allow_nan=False), file=sys.stderr)
+
+
+def _failure(res: CertificationFailure, prefix: str = "") -> int:
+    """Report a failed construction on stderr; return its exit code."""
+    _error(prefix + res.message, res.to_json_dict())
+    return _FAILURE_EXIT[res.stage]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -103,9 +110,6 @@ def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
                 f"--point-index {idx} out of range ({len(inst.boundary_points)} declared)"
             )
         p = np.asarray(inst.boundary_points[idx], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(inst.f.value(p)):
-            raise InstanceSpecError(f"f is not finite at the point {p.tolist()}")
     return p
 
 
@@ -144,16 +148,12 @@ def cmd_certify(args) -> int:
     x = _resolve_point(inst, args)
     res = certify(inst, x, cfg)
     if isinstance(res, CertificationFailure):
-        _error(res.message, res.to_json_dict())
-        return _FAILURE_EXIT.get(res.stage, EXIT_LEMMA)
-    text = _certificate_text(res, args.format)
-    if args.out and args.format != "json":
+        return _failure(res)
+    if args.out:
         # out always receives the canonical JSON, stdout follows --format
         with open(args.out, "w") as fh:
             fh.write(canonical_json(res.to_json_dict()) + "\n")
-        print(text)
-    else:
-        _emit(text, args.out)
+    print(_certificate_text(res, args.format))
     return EXIT_OK
 
 
@@ -203,8 +203,7 @@ def cmd_theorem2(args) -> int:
         res = promote_to_certificate(inst, x, cfg)
         if isinstance(res, CertificationFailure):
             _emit(canonical_json(payload), None)
-            _error(res.message, res.to_json_dict())
-            return _FAILURE_EXIT.get(res.stage, EXIT_LEMMA)
+            return _failure(res)
         payload["certificate"] = res.to_json_dict()
     _emit(canonical_json(payload), args.out)
     return EXIT_OK
@@ -224,8 +223,7 @@ def cmd_sweep_rockafellar(args) -> int:
         entry = _catalog.load(f"rockafellar_{d}")
         res = certify(entry.instance, entry.certifiable_at[0], cfg)
         if isinstance(res, CertificationFailure):
-            _error(f"d={d}: {res.message}", res.to_json_dict())
-            return _FAILURE_EXIT.get(res.stage, EXIT_LEMMA)
+            return _failure(res, f"d={d}: ")
         w = res.witness
         rows.append((d, w.alpha, w.r, w.k, w.epsilon,
                      res.lipschitz_bound, res.measured_lipschitz))
@@ -314,8 +312,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; keep 1 as the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except InstanceSpecError as exc:
+        # a non-finite oracle value is reported below, not warned about
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (InstanceSpecError, NonFiniteValue) as exc:
         _error(str(exc))
         return EXIT_INPUT
 

@@ -22,9 +22,12 @@ __all__ = [
     "stream_rng",
     "NormedSpace",
     "Direction",
+    "signed_axes",
+    "NonFiniteValue",
     "FunctionOracle",
     "finite_difference_gradients",
     "bisect_sign_change",
+    "require_integer",
     "NumericConfig",
     "Scales",
     "PLAIN",
@@ -129,6 +132,15 @@ class Direction:
         return Direction(coords=u, unit_norm=n)
 
 
+def signed_axes(d: int) -> np.ndarray:
+    """Rows +e1, -e1, +e2, -e2, ... of shape (2d, d); every zero is +0.0."""
+    out = np.zeros((2 * d, d))
+    j = np.arange(d)
+    out[2 * j, j] = 1.0
+    out[2 * j + 1, j] = -1.0
+    return out
+
+
 def finite_difference_gradients(
     eval_fn: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
@@ -167,6 +179,17 @@ def bisect_sign_change(
     return 0.5 * (lo + hi)
 
 
+class NonFiniteValue(ValueError):
+    """An oracle returned NaN or an infinity."""
+
+
+def _finite(out: np.ndarray, points: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(out).all():
+        i = int(np.argmin(np.isfinite(out.reshape(len(points), -1)).all(axis=1)))
+        raise NonFiniteValue(f"{what} is not finite at {points[i].tolist()}")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionOracle:
     """Locally Lipschitz function given by batch evaluation.
@@ -179,7 +202,7 @@ class FunctionOracle:
     believed outright.  value_noise declares how far eval may sit from the
     ideal function it stands for (0 for closed forms; the probe resolution
     for estimated oracles); magnitude-sensitive checks add it to their
-    tolerance.
+    tolerance.  values and gradients raise NonFiniteValue on NaN or infinity.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -195,7 +218,7 @@ class FunctionOracle:
             raise ValueError(
                 f"oracle returned shape {out.shape}, expected ({points.shape[0]},)"
             )
-        return out
+        return _finite(out, points, "f")
 
     def value(self, point: np.ndarray) -> float:
         return float(self.values(np.asarray(point, dtype=float)[None, :])[0])
@@ -205,7 +228,14 @@ class FunctionOracle:
         g = np.asarray(self.grad(points), dtype=float)
         if g.shape != points.shape:
             raise ValueError(f"grad returned shape {g.shape}")
-        return g
+        return _finite(g, points, "the gradient of f")
+
+
+def require_integer(value: Any, name: str) -> Any:
+    """value itself if it is an integer (numpy integers count, bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -219,6 +249,8 @@ class NumericConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integer(self.sample_budget, "sample_budget")
+        require_integer(self.rng_seed, "rng_seed")
         # written so that NaN fails every check
         if not (self.tol_bisect > 0 and self.tol_value > 0):
             raise ValueError("tolerances must be positive")

@@ -21,12 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .clarke import (
-    GradientHull,
-    NondegeneracyResult,
-    is_nondegenerate,
-    local_lipschitz_constant,
-)
+from .clarke import GradientHull, is_nondegenerate, local_lipschitz_constant
 from .core import (
     PLAIN,
     Direction,
@@ -38,6 +33,7 @@ from .core import (
     bisect_sign_change,
     internal_verify_seed,
     membership_codes,
+    require_integer,
     sample_ball,
     to_jsonable,
 )
@@ -90,8 +86,8 @@ class CylinderError(ValueError):
 def epsilon_formula(alpha: float, r: float, k: float) -> float:
     """Neighbourhood size for the representation.  Single source of truth:
 
-    builder and verifier both call this, so the stored value is reproducible
-    bit for bit.
+    DescentWitness computes and checks epsilon with it, so the stored value
+    is reproducible bit for bit.
     """
     return min(r / 4.0, (alpha * r) / (4.0 * k))
 
@@ -107,14 +103,28 @@ class DescentWitness:
     k: float
     epsilon: float
 
-    def validate(self, space: NormedSpace) -> None:
+    def problems(self, space: NormedSpace) -> list[str]:
+        """Broken witness invariants, one note each; empty when sound."""
+        out = []
         if not (self.alpha > 0 and self.r > 0 and self.k > 0):
-            raise ValueError("alpha, r, k must be positive")
-        n = float(space.norm(self.v))
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"witness direction not unit: |v| = {n}")
-        if self.epsilon != epsilon_formula(self.alpha, self.r, self.k):
-            raise ValueError("epsilon does not match its defining formula")
+            out.append("nonpositive alpha/r/k")
+        if abs(float(space.norm(self.v)) - 1.0) > 1e-12:
+            out.append("witness direction not unit")
+        if self.k != 0:  # the formula divides by k
+            expected = epsilon_formula(self.alpha, self.r, self.k)
+            if self.epsilon != expected:
+                out.append(f"epsilon {self.epsilon!r} != min(r/4, alpha*r/(4k)) = {expected!r}")
+        return out
+
+    def validate(self, space: NormedSpace) -> None:
+        problems = self.problems(space)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @property
+    def lipschitz_bound(self) -> float:
+        """Modulus 1 + 2k/alpha of the graph function."""
+        return 1.0 + 2.0 * self.k / self.alpha
 
     @staticmethod
     def assemble(
@@ -141,6 +151,15 @@ class NormingFunctional:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) @ self.weights
 
+    def problems(self, space: NormedSpace, v: np.ndarray) -> list[str]:
+        """Broken norming conditions for the direction v; empty when sound."""
+        out = []
+        if abs(float(self.weights @ v) - 1.0) > 1e-12:
+            out.append("phi(v) != 1")
+        if abs(float(space.dual_norm(self.weights)) - 1.0) > 1e-10:
+            out.append("phi dual norm != 1")
+        return out
+
 
 def norming_functional(space: NormedSpace, v: np.ndarray) -> NormingFunctional:
     """Explicit dual-norming functional for the supported norms.
@@ -160,11 +179,9 @@ def norming_functional(space: NormedSpace, v: np.ndarray) -> NormingFunctional:
     else:
         w = np.sign(v)
     phi = NormingFunctional(weights=w, dual_norm=float(space.dual_norm(w)))
-    val = float(w @ v)
-    if abs(val - 1.0) > 1e-12 or abs(phi.dual_norm - 1.0) > 1e-10:
-        raise ValueError(
-            f"norming functional failed: phi(v)={val}, dual={phi.dual_norm}"
-        )
+    problems = phi.problems(space, v)
+    if problems:
+        raise ValueError("; ".join(problems))
     return phi
 
 
@@ -407,11 +424,12 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
 
     Values are taken as stored, without revalidation; the verification suite
     is the place where a tampered field turns into a reported failure rather
-    than a parse error.  Only the shapes are checked: every vector must have
-    ``dim`` entries, else ValueError.
+    than a parse error.  Only the types and shapes are checked: ``dim`` and
+    ``seed`` must be integers and every vector must have ``dim`` entries,
+    else ValueError.
     """
     info = data["instance"]
-    space = NormedSpace(int(info["dim"]), str(info["norm"]))
+    space = NormedSpace(require_integer(info["dim"], "dim"), str(info["norm"]))
 
     def vector(value, name: str) -> np.ndarray:
         out = np.asarray(value, dtype=float)
@@ -441,7 +459,7 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
         measured_lipschitz=float(data["measured_lipschitz"]),
         report=None,
         confidence=str(data.get("confidence", "sampling_probabilistic")),
-        seed=int(data["seed"]),
+        seed=require_integer(data["seed"], "seed"),
         instance_label=str(info.get("label", "")),
         instance_descriptor=str(info.get("descriptor", "")),
         space=space,
@@ -453,7 +471,6 @@ class CertificationFailure:
     stage: str          # precondition | degenerate-point | radius-underflow | lemma-check-failure
     message: str
     hull: GradientHull | None = None
-    nondegeneracy: NondegeneracyResult | None = None
     report: "VerificationReport | None" = None
 
     def to_json_dict(self) -> dict:
@@ -496,18 +513,14 @@ def certify(
             msg += f"; hull min-norm {nd.hull.min_norm_value:.3g} agrees (degenerate point)"
         elif nd.note:
             msg += f"; {nd.note}"
-        return CertificationFailure(
-            stage="degenerate-point", message=msg, hull=nd.hull, nondegeneracy=nd,
-        )
+        return CertificationFailure(stage="degenerate-point", message=msg, hull=nd.hull)
     v = nd.witness.coords
     alpha = float(nd.alpha)
 
     try:
         r = find_descent_radius(space, inst.f, x, v, alpha, cfg, scales=scales)
     except RadiusUnderflow as exc:
-        return CertificationFailure(
-            stage="radius-underflow", message=str(exc), hull=nd.hull, nondegeneracy=nd,
-        )
+        return CertificationFailure(stage="radius-underflow", message=str(exc), hull=nd.hull)
 
     lip = local_lipschitz_constant(space, inst.f, x, r, cfg, scales=scales)
     witness = DescentWitness.assemble(space, x, v, alpha, r, lip.value)
@@ -524,16 +537,14 @@ def certify(
         lam = lambda_values(space, inst.f, witness, phi, pts, cfg)
         measured = measured_cylinder_lipschitz(space, inst.f, witness, phi, cfg)
     except (BracketViolation, CylinderError) as exc:
-        return CertificationFailure(
-            stage="lemma-check-failure", message=f"sampling stage: {exc}",
-            hull=nd.hull, nondegeneracy=nd,
-        )
+        return CertificationFailure(stage="lemma-check-failure",
+                                    message=f"sampling stage: {exc}", hull=nd.hull)
 
     cert = EpigraphCertificate(
         witness=witness,
         phi=phi,
         lambda_samples=tuple((p, float(l)) for p, l in zip(pts, lam)),
-        lipschitz_bound=1.0 + 2.0 * witness.k / witness.alpha,
+        lipschitz_bound=witness.lipschitz_bound,
         measured_lipschitz=measured,
         report=None,
         confidence="sampling_probabilistic",
@@ -550,6 +561,6 @@ def certify(
         return CertificationFailure(
             stage="lemma-check-failure",
             message=f"lemma checks failed: {', '.join(failed)}",
-            hull=nd.hull, nondegeneracy=nd, report=report,
+            hull=nd.hull, report=report,
         )
     return cert

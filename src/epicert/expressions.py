@@ -129,12 +129,7 @@ def _compile(expr: Any, dim: int) -> tuple[_Node, str]:
         pick = np.argmax if op == "max" else np.argmin
 
         def extremum(pts):
-            vs = []
-            gs = []
-            for nd in nodes:
-                v, g = nd(pts)
-                vs.append(v)
-                gs.append(g)
+            vs, gs = zip(*(nd(pts) for nd in nodes))
             vstack = np.stack(vs)          # (k, n)
             gstack = np.stack(gs)          # (k, n, d)
             idx = pick(vstack, axis=0)     # ties resolve to lowest index
@@ -165,12 +160,7 @@ def _compile(expr: Any, dim: int) -> tuple[_Node, str]:
         need(1)
 
         def norm2(pts):
-            vs = []
-            gs = []
-            for nd in nodes:
-                v, g = nd(pts)
-                vs.append(v)
-                gs.append(g)
+            vs, gs = zip(*(nd(pts) for nd in nodes))
             vstack = np.stack(vs)              # (k, n)
             s = np.sqrt(np.sum(vstack * vstack, axis=0))
             safe = np.maximum(s, 1e-300)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clarke import NondegeneracyResult, is_nondegenerate
+from .clarke import is_nondegenerate
 from .core import (
     Direction,
     FunctionOracle,
@@ -32,6 +32,7 @@ from .core import (
     finite_difference_gradients,
     membership_codes,
     sample_ball,
+    signed_axes,
     stream_rng,
 )
 
@@ -93,16 +94,9 @@ class SignedDistanceOracle:
         space = self.base.space
         d = space.dim
         m = max(self.n_directions, 2 * d + 4)
-        dirs = []
-        for j in range(d):
-            for s in (1.0, -1.0):
-                e = np.zeros(d)
-                e[j] = s
-                dirs.append(e)
         rng = stream_rng(self.seed, "sd-directions")
-        while len(dirs) < m:
-            dirs.append(space.unit(rng.standard_normal(d)))
-        return np.stack(dirs)
+        extra = [space.unit(rng.standard_normal(d)) for _ in range(m - 2 * d)]
+        return np.vstack([signed_axes(d), *extra])
 
     @cached_property
     def refine_noise(self) -> np.ndarray:
@@ -251,7 +245,6 @@ class Theorem2Result:
     nondegenerate: bool
     witness: Direction | None
     alpha: float | None
-    nondegeneracy: NondegeneracyResult
     probe_resolution: float
     directions_tried: int
     note: str = ""
@@ -287,7 +280,6 @@ def check_theorem2(
         nondegenerate=nd.witness is not None,
         witness=nd.witness,
         alpha=nd.alpha,
-        nondegeneracy=nd,
         probe_resolution=SignedDistanceOracle.probe_resolution,
         directions_tried=nd.directions_tried,
         note=nd.note,

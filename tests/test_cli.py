@@ -127,12 +127,16 @@ def test_verify_seed_reuse_exit_4(capsys, tmp_path):
     assert "seed" in err.lower()
 
 
-def test_verify_tampered_certificate_exit_3(capsys, tmp_path):
+@pytest.mark.parametrize("field, factor, note", [("epsilon", 2.0, "epsilon"),
+                                                 ("k", 0.0, "nonpositive alpha/r/k"),
+                                                 ("alpha", 0.0, "nonpositive alpha/r/k")],
+                         ids=["epsilon-x2", "k-0", "alpha-0"])
+def test_verify_tampered_certificate_exit_3(capsys, tmp_path, field, factor, note):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--catalog", "halfspace", "--seed", "42",
         "--out", str(cert))
     data = json.loads(cert.read_text())
-    data["epsilon"] = data["epsilon"] * 2.0
+    data[field] = data[field] * factor
     cert.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", "--catalog", "halfspace",
                        "--certificate", str(cert))
@@ -140,6 +144,7 @@ def test_verify_tampered_certificate_exit_3(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["overall"] is False
     assert rep["per_lemma"]["L1"]["pass"] is False
+    assert note in rep["per_lemma"]["L1"]["note"]
 
 
 @pytest.mark.parametrize(
@@ -254,29 +259,47 @@ def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):
     run_input_error(capsys, "certify", "--instance", str(inst))
 
 
-def test_non_finite_config_in_file_exit_1(capsys, tmp_path):
+@pytest.mark.parametrize("config", ['{"tol_value": NaN}', '{"sample_budget": 1000.0}',
+                                    '{"rng_seed": 1.5}', '{"rng_seed": true}'],
+                         ids=["nan-tol-value", "float-budget", "fractional-seed", "bool-seed"])
+def test_non_finite_config_in_file_exit_1(capsys, tmp_path, config):
     inst = tmp_path / "inst.json"
     inst.write_text('{"space": {"dim": 2}, "function": {"expression": "x1"}, '
-                    '"boundary_points": [[0.0, 0.0]], "config": {"tol_value": NaN}}')
+                    '"boundary_points": [[0.0, 0.0]], "config": ' + config + '}')
     run_input_error(capsys, "certify", "--instance", str(inst))
 
 
-@pytest.mark.parametrize("command", ["certify", "theorem2"])
-def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command):
-    # inf * 0 makes f NaN everywhere
+# inf * 0 makes f NaN everywhere; inf - inf makes it NaN beside the point, not at it
+NAN_EVERYWHERE = ["+", "x1", ["*", ["*", 1e308, 10], 0]]
+NAN_NEAR_POINT = ["-", ["*", "x1", 1e200, 1e200], ["*", "x1", 1e200, 1e200]]
+
+
+@pytest.mark.parametrize(
+    "command, expression",
+    [("certify", NAN_EVERYWHERE), ("theorem2", NAN_EVERYWHERE),
+     ("certify", NAN_NEAR_POINT), ("theorem2", NAN_NEAR_POINT)],
+    ids=["certify", "theorem2", "certify-nan-near-point", "theorem2-nan-near-point"],
+)
+def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command, expression):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
         "space": {"dim": 2},
-        "function": {"expression": ["+", "x1", ["*", ["*", 1e308, 10], 0]]},
+        "function": {"expression": expression},
         "boundary_points": [[0.0, 0.0]],
     }))
     run_input_error(capsys, command, "--instance", str(inst))
 
 
-def test_verify_refuses_non_finite_certificate_exit_1(capsys, tmp_path):
+@pytest.mark.parametrize("old, new", [('"seed":42', '"seed":42,"k":NaN'),
+                                      ('"seed":42', '"seed":42.5'),
+                                      ('"seed":42', '"seed":true'),
+                                      ('"dim":2', '"dim":2.5')],
+                         ids=["nan-k", "fractional-seed", "bool-seed", "fractional-dim"])
+def test_verify_refuses_non_finite_certificate_exit_1(capsys, tmp_path, old, new):
     path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "--catalog", "halfspace", "--seed", "42")
     assert code == 0
-    path.write_text(out.replace('"seed":42', '"seed":42,"k":NaN', 1))
+    assert old in out
+    path.write_text(out.replace(old, new, 1))
     run_input_error(capsys, "verify", "--catalog", "halfspace",
                     "--certificate", str(path))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epicert as ec
-from epicert.core import NORM_KINDS, bisect_sign_change, stream_rng
+from epicert.core import NORM_KINDS, bisect_sign_change, signed_axes, stream_rng
 
 DIMS = st.integers(min_value=1, max_value=5)
 KINDS = st.sampled_from(NORM_KINDS)
@@ -68,6 +68,14 @@ def test_unit_kills_negative_zero():
     space = ec.NormedSpace(2, "euclidean")
     u = space.unit(np.array([-1e-300 * 0.0 - 0.0, 3.0]))
     assert not np.signbit(u[0])
+
+
+def test_signed_axes_order_and_zero_sign():
+    axes = signed_axes(3)
+    e = np.eye(3)
+    assert axes.shape == (6, 3)
+    assert np.array_equal(axes, np.stack([e[0], -e[0], e[1], -e[1], e[2], -e[2]]))
+    assert not np.any(np.signbit(axes[axes == 0.0]))
 
 
 def test_direction_make_rejects_zero():
@@ -146,6 +154,9 @@ def test_membership_scales_with_f():
         {"shrink_factor": 0.0},
         {"shrink_factor": 1.0},
         {"sample_budget": 4},
+        {"sample_budget": 1000.0},
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
     ],
 )
 def test_numeric_config_validation(kwargs):
@@ -157,6 +168,8 @@ def test_numeric_config_rng_depends_on_seed():
     a = ec.NumericConfig(rng_seed=1).rng("t").standard_normal(3)
     b = ec.NumericConfig(rng_seed=2).rng("t").standard_normal(3)
     assert not np.array_equal(a, b)
+    c = ec.NumericConfig(rng_seed=np.int64(1)).rng("t").standard_normal(3)
+    assert np.array_equal(a, c)
 
 
 def test_canonical_json_stable_and_sorted():
