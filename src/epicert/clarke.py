@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PLAIN,
     Direction,
     FunctionOracle,
     NormedSpace,
     NumericConfig,
     ProblemInstance,
-    Scales,
     sample_ball,
     signed_axes,
 )
@@ -69,8 +67,6 @@ def directional_derivative(
     x: np.ndarray,
     v: np.ndarray,
     cfg: NumericConfig,
-    *,
-    scales: Scales = PLAIN,
 ) -> DirectionalDerivativeEstimate:
     """Estimate the generalized directional derivative of f at x along v.
 
@@ -82,6 +78,7 @@ def directional_derivative(
     """
     x = np.asarray(x, dtype=float)
     scale = 1.0 + float(space.norm(x))
+    scales = f.scales
     delta0 = 0.1 * scale if scales.dd_delta0 is None else scales.dd_delta0
     delta_floor = (
         1e-8 * scale if scales.dd_delta_floor is None else scales.dd_delta_floor
@@ -227,8 +224,6 @@ def estimate_gradient_hull(
     f: FunctionOracle,
     x: np.ndarray,
     cfg: NumericConfig,
-    *,
-    scales: Scales = PLAIN,
 ) -> GradientHull:
     """Gradients at points jittered around x, hulled.
 
@@ -239,9 +234,9 @@ def estimate_gradient_hull(
     x = np.asarray(x, dtype=float)
     d = space.dim
     scale = 1.0 + float(space.norm(x))
-    perturbation = (
-        1e-5 * scale if scales.hull_perturbation is None else scales.hull_perturbation
-    )
+    perturbation = f.scales.hull_perturbation
+    if perturbation is None:
+        perturbation = 1e-5 * scale
     rng = cfg.rng("hull", f.descriptor, *np.round(x, 12).tolist())
 
     n_target = min(4 * d + 8, 48)
@@ -278,8 +273,6 @@ def is_nondegenerate(
     inst: ProblemInstance,
     x: np.ndarray,
     cfg: NumericConfig,
-    *,
-    scales: Scales = PLAIN,
 ) -> NondegeneracyResult:
     """Search for a descent direction at a boundary point.
 
@@ -291,7 +284,7 @@ def is_nondegenerate(
     """
     space = inst.space
     x = np.asarray(x, dtype=float)
-    hull = estimate_gradient_hull(space, inst.f, x, cfg, scales=scales)
+    hull = estimate_gradient_hull(space, inst.f, x, cfg)
 
     candidates: list[np.ndarray] = []
     if hull.min_norm_value > HULL_ZERO_TOL:
@@ -310,7 +303,7 @@ def is_nondegenerate(
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(c)
-        est = directional_derivative(space, inst.f, x, u, cfg, scales=scales)
+        est = directional_derivative(space, inst.f, x, u, cfg)
         if est.value < -WITNESS_TOL:
             witness = Direction.make(space, u)
             witness_value = est.value
@@ -369,8 +362,6 @@ def local_lipschitz_constant(
     center: np.ndarray,
     radius: float,
     cfg: NumericConfig,
-    *,
-    scales: Scales = PLAIN,
 ) -> LipschitzEstimate:
     """Lipschitz bound for f on the closed ball B(center, radius).
 
@@ -382,7 +373,7 @@ def local_lipschitz_constant(
     a consistent analytic hint caps it.
     """
     center = np.asarray(center, dtype=float)
-    chord_fraction = scales.chord_fraction
+    chord_fraction = f.scales.chord_fraction
     rng = cfg.rng("lipschitz", f.descriptor, round(radius, 12))
     d = space.dim
     n_q = 0

@@ -70,7 +70,7 @@ class NormedSpace:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
+            raise ValueError(f"unknown norm_kind {self.norm_kind!r}, expected one of {NORM_KINDS}")
 
     def norm(self, y: np.ndarray) -> np.ndarray:
         """Norm of a point (dim,) or batch (n, dim); returns scalar or (n,)."""
@@ -171,7 +171,9 @@ def bisect_sign_change(
     Assumes values > 0 at lo and <= 0 at hi (checked by callers); the
     iteration count is sized for brackets of length width.  Rows never mix.
     """
-    for _ in range(math.ceil(math.log2(max(width / tol, 2.0)))):
+    ratio = width / tol  # overflows for a huge bracket; the log difference does not
+    steps = math.log2(max(ratio, 2.0)) if ratio < math.inf else math.log2(width) - math.log2(tol)
+    for _ in range(math.ceil(steps)):
         mid = 0.5 * (lo + hi)
         cross = values(origins + mid[:, None] * dirs) <= 0.0
         hi = np.where(cross, mid, hi)
@@ -190,6 +192,27 @@ def _finite(out: np.ndarray, points: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Scales:
+    """Sampling scales of the certification pipeline, carried by the oracle.
+
+    The plain route and the signed-distance route run the same construction
+    and differ only in these values.  A ``None`` field takes its default
+    relative to 1 + |x| at the point under test (``dd_stab_tol``: the
+    config's ``tol_value``).
+    """
+
+    hull_perturbation: float | None = None  # offset of hull gradient samples
+    dd_delta0: float | None = None          # first directional-derivative scale
+    dd_delta_floor: float | None = None     # smallest directional-derivative scale
+    dd_stab_tol: float | None = None        # agreement that ends the ladder
+    t_min_fraction: float = 1e-4            # shortest descent-radius step, over 2r
+    chord_fraction: float = 1e-4            # Lipschitz chord half-length, over r
+
+
+PLAIN = Scales()
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionOracle:
     """Locally Lipschitz function given by batch evaluation.
@@ -202,7 +225,8 @@ class FunctionOracle:
     believed outright.  value_noise declares how far eval may sit from the
     ideal function it stands for (0 for closed forms; the probe resolution
     for estimated oracles); magnitude-sensitive checks add it to their
-    tolerance.  values and gradients raise NonFiniteValue on NaN or infinity.
+    tolerance.  Every pipeline stage samples f at f.scales.  values and
+    gradients raise NonFiniteValue on NaN or infinity.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -210,6 +234,7 @@ class FunctionOracle:
     lipschitz_hint: float | None = None
     descriptor: str = ""
     value_noise: float = 0.0
+    scales: Scales = PLAIN
 
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -251,6 +276,8 @@ class NumericConfig:
     def __post_init__(self) -> None:
         require_integer(self.sample_budget, "sample_budget")
         require_integer(self.rng_seed, "rng_seed")
+        if any(isinstance(v, bool) for v in (self.tol_bisect, self.tol_value, self.shrink_factor)):
+            raise ValueError("tol_bisect, tol_value and shrink_factor must be numbers, not bool")
         # written so that NaN fails every check
         if not (self.tol_bisect > 0 and self.tol_value > 0):
             raise ValueError("tolerances must be positive")
@@ -261,27 +288,6 @@ class NumericConfig:
 
     def rng(self, *labels: Any) -> np.random.Generator:
         return stream_rng(self.rng_seed, *labels)
-
-
-@dataclass(frozen=True)
-class Scales:
-    """Sampling scales of the certification pipeline.
-
-    The plain route and the signed-distance route run the same construction
-    and differ only in these values.  A ``None`` field takes its default
-    relative to 1 + |x| at the point under test (``dd_stab_tol``: the
-    config's ``tol_value``).
-    """
-
-    hull_perturbation: float | None = None  # offset of hull gradient samples
-    dd_delta0: float | None = None          # first directional-derivative scale
-    dd_delta_floor: float | None = None     # smallest directional-derivative scale
-    dd_stab_tol: float | None = None        # agreement that ends the ladder
-    t_min_fraction: float = 1e-4            # shortest descent-radius step, over 2r
-    chord_fraction: float = 1e-4            # Lipschitz chord half-length, over r
-
-
-PLAIN = Scales()
 
 
 def membership_codes(f: FunctionOracle, points: np.ndarray, cfg: NumericConfig) -> np.ndarray:

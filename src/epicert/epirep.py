@@ -23,13 +23,11 @@ import numpy as np
 
 from .clarke import GradientHull, is_nondegenerate, local_lipschitz_constant
 from .core import (
-    PLAIN,
     Direction,
     FunctionOracle,
     NormedSpace,
     NumericConfig,
     ProblemInstance,
-    Scales,
     bisect_sign_change,
     internal_verify_seed,
     membership_codes,
@@ -80,7 +78,8 @@ class BracketViolation(RuntimeError):
 
 
 class CylinderError(ValueError):
-    """Query point outside both the lambda cylinder and B(x, epsilon)."""
+    """Query point outside both the lambda cylinder and B(x, epsilon), or a
+    cylinder that cannot be sampled."""
 
 
 def epsilon_formula(alpha: float, r: float, k: float) -> float:
@@ -192,8 +191,6 @@ def find_descent_radius(
     v: np.ndarray,
     alpha: float,
     cfg: NumericConfig,
-    *,
-    scales: Scales = PLAIN,
 ) -> float:
     """Largest grid radius on which the sampled descent inequality holds.
 
@@ -207,7 +204,7 @@ def find_descent_radius(
     u = Direction.make(space, v).coords
     rng = cfg.rng("radius", f.descriptor, *np.round(x, 12).tolist())
     n = max(256, cfg.sample_budget // 2)
-    t_min_fraction = scales.t_min_fraction
+    t_min_fraction = f.scales.t_min_fraction
     r = 1.0
     floor = 1e-8
     while True:
@@ -323,8 +320,8 @@ def sample_cylinder(
             got += xi.shape[0]
         if got >= n:
             break
-    if got < n:
-        raise RuntimeError("cylinder rejection sampling starved")
+    if got < n or not tau_halfwidth >= 0.0:
+        raise CylinderError(f"cannot sample cylinder: epsilon {eps:.3g}, half-height {tau_halfwidth:.3g}")
     xis = np.concatenate(collected)[:n]
     taus = rng.uniform(-tau_halfwidth, tau_halfwidth, n)
     return pix[None, :] + xis + (float(phix) + taus)[:, None] * v[None, :]
@@ -425,8 +422,8 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
     Values are taken as stored, without revalidation; the verification suite
     is the place where a tampered field turns into a reported failure rather
     than a parse error.  Only the types and shapes are checked: ``dim`` and
-    ``seed`` must be integers and every vector must have ``dim`` entries,
-    else ValueError.
+    ``seed`` must be integers and every vector must have ``dim`` finite
+    entries, else ValueError.
     """
     info = data["instance"]
     space = NormedSpace(require_integer(info["dim"], "dim"), str(info["norm"]))
@@ -435,6 +432,8 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
         out = np.asarray(value, dtype=float)
         if out.shape != (space.dim,):
             raise ValueError(f"{name} has shape {out.shape}, expected ({space.dim},)")
+        if not np.isfinite(out).all():  # a JSON null reads as NaN
+            raise ValueError(f"{name} is not finite: {out.tolist()}")
         return out
 
     w = DescentWitness(
@@ -486,8 +485,6 @@ def certify(
     inst: ProblemInstance,
     x: np.ndarray,
     cfg: NumericConfig,
-    *,
-    scales: Scales = PLAIN,
 ) -> EpigraphCertificate | CertificationFailure:
     """Full pipeline: witness -> radius -> Lipschitz -> epsilon -> phi ->
     lambda samples -> lemma suite.  Returns a certificate only when every
@@ -506,7 +503,7 @@ def certify(
                     f"(f(x) = {inst.f.value(x):.6g})",
         )
 
-    nd = is_nondegenerate(inst, x, cfg, scales=scales)
+    nd = is_nondegenerate(inst, x, cfg)
     if nd.witness is None:
         msg = "no descent direction found"
         if nd.degenerate:
@@ -518,11 +515,11 @@ def certify(
     alpha = float(nd.alpha)
 
     try:
-        r = find_descent_radius(space, inst.f, x, v, alpha, cfg, scales=scales)
+        r = find_descent_radius(space, inst.f, x, v, alpha, cfg)
     except RadiusUnderflow as exc:
         return CertificationFailure(stage="radius-underflow", message=str(exc), hull=nd.hull)
 
-    lip = local_lipschitz_constant(space, inst.f, x, r, cfg, scales=scales)
+    lip = local_lipschitz_constant(space, inst.f, x, r, cfg)
     witness = DescentWitness.assemble(space, x, v, alpha, r, lip.value)
     phi = norming_functional(space, v)
 

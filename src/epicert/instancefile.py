@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .core import NORM_KINDS, FunctionOracle, NormedSpace, NumericConfig, ProblemInstance
+from .core import FunctionOracle, NormedSpace, NumericConfig, ProblemInstance, require_integer
 from .expressions import compile_expression
 
 __all__ = ["InstanceSpecError", "parse_json", "parse_instance", "load_instance_file"]
@@ -41,20 +41,18 @@ def parse_json(text: str):
         if not math.isfinite(value):
             raise ValueError(f"non-finite number {token}")
         return value
-    return json.loads(text, parse_float=finite, parse_constant=finite)
+
+    def integer(token: str) -> int:
+        finite(token)  # an integer past the float range overflows every float use
+        return int(token)
+    return json.loads(text, parse_float=finite, parse_constant=finite, parse_int=integer)
 
 
 def _parse_space(data: dict) -> NormedSpace:
     try:
-        dim = int(data["dim"])
-        norm = str(data.get("norm", "euclidean"))
+        return NormedSpace(require_integer(data["dim"], "dim"), str(data.get("norm", "euclidean")))
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceSpecError(f"bad space section: {exc}") from exc
-    if norm not in NORM_KINDS:
-        raise InstanceSpecError(f"unknown norm {norm!r}, expected one of {NORM_KINDS}")
-    if dim < 1:
-        raise InstanceSpecError("space dim must be >= 1")
-    return NormedSpace(dim, norm)
 
 
 def _parse_points(raw, dim: int) -> tuple[np.ndarray, ...]:

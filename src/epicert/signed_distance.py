@@ -2,12 +2,13 @@
 
 The value at y is the distance to M for outside points and minus the
 distance to the complement for inside points; zero inside the membership
-band.  Distances are found by marching a radial grid of directions until the
-signed oracle value flips, bisecting the bracket against the sign (which the
-membership oracle gives exactly), then refining the best direction with a
-shrinking cone of proposals.  The sign of the result is therefore exact; the
-magnitude overestimates the true distance by at most roughly the reported
-probe_resolution, because only finitely many directions are tried.
+band.  Distances are found by marching a radial grid along each direction
+(the signed axes, one diagonal per open orthant for dim <= 4, random unit
+vectors) until the signed oracle value flips, bisecting the bracket against
+the sign (which the membership oracle gives exactly), then refining the best
+direction with a shrinking cone of proposals.  The sign is therefore exact;
+the magnitude overestimates the true distance by at most roughly the
+reported probe_resolution, because only finitely many directions are tried.
 
 Everything here is a pure point function: refinement noise is keyed off the
 oracle's own seed, never off batch position, so splitting or reordering a
@@ -16,6 +17,7 @@ batch cannot change any value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -75,7 +77,8 @@ class SignedDistanceOracle:
 
     search_radius = SEARCH_RADIUS
     resolution = 24            # radial grid points per direction
-    n_directions = 16          # raised to 2*dim+4 if below
+    n_directions = 16          # raised to 2*dim+4, or the fixed count, if below
+    diagonal_max_dim = 4       # up to this dim every orthant gets a diagonal
     refine_rounds = 9
     refine_step = 0.6
     refine_shrink = 0.55
@@ -91,12 +94,16 @@ class SignedDistanceOracle:
 
     @cached_property
     def directions(self) -> np.ndarray:
+        # random directions alone can miss a thin wedge of M in some orthant
         space = self.base.space
         d = space.dim
-        m = max(self.n_directions, 2 * d + 4)
+        fixed = list(signed_axes(d))
+        if d <= self.diagonal_max_dim:
+            fixed += [space.unit(s) for s in itertools.product((1.0, -1.0), repeat=d)]
+        m = max(self.n_directions, 2 * d + 4, len(fixed))
         rng = stream_rng(self.seed, "sd-directions")
-        extra = [space.unit(rng.standard_normal(d)) for _ in range(m - 2 * d)]
-        return np.vstack([signed_axes(d), *extra])
+        extra = [space.unit(rng.standard_normal(d)) for _ in range(m - len(fixed))]
+        return np.vstack([*fixed, *extra])
 
     @cached_property
     def refine_noise(self) -> np.ndarray:
@@ -197,7 +204,8 @@ def as_function_oracle(sd: SignedDistanceOracle, cfg: NumericConfig) -> Function
 
     The gradient uses wide central differences so that probe noise is
     averaged out instead of amplified; value_noise carries the probe
-    resolution so verification tolerances account for it.
+    resolution so verification tolerances account for it, and every stage,
+    the verifier's included, samples it at ``SD_SCALES``.
     """
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(sd, P, cfg)[0]
@@ -213,6 +221,7 @@ def as_function_oracle(sd: SignedDistanceOracle, cfg: NumericConfig) -> Function
         lipschitz_hint=None,
         descriptor=f"(signed-distance {sd.base.f.descriptor})",
         value_noise=sd.probe_resolution,
+        scales=SD_SCALES,
     )
 
 
@@ -269,13 +278,12 @@ def check_theorem2(
     """Nondegeneracy of the signed distance at a boundary point.
 
     Wraps the signed distance as the function under test and reruns the
-    witness search with the ``SD_SCALES`` preset, adapted to probe noise:
+    witness search; the oracle's ``SD_SCALES`` adapt it to probe noise:
     neighbourhood ladders stop well above the resolution floor and hull
     gradients are taken at wide offsets.
     """
     budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, 768))
-    nd = is_nondegenerate(_sd_instance(inst, cfg), np.asarray(x, dtype=float),
-                          budget_cfg, scales=SD_SCALES)
+    nd = is_nondegenerate(_sd_instance(inst, cfg), np.asarray(x, dtype=float), budget_cfg)
     return Theorem2Result(
         nondegenerate=nd.witness is not None,
         witness=nd.witness,
@@ -290,9 +298,9 @@ def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericCon
     """Run the full construction against the signed distance itself.
 
     The bisections stay exact (the signed distance's sign is the base
-    membership), so the standard pipeline applies with the coarser
-    ``SD_SCALES`` preset.  Returns whatever certify returns.
+    membership), so the standard pipeline applies at the oracle's coarser
+    ``SD_SCALES``.  Returns whatever certify returns.
     """
     from .epirep import certify
 
-    return certify(_sd_instance(inst, cfg), x, cfg, scales=SD_SCALES)
+    return certify(_sd_instance(inst, cfg), x, cfg)

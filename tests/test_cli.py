@@ -129,8 +129,12 @@ def test_verify_seed_reuse_exit_4(capsys, tmp_path):
 
 @pytest.mark.parametrize("field, factor, note", [("epsilon", 2.0, "epsilon"),
                                                  ("k", 0.0, "nonpositive alpha/r/k"),
-                                                 ("alpha", 0.0, "nonpositive alpha/r/k")],
-                         ids=["epsilon-x2", "k-0", "alpha-0"])
+                                                 ("alpha", 0.0, "nonpositive alpha/r/k"),
+                                                 ("r", 1e308, "epsilon"),
+                                                 ("r", -1.0, "nonpositive alpha/r/k"),
+                                                 ("epsilon", -1.0, "epsilon")],
+                         ids=["epsilon-x2", "k-0", "alpha-0", "r-1e308", "r-negative",
+                              "epsilon-negative"])
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path, field, factor, note):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--catalog", "halfspace", "--seed", "42",
@@ -260,8 +264,10 @@ def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("config", ['{"tol_value": NaN}', '{"sample_budget": 1000.0}',
-                                    '{"rng_seed": 1.5}', '{"rng_seed": true}'],
-                         ids=["nan-tol-value", "float-budget", "fractional-seed", "bool-seed"])
+                                    '{"rng_seed": 1.5}', '{"rng_seed": true}',
+                                    '{"tol_bisect": true}'],
+                         ids=["nan-tol-value", "float-budget", "fractional-seed", "bool-seed",
+                              "bool-tol-bisect"])
 def test_non_finite_config_in_file_exit_1(capsys, tmp_path, config):
     inst = tmp_path / "inst.json"
     inst.write_text('{"space": {"dim": 2}, "function": {"expression": "x1"}, '
@@ -293,8 +299,11 @@ def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command, expression)
 @pytest.mark.parametrize("old, new", [('"seed":42', '"seed":42,"k":NaN'),
                                       ('"seed":42', '"seed":42.5'),
                                       ('"seed":42', '"seed":true'),
-                                      ('"dim":2', '"dim":2.5')],
-                         ids=["nan-k", "fractional-seed", "bool-seed", "fractional-dim"])
+                                      ('"dim":2', '"dim":2.5'),
+                                      ('"phi_weights":[-1.0,0.0]', '"phi_weights":[null,0.0]'),
+                                      ('"seed":42', '"seed":42,"r":1' + "0" * 400)],
+                         ids=["nan-k", "fractional-seed", "bool-seed", "fractional-dim",
+                              "null-phi", "overflowing-r"])
 def test_verify_refuses_non_finite_certificate_exit_1(capsys, tmp_path, old, new):
     path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "--catalog", "halfspace", "--seed", "42")

@@ -157,6 +157,8 @@ def test_membership_scales_with_f():
         {"sample_budget": 1000.0},
         {"rng_seed": 1.5},
         {"rng_seed": True},
+        {"tol_bisect": True},
+        {"tol_value": True},
     ],
 )
 def test_numeric_config_validation(kwargs):

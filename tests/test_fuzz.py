@@ -1,0 +1,102 @@
+"""Fuzzed certificate and instance files through cli.main.
+
+Whatever the file holds, the command ends in one of the documented exit
+codes (0 to 4), and stderr is either empty or exactly one JSON line.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from epicert import cli
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+# JSON integers have no size limit, so some leaves lie past the float range
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
+    | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Magnitudes are bounded only where the cost of a run grows with them: a
+# budget above 1e5 samples or a tolerance below 1e-12 would make a single
+# example slow, not wrong.  Every type and every other value stays open.
+def affordable(config: dict) -> bool:
+    budget = config.get("sample_budget")
+    if is_number(budget) and budget > 1e5:
+        return False
+    return not any(is_number(config.get(name)) and 0 < config[name] < 1e-12
+                   for name in ("tol_bisect", "tol_value"))
+
+
+CONFIG_FIELDS = ("tol_bisect", "tol_value", "sample_budget", "shrink_factor", "rng_seed")
+# numbers weighted up: values in range, so that a fair share of the examples run
+# a whole certify, and integers past the float range
+config_values = (st.floats(0.0, 1.0) | st.integers(0, 10**5) | st.integers(2**1024, 10**400)
+                 | json_values)
+configs = st.dictionaries(st.sampled_from(CONFIG_FIELDS), config_values).filter(affordable)
+
+CERTIFICATE_FIELDS = ("instance", "x", "v", "alpha", "r", "k", "epsilon", "phi_weights",
+                      "lipschitz_bound", "measured_lipschitz", "lambda_samples",
+                      "lemma_report", "overall", "confidence", "seed")
+
+
+@functools.lru_cache(maxsize=None)
+def halfspace_certificate() -> str:
+    code, out, _ = run_cli("certify", "--catalog", "halfspace", "--seed", "42")
+    assert code == 0
+    return out
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code: int, err: str) -> None:
+    assert code in range(5), code
+    lines = err.splitlines()
+    assert len(lines) <= 1, err
+    if lines:
+        json.loads(lines[0])
+
+
+@FUZZ
+@given(field=st.sampled_from(CERTIFICATE_FIELDS), value=json_values)
+def test_verify_fuzzed_certificate_field(field, value):
+    data = json.loads(halfspace_certificate())
+    assert field in data
+    data[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli("verify", "--catalog", "halfspace", "--certificate", str(path))
+    assert_contract(code, err)
+
+
+@FUZZ
+@given(config=configs)
+def test_certify_fuzzed_config(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps({"function": {"catalog_id": "halfspace"}, "config": config}))
+        code, _, err = run_cli("certify", "--instance", str(path))
+    assert_contract(code, err)

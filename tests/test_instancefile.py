@@ -86,6 +86,12 @@ def test_config_overrides():
         ({"function": {"catalog_id": "halfspace"},
           "config": {"tol_bisect": -1.0}}, "config"),
         ({"function": {"catalog_id": "halfspace"}, "config": 7}, "config"),
+        ({"space": {"dim": 2.7}, "function": {"expression": "x1"},
+          "boundary_points": [[0.0, 0.0]]}, "dim"),
+        ({"space": {"dim": "2"}, "function": {"expression": "x1"},
+          "boundary_points": [[0.0, 0.0]]}, "dim"),
+        ({"space": {"dim": True}, "function": {"expression": "x1"},
+          "boundary_points": [[0.0]]}, "dim"),
     ],
 )
 def test_bad_instance_data(data, needle):

@@ -1,10 +1,14 @@
 """Membership-only signed distance and the derived nondegeneracy check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from epicert.catalog import load
-from epicert.core import NumericConfig
+from epicert.core import NormedSpace, NumericConfig, ProblemInstance, signed_axes
+from epicert.expressions import compile_expression
+from epicert.instancefile import parse_instance
 from epicert.signed_distance import (
     SignedDistanceOracle,
     as_function_oracle,
@@ -121,3 +125,40 @@ def test_check_theorem2_singleton(cfg):
     res = check_theorem2(inst, np.zeros(2), cfg)
     assert not res.nondegenerate
     assert res.witness is None
+
+
+@pytest.mark.parametrize("dim, norm", [(3, "sup"), (4, "one")])
+def test_directions_cover_every_orthant(dim, norm):
+    space = NormedSpace(dim, norm)
+    inst = ProblemInstance(space=space, f=compile_expression("x1", dim))
+    D = SignedDistanceOracle(base=inst, seed=3).directions
+    assert D.shape == (max(16, 2 * dim + 2**dim), dim)
+    np.testing.assert_allclose(space.norm(D), 1.0, rtol=1e-12)
+    np.testing.assert_array_equal(D[: 2 * dim], signed_axes(dim))
+    # every open orthant holds a probe direction, whatever the random draws
+    hit = {tuple(np.sign(row)) for row in D if np.all(row != 0.0)}
+    assert hit == set(itertools.product((1.0, -1.0), repeat=dim))
+
+
+ONE_NORM_D4 = {
+    "space": {"dim": 4, "norm": "one"},
+    "function": {"expression": ["max", "x1", ["+", "x2", "x3"], ["-", 0, "x4"]],
+                 "lipschitz_hint": 2.0},
+    "boundary_points": [[0.0, 0.0, 0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("spec, seed", [({"function": {"catalog_id": "max_two_planes"}},
+                                         1113660102),
+                                        (ONE_NORM_D4, 5)],
+                         ids=["max_two_planes", "one-norm-d4"])
+def test_check_theorem2_answers_true_at_kinks(spec, seed):
+    # at these seeds the random probe directions alone missed the open
+    # orthant where M lies, and the signed distance read far too large
+    inst, _, _ = parse_instance(spec)
+    cfg = NumericConfig(rng_seed=seed)
+    res = check_theorem2(inst, inst.boundary_points[0], cfg)
+    assert res.nondegenerate, res.note
+    assert res.alpha > 0.1
+    for cid in ("singleton_sq", "abs_wall"):
+        assert not check_theorem2(load(cid).instance, np.zeros(2), cfg).nondegenerate, cid
