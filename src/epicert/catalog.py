@@ -21,7 +21,6 @@ from .expressions import compile_expression
 __all__ = [
     "CatalogEntry",
     "FIXED_IDS",
-    "catalog_ids",
     "load",
     "list_catalog",
     "rockafellar_truncation",
@@ -285,10 +284,6 @@ _FIXED_BUILDERS = {
 FIXED_IDS = tuple(_FIXED_BUILDERS)
 
 _ROCKAFELLAR_RE = re.compile(r"^rockafellar_([1-9][0-9]*)$")
-
-
-def catalog_ids() -> tuple[str, ...]:
-    return FIXED_IDS + ("rockafellar_<d>",)
 
 
 def load(entry_id: str) -> CatalogEntry:

@@ -132,14 +132,7 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = pts.shape[0]
     if m == 0:
         raise ValueError("empty generator set")
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).ravel()
-    first_occ = np.full(uniq.shape[0], -1, dtype=int)
-    for i, ui in enumerate(inverse):
-        if first_occ[ui] < 0:
-            first_occ[ui] = i
-
-    P = uniq
+    P, first = np.unique(pts, axis=0, return_index=True)
     start = int(np.argmin(np.einsum("ij,ij->i", P, P)))
     active = [start]
     w = np.array([1.0])
@@ -200,13 +193,9 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # deterministic in (active, w, x), so it would repeat to the cap
             break
 
-    weights_full = np.zeros(m)
-    acc = np.zeros(uniq.shape[0])
-    for a, wi in zip(active, w):
-        acc[a] += wi
-    for ui, orig in enumerate(first_occ):
-        weights_full[orig] = acc[ui]
-    return x, weights_full
+    weights = np.zeros(m)
+    weights[first[active]] = w
+    return x, weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,10 +356,12 @@ def local_lipschitz_constant(
 
     Candidate quotients come from four honest sources: random point pairs,
     short central chords at random points, chords aimed along the dual
-    norming direction of the local gradient, and a few gradient-growth
-    ascent runs that chase the in-ball maximiser of the dual gradient norm.
-    The returned value inflates the raw max by a fixed safety factor unless
-    a consistent analytic hint caps it.
+    norming direction of the local gradient, and four gradient-growth ascent
+    runs that chase the in-ball maximiser of the dual gradient norm.  The
+    runs step in lockstep, so every oracle query here is one batch.  A run
+    whose gradient vanishes takes a random unit step direction from this
+    call's rng stream, in row order.  The returned value inflates the raw
+    max by a fixed safety factor unless a consistent analytic hint caps it.
     """
     center = np.asarray(center, dtype=float)
     chord_fraction = f.scales.chord_fraction
@@ -412,38 +403,32 @@ def local_lipschitz_constant(
         raw = max(raw, float(np.max(q)))
         n_q += int(np.sum(live))
 
-    # ascent on the dual gradient norm: move toward the shell point that the
-    # gradient's directional growth suggests, recording a chord each step.
-    # needed in higher dimension where random sampling undershoots the sup.
+    # ascent on the dual gradient norm, four runs in lockstep: each run moves
+    # toward the shell point that its gradient's directional growth suggests,
+    # recording a chord each step, and stops once its hv vanishes or its point
+    # stops moving.  Needed in higher dimension, where random sampling
+    # undershoots the sup.
     hv_step = 1e-4 * radius
-    T = max(60, 2 * d)
-    for _ in range(4):
-        g0 = rng.standard_normal(d)
-        p = center + 0.999 * radius * space.unit(g0)
-        prev_dir = None
-        for _ in range(T):
-            g = f.gradients(p[None, :])[0]
-            if np.linalg.norm(g) > 1e-12:
-                u = space.dual_norming_direction(g)
-                base = center + (p - center) * (1.0 - 2.0 * chord_fraction)
-                qv = _chord_quotients(space, f, base[None, :], u[None, :], h)
-                raw = max(raw, float(qv[0]))
-                n_q += 1
-            else:
-                u = space.unit(rng.standard_normal(d))
-            gp = f.gradients((p + hv_step * u)[None, :])[0]
-            gm = f.gradients((p - hv_step * u)[None, :])[0]
-            hv = (gp - gm) / (2.0 * hv_step)
-            if np.linalg.norm(hv) < 1e-12:
-                break
-            if prev_dir is not None and float(hv @ prev_dir) < 0.0:
-                hv = -hv
-            prev_dir = hv
-            p_new = center + 0.999 * radius * space.unit(hv)
-            if np.linalg.norm(p_new - p) < 1e-12 * (1.0 + radius):
-                p = p_new
-                break
-            p = p_new
+    P = center + 0.999 * radius * space.unit(rng.standard_normal((4, d)))
+    prev = np.zeros_like(P)  # a zero previous step never flips the first one
+    for _ in range(max(60, 2 * d)):
+        G = f.gradients(P)
+        live = np.linalg.norm(G, axis=1) > 1e-12
+        U = np.empty_like(P)
+        if np.any(live):
+            U[live] = np.stack([space.dual_norming_direction(g) for g in G[live]])
+            base = center + (P[live] - center) * (1.0 - 2.0 * chord_fraction)
+            raw = max(raw, float(np.max(_chord_quotients(space, f, base, U[live], h))))
+            n_q += int(np.sum(live))
+        U[~live] = space.unit(rng.standard_normal((int(np.sum(~live)), d)))
+        HV = (f.gradients(P + hv_step * U) - f.gradients(P - hv_step * U)) / (2.0 * hv_step)
+        HV = np.where((np.einsum("ij,ij->i", HV, prev) < 0.0)[:, None], -HV, HV)
+        keep = np.linalg.norm(HV, axis=1) >= 1e-12
+        P_new = center + 0.999 * radius * space.unit(HV[keep])
+        moved = np.linalg.norm(P_new - P[keep], axis=1) >= 1e-12 * (1.0 + radius)
+        P, prev = P_new[moved], HV[keep][moved]
+        if not len(P):
+            break
 
     hint_inconsistent = False
     hint = f.lipschitz_hint

@@ -220,7 +220,10 @@ def cmd_sweep_rockafellar(args) -> int:
     cfg = NumericConfig(rng_seed=seed)
     rows = []
     for d in d_list:
-        entry = _catalog.load(f"rockafellar_{d}")
+        try:
+            entry = _catalog.load(f"rockafellar_{d}")
+        except KeyError as exc:
+            raise InstanceSpecError(f"bad --d-list: {exc.args[0]}") from exc
         res = certify(entry.instance, entry.certifiable_at[0], cfg)
         if isinstance(res, CertificationFailure):
             return _failure(res, f"d={d}: ")

@@ -82,12 +82,13 @@ class NormedSpace:
         return np.sum(np.abs(y), axis=-1)
 
     def unit(self, y: np.ndarray) -> np.ndarray:
-        """y rescaled to norm 1.  Raises on (numerically) zero input."""
+        """A point (dim,) or each row of a batch (n, dim) rescaled to norm 1.
+        Raises on a (numerically) zero input."""
         y = np.asarray(y, dtype=float)
-        n = float(self.norm(y))
-        if n < 1e-300:
+        n = self.norm(y)
+        if np.any(n < 1e-300):
             raise ValueError("cannot normalise zero vector")
-        u = y / n
+        u = y / np.expand_dims(n, -1)
         # kill -0.0 so serialised directions are reproducible byte for byte
         return np.where(u == 0.0, 0.0, u)
 

@@ -77,7 +77,7 @@ class SignedDistanceOracle:
 
     search_radius = SEARCH_RADIUS
     resolution = 24            # radial grid points per direction
-    n_directions = 16          # raised to 2*dim+4, or the fixed count, if below
+    n_directions = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
     diagonal_max_dim = 4       # up to this dim every orthant gets a diagonal
     refine_rounds = 9
     refine_step = 0.6
@@ -97,6 +97,8 @@ class SignedDistanceOracle:
         # random directions alone can miss a thin wedge of M in some orthant
         space = self.base.space
         d = space.dim
+        if d == 1:
+            return signed_axes(1)  # the whole unit sphere of R^1
         fixed = list(signed_axes(d))
         if d <= self.diagonal_max_dim:
             fixed += [space.unit(s) for s in itertools.product((1.0, -1.0), repeat=d)]

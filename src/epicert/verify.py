@@ -132,8 +132,8 @@ def _structural_problems(inst: ProblemInstance, cert: EpigraphCertificate,
     if w.alpha != 0 and not np.isclose(cert.lipschitz_bound, w.lipschitz_bound,
                                        rtol=1e-12, atol=0.0):
         problems.append("lipschitz_bound != 1 + 2k/alpha")
-    if cert.measured_lipschitz > cert.lipschitz_bound * 1.01:
-        problems.append("measured_lipschitz exceeds bound * 1.01")
+    if not 0.0 <= cert.measured_lipschitz <= cert.lipschitz_bound * 1.01:
+        problems.append("measured_lipschitz outside [0, bound * 1.01]")
     lam_cap = w.r / 4.0 + cfg.tol_bisect
     for _, val in cert.lambda_samples:
         if abs(val) > lam_cap:

@@ -219,6 +219,25 @@ def test_local_lipschitz_bad_hint_flagged(e2):
     assert est.value == pytest.approx(SAFETY * est.raw_max, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_local_lipschitz_ascent_reaches_the_sup(d):
+    # the curvature peaks on the shell; random pairs and chords alone reach
+    # only 0.62-0.87 of the sup here, the gradient-growth ascent the rest
+    entry = load(f"rockafellar_{d}")
+    inst = entry.instance
+    est = local_lipschitz_constant(inst.space, inst.f, entry.certifiable_at[0], 0.05,
+                                   NumericConfig(rng_seed=1))
+    assert est.raw_max >= 0.99 * inst.reference.lipschitz_on_ball(0.05)
+
+
+def test_local_lipschitz_ascent_survives_vanishing_gradients(e2):
+    # the gradient of max(x1, 0) is zero on half the ball, so runs starting
+    # there step along random directions and stop once hv vanishes
+    f = compile_expression(["max", "x1", 0], 2)
+    est = local_lipschitz_constant(e2, f, np.zeros(2), 1.0, NumericConfig(rng_seed=1))
+    assert est.raw_max == pytest.approx(1.0, rel=1e-9)
+
+
 def test_min_norm_point_stops_at_a_repeated_state(monkeypatch):
     # at this curved point a major cycle adds a generator that the minor
     # cycle drops again with theta = 0; the state repeats exactly, so the

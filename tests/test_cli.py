@@ -132,9 +132,11 @@ def test_verify_seed_reuse_exit_4(capsys, tmp_path):
                                                  ("alpha", 0.0, "nonpositive alpha/r/k"),
                                                  ("r", 1e308, "epsilon"),
                                                  ("r", -1.0, "nonpositive alpha/r/k"),
-                                                 ("epsilon", -1.0, "epsilon")],
+                                                 ("epsilon", -1.0, "epsilon"),
+                                                 ("measured_lipschitz", -1.0,
+                                                  "measured_lipschitz")],
                          ids=["epsilon-x2", "k-0", "alpha-0", "r-1e308", "r-negative",
-                              "epsilon-negative"])
+                              "epsilon-negative", "measured-negative"])
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path, field, factor, note):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--catalog", "halfspace", "--seed", "42",
@@ -212,6 +214,14 @@ def test_sweep_rockafellar_csv(capsys, tmp_path):
     assert len(lines) == 3
     eps = [float(l.split(",")[4]) for l in lines[1:]]
     assert eps[1] < eps[0]
+
+
+@pytest.mark.parametrize("d_list", ["0", "-3"])
+def test_sweep_bad_dimension_exit_1(capsys, d_list):
+    code, out, err = run(capsys, "sweep-rockafellar", "--d-list", d_list)
+    assert code == 1
+    assert out == ""
+    assert f"rockafellar_{d_list}" in json.loads(err)["error"]
 
 
 def test_sweep_repeated_d_fails_monotonicity(capsys):

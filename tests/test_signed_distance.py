@@ -140,6 +140,13 @@ def test_directions_cover_every_orthant(dim, norm):
     assert hit == set(itertools.product((1.0, -1.0), repeat=dim))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_directions_have_no_duplicate_rows(dim):
+    inst = ProblemInstance(space=NormedSpace(dim, "euclidean"), f=compile_expression("x1", dim))
+    D = SignedDistanceOracle(base=inst, seed=3).directions
+    assert len(np.unique(D, axis=0)) == len(D)
+
+
 ONE_NORM_D4 = {
     "space": {"dim": 4, "norm": "one"},
     "function": {"expression": ["max", "x1", ["+", "x2", "x3"], ["-", 0, "x4"]],
