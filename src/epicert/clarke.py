@@ -11,7 +11,7 @@ Three pieces:
   nearby points, with Wolfe's algorithm for the minimum-norm point.
 * ``local_lipschitz_constant``: a certified-by-sampling bound on the local
   Lipschitz constant of f on a ball, every candidate being an honest pair
-  quotient |f(a) - f(b)| / |a - b|.
+  quotient |f(a) - f(b)| / |a - b| formed by ``core.pair_quotients``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import (
     NormedSpace,
     NumericConfig,
     ProblemInstance,
+    pair_quotients,
     sample_ball,
     signed_axes,
 )
@@ -327,24 +328,6 @@ class LipschitzEstimate:
     hint_inconsistent: bool # analytic hint fell below an observed quotient
 
 
-def _chord_quotients(
-    space: NormedSpace,
-    f: FunctionOracle,
-    bases: np.ndarray,
-    dirs: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    a = bases + h * dirs
-    b = bases - h * dirs
-    sep = space.norm(a - b)
-    ok = sep > 1e-300
-    q = np.zeros(bases.shape[0])
-    fa = f.values(a)
-    fb = f.values(b)
-    q[ok] = np.abs(fa[ok] - fb[ok]) / sep[ok]
-    return q
-
-
 def local_lipschitz_constant(
     space: NormedSpace,
     f: FunctionOracle,
@@ -354,54 +337,44 @@ def local_lipschitz_constant(
 ) -> LipschitzEstimate:
     """Lipschitz bound for f on the closed ball B(center, radius).
 
-    Candidate quotients come from four honest sources: random point pairs,
-    short central chords at random points, chords aimed along the dual
-    norming direction of the local gradient, and four gradient-growth ascent
-    runs that chase the in-ball maximiser of the dual gradient norm.  The
-    runs step in lockstep, so every oracle query here is one batch.  A run
-    whose gradient vanishes takes a random unit step direction from this
-    call's rng stream, in row order.  The returned value inflates the raw
-    max by a fixed safety factor unless a consistent analytic hint caps it.
+    Every candidate is an honest pair quotient |f(a) - f(b)| / |a - b| from
+    ``pair_quotients``, taken over pairs more than 1e-9 * radius apart.  The
+    static sources go through one call: random point pairs, short central
+    chords at random points, and chords aimed along the dual norming
+    direction of the local gradient.  Then four gradient-growth ascent runs
+    chase the in-ball maximiser of the dual gradient norm, stepping in
+    lockstep, so every oracle query here is one batch.  A run whose gradient
+    vanishes takes a random unit step direction from this call's rng stream,
+    in row order.  The returned value inflates the raw max by a fixed safety
+    factor unless a consistent analytic hint caps it.
     """
     center = np.asarray(center, dtype=float)
     chord_fraction = f.scales.chord_fraction
     rng = cfg.rng("lipschitz", f.descriptor, round(radius, 12))
     d = space.dim
-    n_q = 0
-    raw = 0.0
+    min_sep = 1e-9 * radius
 
     n_pairs = 512
     A = sample_ball(space, center, radius, n_pairs, rng)
     B = sample_ball(space, center, radius, n_pairs, rng)
-    sep = space.norm(A - B)
-    ok = sep > 1e-9 * radius
-    if np.any(ok):
-        qa = np.abs(f.values(A[ok]) - f.values(B[ok])) / sep[ok]
-        raw = max(raw, float(np.max(qa)))
-        n_q += int(np.sum(ok))
-
     h = chord_fraction * radius
     n_chord = 128
     bases = sample_ball(space, center, radius * (1.0 - 2.0 * chord_fraction), n_chord, rng)
     if space.norm_kind == "euclidean":
         U = rng.standard_normal((n_chord, d))
-        U /= np.maximum(np.linalg.norm(U, axis=1, keepdims=True), 1e-300)
     else:
         U = rng.uniform(-1.0, 1.0, (n_chord, d))
-        U /= np.maximum(space.norm(U)[:, None], 1e-300)
-    q = _chord_quotients(space, f, bases, U, h)
-    raw = max(raw, float(np.max(q)))
-    n_q += n_chord
-
+    U /= np.maximum(space.norm(U)[:, None], 1e-300)
     # chords along the steepest direction each local gradient allows
     grads = f.gradients(bases)
-    gnorm = np.linalg.norm(grads, axis=1)
-    live = gnorm > 1e-12
-    if np.any(live):
-        W = np.stack([space.dual_norming_direction(g) for g in grads[live]])
-        q = _chord_quotients(space, f, bases[live], W, h)
-        raw = max(raw, float(np.max(q)))
-        n_q += int(np.sum(live))
+    live = np.linalg.norm(grads, axis=1) > 1e-12
+    W = space.dual_norming_direction(grads[live])
+    quotients = [pair_quotients(
+        space, f.values,
+        np.concatenate([A, bases + h * U, bases[live] + h * W]),
+        np.concatenate([B, bases - h * U, bases[live] - h * W]),
+        min_sep,
+    )]
 
     # ascent on the dual gradient norm, four runs in lockstep: each run moves
     # toward the shell point that its gradient's directional growth suggests,
@@ -415,11 +388,11 @@ def local_lipschitz_constant(
         G = f.gradients(P)
         live = np.linalg.norm(G, axis=1) > 1e-12
         U = np.empty_like(P)
-        if np.any(live):
-            U[live] = np.stack([space.dual_norming_direction(g) for g in G[live]])
-            base = center + (P[live] - center) * (1.0 - 2.0 * chord_fraction)
-            raw = max(raw, float(np.max(_chord_quotients(space, f, base, U[live], h))))
-            n_q += int(np.sum(live))
+        U[live] = space.dual_norming_direction(G[live])
+        base = center + (P[live] - center) * (1.0 - 2.0 * chord_fraction)
+        quotients.append(
+            pair_quotients(space, f.values, base + h * U[live], base - h * U[live], min_sep)
+        )
         U[~live] = space.unit(rng.standard_normal((int(np.sum(~live)), d)))
         HV = (f.gradients(P + hv_step * U) - f.gradients(P - hv_step * U)) / (2.0 * hv_step)
         HV = np.where((np.einsum("ij,ij->i", HV, prev) < 0.0)[:, None], -HV, HV)
@@ -430,6 +403,8 @@ def local_lipschitz_constant(
         if not len(P):
             break
 
+    q = np.concatenate(quotients)
+    raw = float(np.max(q, initial=0.0))
     hint_inconsistent = False
     hint = f.lipschitz_hint
     if hint is not None and hint >= raw * (1.0 - 1e-9):
@@ -439,5 +414,5 @@ def local_lipschitz_constant(
             hint_inconsistent = True
         value = SAFETY * raw
     return LipschitzEstimate(
-        value=value, raw_max=raw, n_quotients=n_q, hint_inconsistent=hint_inconsistent
+        value=value, raw_max=raw, n_quotients=q.size, hint_inconsistent=hint_inconsistent
     )

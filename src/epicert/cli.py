@@ -5,7 +5,7 @@ Subcommands: certify, verify, theorem2, sweep-rockafellar, list-catalog.
 Exit codes are a stable contract:
     0  success
     1  input error (bad flags, unreadable files, point not on the boundary,
-       f or its gradient not finite near the point)
+       f or its gradient not finite near the point, too large for memory)
     2  degenerate point (no descent direction; also theorem2 = false, and
        a descent radius that shrinks to nothing)
     3  lemma-check failure (certificate produced or loaded, suite rejected
@@ -78,7 +78,7 @@ def _resolve_instance(args) -> tuple[ProblemInstance, NumericConfig, object]:
         try:
             entry = _catalog.load(args.catalog)
         except KeyError as exc:
-            raise InstanceSpecError(str(exc)) from exc
+            raise InstanceSpecError(exc.args[0]) from exc
         inst, cfg = entry.instance, NumericConfig()
     elif args.instance:
         inst, cfg, entry = load_instance_file(args.instance)
@@ -320,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except (InstanceSpecError, NonFiniteValue) as exc:
         _error(str(exc))
+        return EXIT_INPUT
+    except MemoryError as exc:
+        _error(f"input too large for memory: {str(exc) or 'allocation failed'}")
         return EXIT_INPUT
 
 

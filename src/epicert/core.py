@@ -35,6 +35,7 @@ __all__ = [
     "ReferenceData",
     "ProblemInstance",
     "sample_ball",
+    "pair_quotients",
     "to_jsonable",
     "canonical_json",
     "internal_verify_seed",
@@ -96,24 +97,22 @@ class NormedSpace:
         return NormedSpace(self.dim, DUAL_KIND[self.norm_kind]).norm(w)
 
     def dual_norming_direction(self, g: np.ndarray) -> np.ndarray:
-        """A unit vector u (this space's norm) with <g, u> = dual_norm(g).
+        """A unit vector u (this space's norm) with <g, u> = dual_norm(g), for
+        a point (dim,) or each row of a batch (n, dim).
 
         Used to aim chord probes along the steepest direction a gradient
-        allows.  Ties in the sup/one cases resolve to the lowest index.
+        allows.  Ties in the sup/one cases resolve to +1 and the lowest index.
         """
         g = np.asarray(g, dtype=float)
         if self.norm_kind == "euclidean":
             return self.unit(g)
         if self.norm_kind == "sup":
             # dual of sup is one-norm: u has all coordinates at +-1
-            s = np.sign(g)
-            s = np.where(s == 0.0, 1.0, s)
-            return s
+            return np.where(g < 0.0, -1.0, 1.0)
         # dual of one-norm is sup: mass on a single extreme coordinate
-        j = int(np.argmax(np.abs(g)))
-        u = np.zeros(self.dim)
-        u[j] = 1.0 if g[j] >= 0 else -1.0
-        return u
+        j = np.argmax(np.abs(g), axis=-1)[..., None]
+        s = np.where(np.take_along_axis(g, j, axis=-1) >= 0.0, 1.0, -1.0)
+        return np.where(np.arange(self.dim) == j, s, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,6 +396,20 @@ def sample_ball(
     pts[-k:] = pts[-k:] / norms[:, None] * shell[:, None]
     out[1:] = center + radius * pts
     return out
+
+
+def pair_quotients(
+    space: NormedSpace, g: Callable[[np.ndarray], np.ndarray],
+    A: np.ndarray, B: np.ndarray, min_sep: float,
+) -> np.ndarray:
+    """|g(a) - g(b)| / |a - b| over the row pairs (a, b) of A and B more than
+    min_sep apart.  g sees only those rows (one call per side), and is not
+    called at all when no pair qualifies."""
+    sep = space.norm(A - B)
+    ok = sep > min_sep
+    if not np.any(ok):
+        return np.zeros(0)
+    return np.abs(g(A[ok]) - g(B[ok])) / sep[ok]
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -31,6 +31,7 @@ from .core import (
     bisect_sign_change,
     internal_verify_seed,
     membership_codes,
+    pair_quotients,
     require_integer,
     sample_ball,
     to_jsonable,
@@ -361,13 +362,9 @@ def measured_cylinder_lipschitz(
     xiA, tA = to_graph_coordinates(phi, v, A[n_free + n_v :])
     B[n_free + n_v :] = from_graph_coordinates(v, xiF, tA)
 
-    lamA = lambda_values(space, f, witness, phi, A, cfg)
-    lamB = lambda_values(space, f, witness, phi, B, cfg)
-    sep = np.asarray(space.norm(A - B), dtype=float)
-    ok = sep > 1e-6 * eps
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(np.abs(lamA[ok] - lamB[ok]) / sep[ok]))
+    q = pair_quotients(space, lambda P: lambda_values(space, f, witness, phi, P, cfg),
+                       A, B, 1e-6 * eps)
+    return float(np.max(q, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,7 +78,7 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig, catalog.
         try:
             entry = catalog.load(str(fn["catalog_id"]))
         except KeyError as exc:
-            raise InstanceSpecError(str(exc)) from exc
+            raise InstanceSpecError(exc.args[0]) from exc
         inst = entry.instance
         if "space" in data:
             declared = _parse_space(data["space"])

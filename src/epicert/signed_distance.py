@@ -167,36 +167,27 @@ def signed_distance_values(
         return vals, flags
     s = codes[active].astype(float)
     Ya = Y[active]
-    D0 = np.broadcast_to(
-        sd.directions[None, :, :], (active.size, *sd.directions.shape)
-    ).copy()
-
-    def crossings(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _ray_crossings(f.values, s, Ya, dirs, sd.search_radius,
-                              sd.resolution, sd.bisect_tol)
-
-    dist, hit = crossings(D0)
-    best = np.min(dist, axis=1)
-    best_dir = D0[np.arange(active.size), np.argmin(dist, axis=1)]
-    any_hit = hit.any(axis=1)
-
-    noise = sd.refine_noise
+    rows = np.arange(active.size)
+    # round 0 marches the fixed directions, each later round a shrinking cone
+    # of proposals around the best direction so far
+    best, best_dir, any_hit = sd.search_radius, sd.directions[0], False
     sigma = sd.refine_step
-    for t in range(sd.refine_rounds):
-        props = best_dir[:, None, :] + sigma * noise[t][None, :, :]
-        norms = np.asarray(space.norm(props.reshape(-1, space.dim)), dtype=float)
-        norms = np.maximum(norms, 1e-300)
-        props = (props.reshape(-1, space.dim) / norms[:, None]).reshape(props.shape)
-        dist_p, hit_p = crossings(props)
-        cand = np.min(dist_p, axis=1)
-        cand_dir = props[np.arange(active.size), np.argmin(dist_p, axis=1)]
-        improved = hit_p.any(axis=1) & (cand < best)
+    for t in range(1 + sd.refine_rounds):
+        if t == 0:
+            props = np.broadcast_to(sd.directions, (active.size, *sd.directions.shape))
+        else:
+            props = best_dir[:, None, :] + sigma * sd.refine_noise[t - 1][None, :, :]
+            props = props / np.maximum(space.norm(props), 1e-300)[..., None]
+            sigma *= sd.refine_shrink
+        dist, hit = _ray_crossings(f.values, s, Ya, props, sd.search_radius,
+                                   sd.resolution, sd.bisect_tol)
+        cand = np.min(dist, axis=1)
+        improved = hit.any(axis=1) & (cand < best)
         best = np.where(improved, cand, best)
-        best_dir = np.where(improved[:, None], cand_dir, best_dir)
-        any_hit = any_hit | hit_p.any(axis=1)
-        sigma *= sd.refine_shrink
+        best_dir = np.where(improved[:, None], props[rows, np.argmin(dist, axis=1)], best_dir)
+        any_hit = any_hit | hit.any(axis=1)
 
-    vals[active] = s * np.where(any_hit, best, sd.search_radius)
+    vals[active] = s * best
     flags[active] = ~any_hit
     return vals, flags
 

@@ -93,10 +93,28 @@ def test_non_finite_point_exit_1(capsys, command, point):
     assert "non-finite" in json.loads(err)["error"]
 
 
-def test_certify_unknown_catalog_message(capsys):
+def test_certify_unknown_catalog_message(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--catalog", "zorp")
     assert code == 1
-    assert "zorp" in err
+    assert json.loads(err) == {"error": "unknown catalog id: 'zorp'"}
+    spec = tmp_path / "zorp.json"
+    spec.write_text(json.dumps({"function": {"catalog_id": "zorp"}}))
+    code, _, err = run(capsys, "certify", "--instance", str(spec))
+    assert code == 1
+    assert json.loads(err) == {"error": "unknown catalog id: 'zorp'"}
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # stands in for a dimension too large to allocate; a real one could get
+    # the process killed on a host that overcommits memory instead of raising
+    def certify(*args):
+        raise MemoryError("Unable to allocate 149. GiB")
+
+    monkeypatch.setattr(cli, "certify", certify)
+    code, out, err = run(capsys, "sweep-rockafellar", "--d-list", "100000")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "input too large for memory: Unable to allocate 149. GiB"}
 
 
 def test_verify_round_trip(capsys, tmp_path):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epicert as ec
-from epicert.core import NORM_KINDS, bisect_sign_change, signed_axes, stream_rng
+from epicert.core import (
+    NORM_KINDS, bisect_sign_change, pair_quotients, signed_axes, stream_rng,
+)
 
 DIMS = st.integers(min_value=1, max_value=5)
 KINDS = st.sampled_from(NORM_KINDS)
@@ -62,6 +64,65 @@ def test_dual_norming_tie_uses_lowest_index():
     space = ec.NormedSpace(2, "one")       # dual norm is sup, attained per coordinate
     d = space.dual_norming_direction(np.array([2.0, 2.0]))
     np.testing.assert_array_equal(d, [1.0, 0.0])
+
+
+TIE_ROWS = np.array([
+    [2.0, 2.0, 0.0],      # tie between the first two coordinates
+    [-2.0, 2.0, 1.0],     # tie with a negative lowest index
+    [0.0, -0.0, -3.0],    # zero coordinates of either sign
+    [-0.0, 0.0, 0.0],     # the zero vector with a -0.0 extreme coordinate
+    [1e-3, -5.0, 5.0],
+])
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_dual_norming_direction_batch_matches_rows(kind):
+    space = ec.NormedSpace(3, kind)
+    rows = TIE_ROWS if kind != "euclidean" else TIE_ROWS[[0, 1, 2, 4]]  # unit needs |g| > 0
+    rows = np.vstack([rows, stream_rng(3, "dual-batch").standard_normal((6, 3))])
+    batch = space.dual_norming_direction(rows)
+    one_by_one = np.stack([space.dual_norming_direction(g) for g in rows])
+    assert batch.shape == rows.shape
+    assert np.array_equal(batch, one_by_one)
+    assert np.array_equal(np.signbit(batch), np.signbit(one_by_one))
+    assert space.dual_norming_direction(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_dual_norming_direction_tie_rules():
+    sup, one = ec.NormedSpace(3, "sup"), ec.NormedSpace(3, "one")
+    np.testing.assert_array_equal(sup.dual_norming_direction(TIE_ROWS[:4]),
+                                  [[1, 1, 1], [-1, 1, 1], [1, 1, -1], [1, 1, 1]])
+    np.testing.assert_array_equal(one.dual_norming_direction(TIE_ROWS[:4]),
+                                  [[1, 0, 0], [-1, 0, 0], [0, 0, -1], [1, 0, 0]])
+
+
+def test_pair_quotients_drops_close_pairs():
+    space = ec.NormedSpace(2)
+    rng = stream_rng(5, "pairs")
+    A = ec.sample_ball(space, np.zeros(2), 1.0, 8, rng)
+    B = ec.sample_ball(space, np.zeros(2), 1.0, 8, rng)
+    seen = []
+
+    def g(P):
+        seen.append(P.copy())
+        return P @ np.array([3.0, -4.0])
+
+    q = pair_quotients(space, g, A, B, 1e-9)
+    # both draws start with the centre, so the first pair has separation 0
+    assert q.shape == (7,)
+    assert [len(P) for P in seen] == [7, 7]
+    np.testing.assert_array_equal(seen[0], A[1:])
+    assert np.all(q <= 5.0 * (1 + 1e-12))
+
+
+def test_pair_quotients_skips_g_when_no_pair_qualifies():
+    def g(P):
+        raise AssertionError("g called")
+
+    space = ec.NormedSpace(2, "sup")
+    A = np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert pair_quotients(space, g, A, A + 1e-12, 1e-9).shape == (0,)
+    assert pair_quotients(space, g, np.zeros((0, 2)), np.zeros((0, 2)), 0.0).shape == (0,)
 
 
 def test_unit_kills_negative_zero():
