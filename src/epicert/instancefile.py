@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog
 from .core import FunctionOracle, NormedSpace, NumericConfig, ProblemInstance, require_integer
-from .expressions import compile_expression
+from .expressions import ExpressionError, compile_expression
 
 __all__ = ["InstanceSpecError", "parse_json", "parse_instance", "load_instance_file"]
 
@@ -55,9 +55,17 @@ def _parse_space(data: dict) -> NormedSpace:
         raise InstanceSpecError(f"bad space section: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_points(raw, dim: int) -> tuple[np.ndarray, ...]:
+    if not isinstance(raw, list):
+        raise InstanceSpecError(f"boundary_points must be a list of points, got {raw!r}")
     pts = []
     for i, row in enumerate(raw):
+        if not (isinstance(row, list) and all(map(_is_number, row))):
+            raise InstanceSpecError(f"boundary point {i} must be a list of numbers, got {row!r}")
         p = np.asarray(row, dtype=float)
         if p.shape != (dim,):
             raise InstanceSpecError(f"boundary point {i} has shape {p.shape}, expected ({dim},)")
@@ -94,9 +102,14 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig, catalog.
         if "space" not in data:
             raise InstanceSpecError("expression instances need a space section")
         space = _parse_space(data["space"])
-        oracle: FunctionOracle = compile_expression(fn["expression"], space.dim)
+        try:
+            oracle: FunctionOracle = compile_expression(fn["expression"], space.dim)
+        except ExpressionError as exc:
+            raise InstanceSpecError(f"bad expression: {exc}") from exc
         hint = fn.get("lipschitz_hint")
         if hint is not None:
+            if not (_is_number(hint) and hint >= 0):  # NaN fails too
+                raise InstanceSpecError(f"lipschitz_hint must be a number >= 0, got {hint!r}")
             oracle = dataclasses.replace(oracle, lipschitz_hint=float(hint))
         if "boundary_points" not in data:
             raise InstanceSpecError("expression instances need boundary_points")

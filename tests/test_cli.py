@@ -303,6 +303,22 @@ def test_non_finite_config_in_file_exit_1(capsys, tmp_path, config):
     run_input_error(capsys, "certify", "--instance", str(inst))
 
 
+@pytest.mark.parametrize("command", ["certify", "theorem2"])
+@pytest.mark.parametrize("field, value", [("expression", ["frob", "x1"]),
+                                          ("boundary_points", [["a", 0]]),
+                                          ("lipschitz_hint", True),
+                                          ("lipschitz_hint", -1)],
+                         ids=["unknown-operator", "string-coordinate", "bool-hint",
+                              "negative-hint"])
+def test_bad_instance_field_exit_1(capsys, tmp_path, command, field, value):
+    data = {"space": {"dim": 2}, "function": {"expression": "x1", "lipschitz_hint": 1.0},
+            "boundary_points": [[0.0, 0.0]]}
+    (data if field == "boundary_points" else data["function"])[field] = value
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    run_input_error(capsys, command, "--instance", str(inst))
+
+
 # inf * 0 makes f NaN everywhere; inf - inf makes it NaN beside the point, not at it
 NAN_EVERYWHERE = ["+", "x1", ["*", ["*", 1e308, 10], 0]]
 NAN_NEAR_POINT = ["-", ["*", "x1", 1e200, 1e200], ["*", "x1", 1e200, 1e200]]

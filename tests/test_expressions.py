@@ -1,11 +1,13 @@
 """Expression compiler: values, gradients, tie rules, error handling."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from epicert.core import finite_difference_gradients
+from epicert.core import NonFiniteValue, finite_difference_gradients
 from epicert.expressions import ExpressionError, compile_expression
 
 
@@ -28,28 +30,43 @@ def test_constant_and_coordinate():
     np.testing.assert_array_equal(grads[:, [0, 2]], np.zeros((len(q), 2)))
 
 
+# ref gives the values and the two gradient columns; the gradients hold away
+# from the kinks, which random points miss
 @pytest.mark.parametrize(
     "expr,ref",
     [
-        (["+", "x1", "x2", 1], lambda p: p[:, 0] + p[:, 1] + 1.0),
-        (["-", "x1", "x2"], lambda p: p[:, 0] - p[:, 1]),
-        (["-", "x1"], lambda p: -p[:, 0]),
-        (["*", "x1", "x2", 2], lambda p: 2.0 * p[:, 0] * p[:, 1]),
-        (["max", "x1", "x2"], lambda p: np.maximum(p[:, 0], p[:, 1])),
-        (["min", "x1", "x2"], lambda p: np.minimum(p[:, 0], p[:, 1])),
-        (["abs", "x1"], lambda p: np.abs(p[:, 0])),
-        (["sqr", "x2"], lambda p: p[:, 1] ** 2),
-        (["norm2", "x1", "x2"], lambda p: np.hypot(p[:, 0], p[:, 1])),
+        (["+", "x1", "x2", 1], lambda p: (p[:, 0] + p[:, 1] + 1.0, (1.0, 1.0))),
+        (["-", "x1", "x2"], lambda p: (p[:, 0] - p[:, 1], (1.0, -1.0))),
+        (["-", "x1"], lambda p: (-p[:, 0], (-1.0, 0.0))),
+        (["*", "x1", "x2", 2],
+         lambda p: (2.0 * p[:, 0] * p[:, 1], (2.0 * p[:, 1], 2.0 * p[:, 0]))),
+        (["max", "x1", "x2"],
+         lambda p: (np.maximum(p[:, 0], p[:, 1]), (p[:, 0] > p[:, 1], p[:, 0] < p[:, 1]))),
+        (["min", "x1", "x2"],
+         lambda p: (np.minimum(p[:, 0], p[:, 1]), (p[:, 0] < p[:, 1], p[:, 0] > p[:, 1]))),
+        (["abs", "x1"], lambda p: (np.abs(p[:, 0]), (np.sign(p[:, 0]), 0.0))),
+        (["sqr", "x2"], lambda p: (p[:, 1] ** 2, (0.0, 2.0 * p[:, 1]))),
+        (["norm2", "x1", "x2"],
+         lambda p: (np.hypot(p[:, 0], p[:, 1]), p.T / np.hypot(p[:, 0], p[:, 1]))),
         (
             ["-", ["norm2", "x1", "x2"], 1],
-            lambda p: np.hypot(p[:, 0], p[:, 1]) - 1.0,
+            lambda p: (np.hypot(p[:, 0], p[:, 1]) - 1.0, p.T / np.hypot(p[:, 0], p[:, 1])),
         ),
+        (["norm2", "x1", "x2", "x1"],
+         lambda p: (np.sqrt(2.0 * p[:, 0] ** 2 + p[:, 1] ** 2),
+                    np.array([2.0 * p[:, 0], p[:, 1]]) / np.sqrt(2.0 * p[:, 0] ** 2 + p[:, 1] ** 2))),
+        (["*", "x1", "x2", "x1"],
+         lambda p: (p[:, 0] ** 2 * p[:, 1], (2.0 * p[:, 0] * p[:, 1], p[:, 0] ** 2))),
     ],
 )
 def test_ops_match_numpy(expr, ref):
     f = compile_expression(expr, 2)
     p = _pts(7)
-    np.testing.assert_allclose(f.values(p), ref(p), atol=1e-14)
+    values, columns = ref(p)
+    np.testing.assert_allclose(f.values(p), values, atol=1e-14)
+    gradients = np.empty_like(p)
+    gradients[:, 0], gradients[:, 1] = columns
+    np.testing.assert_allclose(f.gradients(p), gradients, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -127,9 +144,10 @@ def test_bad_expressions_raise(expr):
 
 
 def test_eval_rejects_wrong_dim():
-    f = compile_expression(["+", "x1", "x2"], 2)
-    with pytest.raises(ExpressionError):
-        f.values(np.zeros((3, 4)))
+    f = compile_expression(["max", "x1", "x2"], 2)
+    for query in (f.values, f.gradients):
+        with pytest.raises(ExpressionError, match="points have dim 4, expected 2"):
+            query(np.zeros((3, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,3 +162,47 @@ def test_pointwise_algebra(a, b):
     )
     want = a * a - b * b + abs(b)
     np.testing.assert_allclose(f.values(p)[0], want, rtol=1e-12, atol=1e-12)
+
+
+MOST_ARGUMENTS = {"-": 2, "abs": 1, "sqr": 1}
+trees = st.recursive(
+    st.sampled_from(["x1", "x2", "x3"]) | st.integers(-3, 3) | st.floats(-2, 2),
+    lambda inner: st.sampled_from(["+", "-", "*", "max", "min", "abs", "sqr", "norm2"]).flatmap(
+        lambda op: st.lists(inner, min_size=1, max_size=MOST_ARGUMENTS.get(op, 4))
+        .map(lambda args: [op, *args])),
+    max_leaves=10,
+)
+
+
+def reference_values(expr, p):
+    """The operators written out one by one, with the lowest-index tie rule."""
+    if isinstance(expr, str):
+        return p[:, int(expr[1:]) - 1]
+    if not isinstance(expr, list):
+        return np.full(len(p), float(expr))
+    op, vs = expr[0], [reference_values(a, p) for a in expr[1:]]
+    if op in ("max", "min"):
+        out = vs[0]
+        for v in vs[1:]:
+            out = np.where(v > out if op == "max" else v < out, v, out)
+        return out
+    return {
+        "+": lambda: reduce(np.add, vs),
+        "-": lambda: -vs[0] if len(vs) == 1 else vs[0] - vs[1],
+        "*": lambda: reduce(np.multiply, vs),
+        "abs": lambda: np.abs(vs[0]),
+        "sqr": lambda: vs[0] * vs[0],
+        "norm2": lambda: np.sqrt(reduce(np.add, [v * v for v in vs])),
+    }[op]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(expr=trees, coords=st.lists(st.floats(-2, 2), min_size=15, max_size=15))
+def test_values_match_reference_bit_for_bit(expr, coords):
+    p = np.array(coords).reshape(5, 3)
+    try:
+        got = compile_expression(expr, 3).values(p)
+    except NonFiniteValue:
+        reject()  # NaN and inf pass through max and min by other rules here
+    want = reference_values(expr, p)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

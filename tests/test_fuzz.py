@@ -100,3 +100,33 @@ def test_certify_fuzzed_config(config):
         path.write_text(json.dumps({"function": {"catalog_id": "halfspace"}, "config": config}))
         code, _, err = run_cli("certify", "--instance", str(path))
     assert_contract(code, err)
+
+
+# well-formed trees over all eight operators weighted up, so that a fair
+# share of the examples run a whole certify; x3 (past dim 2) and arbitrary
+# JSON in any field make up the rest
+OPERATORS = ("+", "-", "*", "max", "min", "abs", "sqr", "norm2")
+MOST_ARGUMENTS = {"-": 2, "abs": 1, "sqr": 1}
+trees = st.recursive(
+    st.sampled_from(["x1", "x2"] * 4 + ["x3"]) | st.floats(-3, 3) | st.integers(-3, 3),
+    lambda inner: st.sampled_from(OPERATORS).flatmap(
+        lambda op: st.lists(inner, min_size=1, max_size=MOST_ARGUMENTS.get(op, 3))
+        .map(lambda args: [op, *args])),
+    max_leaves=6,
+)
+expressions = st.one_of(trees, trees, trees, json_values)
+points = st.lists(st.lists(st.floats(-2, 2), min_size=2, max_size=2), min_size=1, max_size=2)
+boundary_points = st.one_of(points, points, points, json_values)
+hints = st.one_of(st.none(), st.floats(0, 10), json_values)
+
+
+@FUZZ
+@given(expression=expressions, boundary=boundary_points, hint=hints)
+def test_certify_fuzzed_expression_instance(expression, boundary, hint):
+    data = {"space": {"dim": 2}, "function": {"expression": expression, "lipschitz_hint": hint},
+            "boundary_points": boundary}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli("certify", "--instance", str(path))
+    assert_contract(code, err)

@@ -92,6 +92,25 @@ def test_config_overrides():
           "boundary_points": [[0.0, 0.0]]}, "dim"),
         ({"space": {"dim": True}, "function": {"expression": "x1"},
           "boundary_points": [[0.0]]}, "dim"),
+        ({"space": {"dim": 2}, "function": {"expression": ["frob", "x1"]},
+          "boundary_points": [[0.0, 0.0]]}, "unknown operator 'frob'"),
+        ({"space": {"dim": 2}, "function": {"expression": ["abs", "x1", "x2"]},
+          "boundary_points": [[0.0, 0.0]]}, "abs got 2 arguments"),
+        ({"space": {"dim": 2}, "function": {"expression": "nan"},
+          "boundary_points": [[0.0, 0.0]]}, "bad atom"),
+        ({"space": {"dim": 1}, "function": {"expression": "x2"},
+          "boundary_points": [[0.0]]}, "out of range"),
+        ({"space": {"dim": 2}, "function": {"expression": "x1"},
+          "boundary_points": 5}, "boundary_points must be a list"),
+        ({"space": {"dim": 2}, "function": {"expression": "x1"},
+          "boundary_points": [["a", 0]]}, "boundary point 0 must be a list of numbers"),
+        ({"space": {"dim": 2}, "function": {"expression": "x1"},
+          "boundary_points": [[True, 0]]}, "boundary point 0 must be a list of numbers"),
+        ({"function": {"catalog_id": "halfspace"}, "boundary_points": 5},
+         "boundary_points must be a list"),
+        *(({"space": {"dim": 2}, "function": {"expression": "x1", "lipschitz_hint": hint},
+            "boundary_points": [[0.0, 0.0]]}, "lipschitz_hint")
+          for hint in ("abc", [1], True, -1, -0.5, float("nan"))),
     ],
 )
 def test_bad_instance_data(data, needle):
