@@ -10,11 +10,14 @@ together with forward-mode gradients; at kink points of max/min/abs the
 gradient is the lowest-index branch choice, which is fine because consumers
 only trust gradients away from the nonsmooth locus.
 
-Node contract: a compiled node is called as node(pts, grad) on points
-(n, dim) and returns (values (n,), gradients (n, dim)), or (values, None)
-when grad is false.  Each operator is one _OPS row (least and most
-arguments, rule); rule(vs, gs) maps the children's values and gradients to
-the node's pair, and gs is None on a value query, so no derivative is formed.
+Tape contract: _compile walks the JSON with an explicit stack and emits a
+postfix tape, one row per node: ("const", c), ("coord", j) for coordinate
+j + 1, or (rule, k) for an operator of k arguments, rule taken from its _OPS
+row (least and most arguments, rule).  _run reads the rows in order on
+points (n, dim): a leaf pushes (values (n,), gradients (n, dim)), an operator
+pops the top k pairs and pushes rule(vs, gs), and the one pair left is f's.
+gs is None on a value query, so no derivative is formed.  Nothing recurses,
+so nesting depth is unbounded.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _fmt(x: float) -> str:
 
 
 _Pair = tuple[np.ndarray, np.ndarray | None]
-_Node = Callable[[np.ndarray, bool], _Pair]
+_Row = tuple[Any, Any]  # ("const", c), ("coord", j) or (rule, argument count)
 
 
 def _add(vs, gs) -> _Pair:
@@ -109,59 +112,67 @@ _OPS = {
 }
 
 
-def _compile(expr: Any, dim: int) -> tuple[_Node, str]:
-    if isinstance(expr, bool):
-        raise ExpressionError("booleans are not valid expressions")
-    if isinstance(expr, (int, float)):
-        c = float(expr)
+def _compile(expr: Any, dim: int) -> tuple[list[_Row], str]:
+    """Postfix tape and descriptor; types are checked on entry, operator and arity on exit."""
+    tape: list[_Row] = []
+    descs: list[str] = []
+    todo = [(expr, False)]
+    while todo:
+        e, args_done = todo.pop()
+        if args_done:
+            op, k = e[0], len(e) - 1
+            if op not in _OPS:
+                raise ExpressionError(f"unknown operator {op!r}")
+            lo, hi, rule = _OPS[op]
+            if k < lo or (hi is not None and k > hi):
+                raise ExpressionError(f"{op} got {k} arguments")
+            tape.append((rule, k))
+            descs[-k:] = ["(" + " ".join([op, *descs[-k:]]) + ")"]
+        elif isinstance(e, bool):
+            raise ExpressionError("booleans are not valid expressions")
+        elif isinstance(e, (int, float)):
+            tape.append(("const", float(e)))
+            descs.append(_fmt(float(e)))
+        elif isinstance(e, str):
+            m = _COORD_RE.match(e)
+            if not m:
+                raise ExpressionError(f"bad atom {e!r}, expected x1..x{dim}")
+            j = int(m.group(1)) - 1
+            if j >= dim:
+                raise ExpressionError(f"coordinate {e} out of range for dim {dim}")
+            tape.append(("coord", j))
+            descs.append(e)
+        elif not isinstance(e, (list, tuple)) or not e:
+            raise ExpressionError(f"bad expression node {e!r}")
+        elif not isinstance(e[0], str):
+            raise ExpressionError(f"operator must be a string, got {e[0]!r}")
+        else:
+            todo.append((e, True))
+            todo.extend((a, False) for a in reversed(e[1:]))
+    return tape, descs[0]
 
-        def const(pts: np.ndarray, grad: bool) -> _Pair:
-            return np.full(pts.shape[0], c), np.zeros_like(pts) if grad else None
 
-        return const, _fmt(c)
-
-    if isinstance(expr, str):
-        m = _COORD_RE.match(expr)
-        if not m:
-            raise ExpressionError(f"bad atom {expr!r}, expected x1..x{dim}")
-        j = int(m.group(1)) - 1
-        if j >= dim:
-            raise ExpressionError(f"coordinate {expr} out of range for dim {dim}")
-
-        def coord(pts: np.ndarray, grad: bool) -> _Pair:
-            g = None
+def _run(tape: list[_Row], pts: np.ndarray, grad: bool) -> _Pair:
+    vs: list[np.ndarray] = []
+    gs: list[np.ndarray | None] = []
+    for head, arg in tape:
+        if head == "const":
+            v, g = np.full(pts.shape[0], arg), np.zeros_like(pts) if grad else None
+        elif head == "coord":
+            v, g = pts[:, arg].copy(), np.zeros_like(pts) if grad else None
             if grad:
-                g = np.zeros_like(pts)
-                g[:, j] = 1.0
-            return pts[:, j].copy(), g
-
-        return coord, expr
-
-    if not isinstance(expr, (list, tuple)) or not expr:
-        raise ExpressionError(f"bad expression node {expr!r}")
-
-    op = expr[0]
-    if not isinstance(op, str):
-        raise ExpressionError(f"operator must be a string, got {op!r}")
-    args = [_compile(a, dim) for a in expr[1:]]
-    if op not in _OPS:
-        raise ExpressionError(f"unknown operator {op!r}")
-    lo, hi, rule = _OPS[op]
-    if len(args) < lo or (hi is not None and len(args) > hi):
-        raise ExpressionError(f"{op} got {len(args)} arguments")
-    children = [a[0] for a in args]
-    desc = "(" + " ".join([op] + [a[1] for a in args]) + ")"
-
-    def node(pts: np.ndarray, grad: bool) -> _Pair:
-        vs, gs = zip(*[child(pts, grad) for child in children])
-        return rule(vs, gs if grad else None)
-
-    return node, desc
+                g[:, arg] = 1.0
+        else:
+            v, g = head(vs[-arg:], gs[-arg:] if grad else None)
+            del vs[-arg:], gs[-arg:]
+        vs.append(v)
+        gs.append(g)
+    return vs[0], gs[0]
 
 
 def compile_expression(expr: Any, dim: int) -> FunctionOracle:
     """Compile a prefix expression into a batch oracle with gradients."""
-    node, desc = _compile(expr, dim)
+    tape, desc = _compile(expr, dim)
 
     def batch(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -169,5 +180,5 @@ def compile_expression(expr: Any, dim: int) -> FunctionOracle:
             raise ExpressionError(f"points have dim {pts.shape[1]}, expected {dim}")
         return pts
 
-    return FunctionOracle(eval=lambda pts: node(batch(pts), False)[0],
-                          grad=lambda pts: node(batch(pts), True)[1], descriptor=desc)
+    return FunctionOracle(eval=lambda pts: _run(tape, batch(pts), False)[0],
+                          grad=lambda pts: _run(tape, batch(pts), True)[1], descriptor=desc)

@@ -35,7 +35,7 @@ class InstanceSpecError(ValueError):
 
 
 def parse_json(text: str):
-    """json.loads that refuses NaN, Infinity and numbers that overflow."""
+    """json.loads that refuses NaN, Infinity, overflowing numbers and deep nesting."""
     def finite(token: str) -> float:
         value = float(token)
         if not math.isfinite(value):
@@ -45,7 +45,10 @@ def parse_json(text: str):
     def integer(token: str) -> int:
         finite(token)  # an integer past the float range overflows every float use
         return int(token)
-    return json.loads(text, parse_float=finite, parse_constant=finite, parse_int=integer)
+    try:
+        return json.loads(text, parse_float=finite, parse_constant=finite, parse_int=integer)
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply: {exc}") from None
 
 
 def _parse_space(data: dict) -> NormedSpace:

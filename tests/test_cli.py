@@ -340,6 +340,29 @@ def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command, expression)
     run_input_error(capsys, command, "--instance", str(inst))
 
 
+def deep_instance(depth: int) -> str:
+    """x1 under depth unary minuses, written as text because json.dumps recurses."""
+    chain = '["-", ' * depth + '"x1"' + "]" * depth
+    return ('{"space": {"dim": 2}, "boundary_points": [[0, 0]], '
+            '"function": {"expression": ' + chain + "}}")
+
+
+def test_deep_expression_certifies(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(deep_instance(600))
+    code, out, _ = run(capsys, "certify", "--instance", str(inst))
+    assert code == 0
+    assert json.loads(out)["overall"] is True
+
+
+def test_nesting_too_deep_for_json_exit_1(capsys, tmp_path):
+    inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+    inst.write_text(deep_instance(100_000))
+    cert.write_text('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    run_input_error(capsys, "certify", "--instance", str(inst))
+    run_input_error(capsys, "verify", "--catalog", "halfspace", "--certificate", str(cert))
+
+
 @pytest.mark.parametrize("old, new", [('"seed":42', '"seed":42,"k":NaN'),
                                       ('"seed":42', '"seed":42.5'),
                                       ('"seed":42', '"seed":true'),

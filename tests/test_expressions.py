@@ -1,5 +1,7 @@
 """Expression compiler: values, gradients, tie rules, error handling."""
 
+import re
+import sys
 from functools import reduce
 
 import numpy as np
@@ -141,6 +143,33 @@ def test_descriptor_text():
 def test_bad_expressions_raise(expr):
     with pytest.raises(ExpressionError):
         compile_expression(expr, 2)
+
+
+# a node's own type checks run on entry, its operator and arity checks after
+# all its arguments, so the fault reported is not always the first in prefix order
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        (["frob", "y1"], "bad atom 'y1', expected x1..x2"),
+        (["abs", "x1", ["frob"]], "unknown operator 'frob'"),
+        (["abs", "x1", "x2"], "abs got 2 arguments"),
+        (["max", True, "x1"], "booleans are not valid expressions"),
+    ],
+)
+def test_error_order_with_several_faults(expr, message):
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        compile_expression(expr, 2)
+
+
+def test_deep_chain_needs_no_recursion():
+    assert sys.getrecursionlimit() < 10_000
+    expr = "x1"
+    for _ in range(10_000):
+        expr = ["-", expr]
+    f = compile_expression(expr, 2)
+    p = _pts(3)
+    np.testing.assert_array_equal(f.values(p).view(np.int64), p[:, 0].view(np.int64))
+    np.testing.assert_array_equal(f.gradients(p), np.tile([1.0, 0.0], (len(p), 1)))
 
 
 def test_eval_rejects_wrong_dim():

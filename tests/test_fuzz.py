@@ -2,6 +2,7 @@
 
 Whatever the file holds, the command ends in one of the documented exit
 codes (0 to 4), and stderr is either empty or exactly one JSON line.
+The last property parses deeply nested expression instances directly.
 """
 
 import contextlib
@@ -11,10 +12,13 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from epicert import cli
+from epicert.core import NonFiniteValue
+from epicert.instancefile import InstanceSpecError, parse_instance
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -130,3 +134,36 @@ def test_certify_fuzzed_expression_instance(expression, boundary, hint):
         path.write_text(json.dumps(data))
         code, _, err = run_cli("certify", "--instance", str(path))
     assert_contract(code, err)
+
+
+def parsed_oracle(expression):
+    """The instance's oracle, or the InstanceSpecError message."""
+    data = {"space": {"dim": 2}, "function": {"expression": expression},
+            "boundary_points": [[0.0, 0.0]]}
+    try:
+        return parse_instance(data)[0].f
+    except InstanceSpecError as exc:
+        return str(exc)
+
+
+# a tree under a chain of unary minuses far deeper than the recursion limit
+# parses exactly when the tree does, with the same message, and its values are
+# the tree's times (-1)^depth, bit for bit
+@FUZZ
+@given(tree=trees, depth=st.integers(0, 3000),
+       coords=st.lists(st.floats(-2, 2), min_size=8, max_size=8))
+def test_deeply_nested_expression_instance(tree, depth, coords):
+    expression = tree
+    for _ in range(depth):
+        expression = ["-", expression]
+    inner, outer = parsed_oracle(tree), parsed_oracle(expression)
+    if isinstance(inner, str):
+        assert outer == inner
+        return
+    p = np.array(coords).reshape(4, 2)
+    try:
+        want = inner.values(p)
+    except NonFiniteValue:
+        reject()
+    want = want if depth % 2 == 0 else -want
+    np.testing.assert_array_equal(outer.values(p).view(np.int64), want.view(np.int64))
