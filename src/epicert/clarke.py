@@ -206,7 +206,6 @@ class GradientHull:
     generators: np.ndarray       # (m, dim)
     min_norm_point: np.ndarray   # (dim,)
     min_norm_value: float        # euclidean norm of the min-norm point
-    weights: np.ndarray          # (m,) convex weights realising it
 
 
 def estimate_gradient_hull(
@@ -238,25 +237,27 @@ def estimate_gradient_hull(
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     pts = x[None, :] + perturbation * D
     grads = f.gradients(pts)
-    mnp, weights = min_norm_point(grads)
+    mnp, _ = min_norm_point(grads)
     return GradientHull(
         generators=grads,
         min_norm_point=mnp,
         min_norm_value=float(np.linalg.norm(mnp)),
-        weights=weights,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class NondegeneracyResult:
     witness: Direction | None
-    witness_value: float | None       # directional derivative along the witness
-    alpha: float | None               # -witness_value / 2
+    alpha: float | None               # minus half the directional derivative along the witness
     hull: GradientHull
     consistent: bool                  # witness search agrees with the hull test
     degenerate: bool
     directions_tried: int
     note: str = ""
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.witness is not None
 
 
 def is_nondegenerate(
@@ -284,7 +285,7 @@ def is_nondegenerate(
     candidates.extend(rng.standard_normal(space.dim) for _ in range(16))
 
     witness = None
-    witness_value = None
+    alpha = None
     tried = 0
     for c in candidates:
         if float(space.norm(c)) < 1e-12:
@@ -296,7 +297,7 @@ def is_nondegenerate(
         est = directional_derivative(space, inst.f, x, u, cfg)
         if est.value < -WITNESS_TOL:
             witness = Direction.make(space, u)
-            witness_value = est.value
+            alpha = -est.value / 2.0
             break
 
     hull_nonzero = hull.min_norm_value > HULL_ZERO_TOL
@@ -310,8 +311,7 @@ def is_nondegenerate(
         )
     return NondegeneracyResult(
         witness=witness,
-        witness_value=witness_value,
-        alpha=None if witness_value is None else -witness_value / 2.0,
+        alpha=alpha,
         hull=hull,
         consistent=consistent,
         degenerate=degenerate,

@@ -28,11 +28,12 @@ from .core import NonFiniteValue, NumericConfig, ProblemInstance, canonical_json
 from .epirep import (
     CertificationFailure,
     EpigraphCertificate,
+    boundary_band_failure,
     certificate_from_json,
     certify,
 )
-from .instancefile import InstanceSpecError, load_instance_file, parse_json
-from .signed_distance import check_theorem2, promote_to_certificate
+from .instancefile import InstanceSpecError, load_instance_file, parse_instance, parse_json
+from .signed_distance import SignedDistanceOracle, check_theorem2, promote_to_certificate
 from .verify import SeedReuseError, run_suite
 
 EXIT_OK = 0
@@ -71,22 +72,18 @@ def _emit(text: str, out: str | None) -> None:
     print(text)
 
 
-def _resolve_instance(args) -> tuple[ProblemInstance, NumericConfig, object]:
+def _resolve_instance(args) -> tuple[ProblemInstance, NumericConfig]:
     if args.catalog and args.instance:
         raise InstanceSpecError("give either --catalog or --instance, not both")
     if args.catalog:
-        try:
-            entry = _catalog.load(args.catalog)
-        except KeyError as exc:
-            raise InstanceSpecError(exc.args[0]) from exc
-        inst, cfg = entry.instance, NumericConfig()
+        inst, cfg = parse_instance({"function": {"catalog_id": args.catalog}})
     elif args.instance:
-        inst, cfg, entry = load_instance_file(args.instance)
+        inst, cfg = load_instance_file(args.instance)
     else:
         raise InstanceSpecError("one of --catalog or --instance is required")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
-    return inst, cfg, entry
+    return inst, cfg
 
 
 def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
@@ -144,7 +141,7 @@ def _certificate_text(cert: EpigraphCertificate, fmt: str) -> str:
 
 
 def cmd_certify(args) -> int:
-    inst, cfg, _ = _resolve_instance(args)
+    inst, cfg = _resolve_instance(args)
     x = _resolve_point(inst, args)
     res = certify(inst, x, cfg)
     if isinstance(res, CertificationFailure):
@@ -158,7 +155,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst, cfg, _ = _resolve_instance(args)
+    inst, cfg = _resolve_instance(args)
     try:
         with open(args.certificate) as fh:
             cert = certificate_from_json(parse_json(fh.read()))
@@ -185,14 +182,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    inst, cfg, _ = _resolve_instance(args)
+    inst, cfg = _resolve_instance(args)
     x = _resolve_point(inst, args)
+    off_band = boundary_band_failure(inst, x, cfg)
+    if off_band is not None:
+        return _failure(off_band)
     t2 = check_theorem2(inst, x, cfg)
     payload = {
         "nondegenerate": t2.nondegenerate,
         "alpha": t2.alpha,
         "witness": None if t2.witness is None else t2.witness.coords.tolist(),
-        "probe_resolution": t2.probe_resolution,
+        "probe_resolution": SignedDistanceOracle.probe_resolution,
         "directions_tried": t2.directions_tried,
         "note": t2.note,
     }

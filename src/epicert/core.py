@@ -28,6 +28,7 @@ __all__ = [
     "finite_difference_gradients",
     "bisect_sign_change",
     "require_integer",
+    "require_number",
     "NumericConfig",
     "Scales",
     "PLAIN",
@@ -263,6 +264,13 @@ def require_integer(value: Any, name: str) -> Any:
     return value
 
 
+def require_number(value: Any, name: str) -> float:
+    """float(value) for an int or a float (numpy scalars count, bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NumericConfig:
     """Tolerances and budgets shared across the pipeline."""
@@ -276,8 +284,8 @@ class NumericConfig:
     def __post_init__(self) -> None:
         require_integer(self.sample_budget, "sample_budget")
         require_integer(self.rng_seed, "rng_seed")
-        if any(isinstance(v, bool) for v in (self.tol_bisect, self.tol_value, self.shrink_factor)):
-            raise ValueError("tol_bisect, tol_value and shrink_factor must be numbers, not bool")
+        for name in ("tol_bisect", "tol_value", "shrink_factor"):
+            require_number(getattr(self, name), name)
         # written so that NaN fails every check
         if not (self.tol_bisect > 0 and self.tol_value > 0):
             raise ValueError("tolerances must be positive")

@@ -33,6 +33,7 @@ from .core import (
     membership_codes,
     pair_quotients,
     require_integer,
+    require_number,
     sample_ball,
     to_jsonable,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "measured_cylinder_lipschitz",
     "EpigraphCertificate",
     "CertificationFailure",
+    "boundary_band_failure",
     "certificate_from_json",
     "certify",
 ]
@@ -146,7 +148,6 @@ class NormingFunctional:
     """Linear functional phi(y) = <weights, y> with phi(v)=1, dual norm 1."""
 
     weights: np.ndarray
-    dual_norm: float
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) @ self.weights
@@ -178,7 +179,7 @@ def norming_functional(space: NormedSpace, v: np.ndarray) -> NormingFunctional:
         w[j] = 1.0 if v[j] >= 0 else -1.0
     else:
         w = np.sign(v)
-    phi = NormingFunctional(weights=w, dual_norm=float(space.dual_norm(w)))
+    phi = NormingFunctional(weights=w)
     problems = phi.problems(space, v)
     if problems:
         raise ValueError("; ".join(problems))
@@ -419,40 +420,36 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
     Values are taken as stored, without revalidation; the verification suite
     is the place where a tampered field turns into a reported failure rather
     than a parse error.  Only the types and shapes are checked: ``dim`` and
-    ``seed`` must be integers and every vector must have ``dim`` finite
-    entries, else ValueError.
+    ``seed`` must be integers, every other scalar a JSON number and every
+    vector a list of ``dim`` numbers, else ValueError.
     """
     info = data["instance"]
     space = NormedSpace(require_integer(info["dim"], "dim"), str(info["norm"]))
 
     def vector(value, name: str) -> np.ndarray:
-        out = np.asarray(value, dtype=float)
-        if out.shape != (space.dim,):
-            raise ValueError(f"{name} has shape {out.shape}, expected ({space.dim},)")
-        if not np.isfinite(out).all():  # a JSON null reads as NaN
-            raise ValueError(f"{name} is not finite: {out.tolist()}")
-        return out
+        if not (isinstance(value, list) and len(value) == space.dim):
+            raise ValueError(f"{name} has shape {np.shape(value)}, expected ({space.dim},)")
+        return np.array([require_number(c, f"{name} entry") for c in value])
 
     w = DescentWitness(
         x=vector(data["x"], "x"),
         v=vector(data["v"], "v"),
-        alpha=float(data["alpha"]),
-        r=float(data["r"]),
-        k=float(data["k"]),
-        epsilon=float(data["epsilon"]),
+        alpha=require_number(data["alpha"], "alpha"),
+        r=require_number(data["r"], "r"),
+        k=require_number(data["k"], "k"),
+        epsilon=require_number(data["epsilon"], "epsilon"),
     )
-    weights = vector(data["phi_weights"], "phi_weights")
-    phi = NormingFunctional(weights=weights, dual_norm=float(space.dual_norm(weights)))
     samples = tuple(
-        (vector(s["point"], f"lambda sample {i} point"), float(s["value"]))
+        (vector(s["point"], f"lambda sample {i} point"),
+         require_number(s["value"], f"lambda sample {i} value"))
         for i, s in enumerate(data.get("lambda_samples", []))
     )
     return EpigraphCertificate(
         witness=w,
-        phi=phi,
+        phi=NormingFunctional(weights=vector(data["phi_weights"], "phi_weights")),
         lambda_samples=samples,
-        lipschitz_bound=float(data["lipschitz_bound"]),
-        measured_lipschitz=float(data["measured_lipschitz"]),
+        lipschitz_bound=require_number(data["lipschitz_bound"], "lipschitz_bound"),
+        measured_lipschitz=require_number(data["measured_lipschitz"], "measured_lipschitz"),
         report=None,
         confidence=str(data.get("confidence", "sampling_probabilistic")),
         seed=require_integer(data["seed"], "seed"),
@@ -478,6 +475,19 @@ class CertificationFailure:
         return out
 
 
+def boundary_band_failure(inst: ProblemInstance, x: np.ndarray,
+                          cfg: NumericConfig) -> CertificationFailure | None:
+    """The precondition failure if x is off the band |f(x)| < tol_value, else None."""
+    code = int(membership_codes(inst.f, x[None, :], cfg)[0])
+    if code == 0:
+        return None
+    side = "inside" if code < 0 else "outside"
+    return CertificationFailure(
+        stage="precondition",
+        message=f"x is {side}, not in the boundary band (f(x) = {inst.f.value(x):.6g})",
+    )
+
+
 def certify(
     inst: ProblemInstance,
     x: np.ndarray,
@@ -491,14 +501,9 @@ def certify(
 
     space = inst.space
     x = np.asarray(x, dtype=float)
-    code = int(membership_codes(inst.f, x[None, :], cfg)[0])
-    if code != 0:
-        side = "inside" if code < 0 else "outside"
-        return CertificationFailure(
-            stage="precondition",
-            message=f"x is {side}, not in the boundary band "
-                    f"(f(x) = {inst.f.value(x):.6g})",
-        )
+    off_band = boundary_band_failure(inst, x, cfg)
+    if off_band is not None:
+        return off_band
 
     nd = is_nondegenerate(inst, x, cfg)
     if nd.witness is None:

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .core import FunctionOracle, NormedSpace, NumericConfig, ProblemInstance, require_integer
+from .core import (FunctionOracle, NormedSpace, NumericConfig, ProblemInstance,
+                   require_integer, require_number)
 from .expressions import ExpressionError, compile_expression
 
 __all__ = ["InstanceSpecError", "parse_json", "parse_instance", "load_instance_file"]
@@ -58,39 +59,37 @@ def _parse_space(data: dict) -> NormedSpace:
         raise InstanceSpecError(f"bad space section: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_points(raw, dim: int) -> tuple[np.ndarray, ...]:
     if not isinstance(raw, list):
         raise InstanceSpecError(f"boundary_points must be a list of points, got {raw!r}")
     pts = []
     for i, row in enumerate(raw):
-        if not (isinstance(row, list) and all(map(_is_number, row))):
-            raise InstanceSpecError(f"boundary point {i} must be a list of numbers, got {row!r}")
-        p = np.asarray(row, dtype=float)
+        try:
+            if not isinstance(row, list):
+                raise ValueError
+            p = np.array([require_number(c, "coordinate") for c in row])
+        except ValueError:
+            raise InstanceSpecError(
+                f"boundary point {i} must be a list of numbers, got {row!r}") from None
         if p.shape != (dim,):
             raise InstanceSpecError(f"boundary point {i} has shape {p.shape}, expected ({dim},)")
         pts.append(p)
     return tuple(pts)
 
 
-def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig, catalog.CatalogEntry | None]:
-    """Build (instance, config, catalog entry or None) from parsed JSON."""
+def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
+    """Build (instance, config) from parsed JSON."""
     if not isinstance(data, dict):
         raise InstanceSpecError("instance file must hold a JSON object")
     fn = data.get("function")
     if not isinstance(fn, dict):
         raise InstanceSpecError("missing function section")
 
-    entry = None
     if "catalog_id" in fn:
         try:
-            entry = catalog.load(str(fn["catalog_id"]))
+            inst = catalog.load(str(fn["catalog_id"])).instance
         except KeyError as exc:
             raise InstanceSpecError(exc.args[0]) from exc
-        inst = entry.instance
         if "space" in data:
             declared = _parse_space(data["space"])
             if (declared.dim, declared.norm_kind) != (inst.space.dim, inst.space.norm_kind):
@@ -111,9 +110,13 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig, catalog.
             raise InstanceSpecError(f"bad expression: {exc}") from exc
         hint = fn.get("lipschitz_hint")
         if hint is not None:
-            if not (_is_number(hint) and hint >= 0):  # NaN fails too
+            try:
+                hint = require_number(hint, "lipschitz_hint")
+            except ValueError as exc:
+                raise InstanceSpecError(str(exc)) from None
+            if not hint >= 0:  # NaN fails too
                 raise InstanceSpecError(f"lipschitz_hint must be a number >= 0, got {hint!r}")
-            oracle = dataclasses.replace(oracle, lipschitz_hint=float(hint))
+            oracle = dataclasses.replace(oracle, lipschitz_hint=hint)
         if "boundary_points" not in data:
             raise InstanceSpecError("expression instances need boundary_points")
         pts = _parse_points(data["boundary_points"], space.dim)
@@ -135,10 +138,10 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig, catalog.
         cfg = NumericConfig(**cfg_fields)
     except (TypeError, ValueError) as exc:
         raise InstanceSpecError(f"bad config: {exc}") from exc
-    return inst, cfg, entry
+    return inst, cfg
 
 
-def load_instance_file(path: str | Path) -> tuple[ProblemInstance, NumericConfig, catalog.CatalogEntry | None]:
+def load_instance_file(path: str | Path) -> tuple[ProblemInstance, NumericConfig]:
     try:
         data = parse_json(Path(path).read_text())
     except OSError as exc:

@@ -9,6 +9,8 @@ the sign (which the membership oracle gives exactly), then refining the best
 direction with a shrinking cone of proposals.  The sign is therefore exact;
 the magnitude overestimates the true distance by at most roughly the
 reported probe_resolution, because only finitely many directions are tried.
+``check_theorem2`` returns the ``clarke.NondegeneracyResult`` of the witness
+search run on the signed distance.
 
 Everything here is a pure point function: refinement noise is keyed off the
 oracle's own seed, never off batch position, so splitting or reordering a
@@ -23,9 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .clarke import is_nondegenerate
+from .clarke import NondegeneracyResult, is_nondegenerate
 from .core import (
-    Direction,
     FunctionOracle,
     NumericConfig,
     ProblemInstance,
@@ -44,7 +45,6 @@ __all__ = [
     "signed_distance_values",
     "as_function_oracle",
     "sd_lipschitz_check",
-    "Theorem2Result",
     "check_theorem2",
     "promote_to_certificate",
 ]
@@ -242,16 +242,6 @@ def sd_lipschitz_check(
     return {"ok": bool(worst <= 0.0), "max_excess": worst, "pairs": n_pairs}
 
 
-@dataclass(frozen=True, eq=False)
-class Theorem2Result:
-    nondegenerate: bool
-    witness: Direction | None
-    alpha: float | None
-    probe_resolution: float
-    directions_tried: int
-    note: str = ""
-
-
 def _sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
     return ProblemInstance(
@@ -267,24 +257,17 @@ def check_theorem2(
     inst: ProblemInstance,
     x: np.ndarray,
     cfg: NumericConfig,
-) -> Theorem2Result:
+) -> NondegeneracyResult:
     """Nondegeneracy of the signed distance at a boundary point.
 
-    Wraps the signed distance as the function under test and reruns the
-    witness search; the oracle's ``SD_SCALES`` adapt it to probe noise:
-    neighbourhood ladders stop well above the resolution floor and hull
-    gradients are taken at wide offsets.
+    Wraps the signed distance as the function under test and returns the
+    ``NondegeneracyResult`` of the witness search on it; the oracle's
+    ``SD_SCALES`` adapt the search to probe noise: neighbourhood ladders stop
+    well above the resolution floor and hull gradients are taken at wide
+    offsets.  x is not checked against the boundary band here.
     """
     budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, 768))
-    nd = is_nondegenerate(_sd_instance(inst, cfg), np.asarray(x, dtype=float), budget_cfg)
-    return Theorem2Result(
-        nondegenerate=nd.witness is not None,
-        witness=nd.witness,
-        alpha=nd.alpha,
-        probe_resolution=SignedDistanceOracle.probe_resolution,
-        directions_tried=nd.directions_tried,
-        note=nd.note,
-    )
+    return is_nondegenerate(_sd_instance(inst, cfg), np.asarray(x, dtype=float), budget_cfg)
 
 
 def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericConfig):

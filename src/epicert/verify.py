@@ -54,7 +54,6 @@ class SeedReuseError(ValueError):
 
 @dataclass(frozen=True)
 class LemmaCheck:
-    lemma_id: str
     passed: bool
     margin: float        # signed slack against the asserted bound
     samples: int
@@ -243,13 +242,12 @@ def run_suite(
             passed, margin, samples, note = check()
         except (BracketViolation, CylinderError) as exc:
             passed, margin, samples, note = False, -1.0, counts[lemma_id], str(exc)
-        checks[lemma_id] = LemmaCheck(lemma_id, passed, margin, samples, tolerance, note)
+        checks[lemma_id] = LemmaCheck(passed, margin, samples, tolerance, note)
     overall = all(c.passed for c in checks.values())
 
     hull = estimate_gradient_hull(space, f, x, cfg)
-    pm = pointedness_margin(hull)
     checks["pointedness"] = LemmaCheck(
-        "pointedness", True, pm, hull.generators.shape[0], 0.0,
+        True, pointedness_margin(hull), hull.generators.shape[0], 0.0,
         note="diagnostic only; near 0 suggests the generated cone is not pointed",
     )
     return VerificationReport(per_lemma=checks, overall=overall, seed=cfg.rng_seed)

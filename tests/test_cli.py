@@ -222,6 +222,23 @@ def test_theorem2_degenerate_exit_2(capsys):
     assert payload["witness"] is None
 
 
+@pytest.mark.parametrize("promote", [False, True], ids=["plain", "promote"])
+@pytest.mark.parametrize("point, side", [("0.5,0", "outside"), ("-0.5,0", "inside")])
+def test_theorem2_off_band_exit_1(capsys, point, side, promote):
+    # f = 0.5 and -0.5 there: not boundary points, so no nondegeneracy verdict
+    argv = ["--catalog", "halfspace", f"--point={point}", "--seed", "42"]
+    code, out, err = run(capsys, "theorem2", *argv, *(["--promote"] if promote else []))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["failure"] == "precondition"
+    assert f"x is {side}, not in the boundary band" in payload["error"]
+    # the same line that certify gives for the same point
+    assert run(capsys, "certify", *argv) == (1, "", err)
+
+
 def test_sweep_rockafellar_csv(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "sweep-rockafellar", "--d-list", "1,2",
@@ -379,3 +396,28 @@ def test_verify_refuses_non_finite_certificate_exit_1(capsys, tmp_path, old, new
     path.write_text(out.replace(old, new, 1))
     run_input_error(capsys, "verify", "--catalog", "halfspace",
                     "--certificate", str(path))
+
+
+def _string_lambda_values(data):
+    for sample in data["lambda_samples"]:
+        sample["value"] = repr(sample["value"])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda data: data.update(alpha=repr(data["alpha"])),
+    _string_lambda_values,
+    lambda data: data.update(x=[repr(c) for c in data["x"]]),
+    lambda data: data.update(phi_weights=[repr(c) for c in data["phi_weights"]]),
+    lambda data: data.update(measured_lipschitz=repr(data["measured_lipschitz"])),
+    lambda data: data.update(r=True),
+], ids=["string-alpha", "string-lambda-values", "string-x", "string-phi", "string-measured",
+        "bool-r"])
+def test_verify_refuses_non_number_certificate_field_exit_1(capsys, tmp_path, tamper):
+    code, out, _ = run(capsys, "certify", "--catalog", "halfspace", "--seed", "42")
+    assert code == 0
+    data = json.loads(out)
+    assert data["r"] == 1.0  # so that true would read as the stored value
+    tamper(data)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    run_input_error(capsys, "verify", "--catalog", "halfspace", "--certificate", str(path))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import epicert as ec
 from epicert.core import (
-    NORM_KINDS, bisect_sign_change, pair_quotients, signed_axes, stream_rng,
+    NORM_KINDS, bisect_sign_change, pair_quotients, require_number, signed_axes, stream_rng,
 )
 
 DIMS = st.integers(min_value=1, max_value=5)
@@ -220,11 +220,26 @@ def test_membership_scales_with_f():
         {"rng_seed": True},
         {"tol_bisect": True},
         {"tol_value": True},
+        {"tol_value": "1e-3"},
+        {"shrink_factor": None},
     ],
 )
 def test_numeric_config_validation(kwargs):
     with pytest.raises(ValueError):
         ec.NumericConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value, want", [(3, 3.0), (0.25, 0.25), (np.int64(2), 2.0),
+                                         (np.float32(0.5), 0.5)])
+def test_require_number_accepts_numbers(value, want):
+    got = require_number(value, "v")
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1.5", None, [1.0], {}])
+def test_require_number_rejects_non_numbers(value):
+    with pytest.raises(ValueError, match="v must be a number"):
+        require_number(value, "v")
 
 
 def test_numeric_config_rng_depends_on_seed():

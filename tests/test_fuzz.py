@@ -1,8 +1,9 @@
 """Fuzzed certificate and instance files through cli.main.
 
 Whatever the file holds, the command ends in one of the documented exit
-codes (0 to 4), and stderr is either empty or exactly one JSON line.
-The last property parses deeply nested expression instances directly.
+codes (0 to 4), and stderr is either empty or exactly one JSON line; a
+non-number in a scalar certificate field is always exit 1.  The last
+property parses deeply nested expression instances directly.
 """
 
 import contextlib
@@ -94,6 +95,28 @@ def test_verify_fuzzed_certificate_field(field, value):
         path.write_text(json.dumps(data))
         code, _, err = run_cli("verify", "--catalog", "halfspace", "--certificate", str(path))
     assert_contract(code, err)
+
+
+# each scalar certificate field must be a JSON number, not a value that
+# float() would accept anyway ("1.5", true) or one it rejects (null, [], {})
+SCALAR_FIELDS = ("alpha", "r", "k", "epsilon", "lipschitz_bound", "measured_lipschitz")
+non_numbers = (st.booleans() | st.text(max_size=6) | st.none()
+               | st.lists(json_values, max_size=3)
+               | st.dictionaries(st.text(max_size=6), json_values, max_size=3))
+
+
+@FUZZ
+@given(field=st.sampled_from(SCALAR_FIELDS), value=non_numbers)
+def test_verify_non_number_scalar_is_input_error(field, value):
+    data = json.loads(halfspace_certificate())
+    data[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli("verify", "--catalog", "halfspace", "--certificate", str(path))
+    assert code == 1
+    assert_contract(code, err)
+    assert len(err.splitlines()) == 1
 
 
 @FUZZ

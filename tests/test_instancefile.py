@@ -5,19 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from epicert.catalog import load
 from epicert.instancefile import InstanceSpecError, load_instance_file, parse_instance
 
 
 def test_catalog_reference_round_trip():
-    inst, cfg, entry = parse_instance({"function": {"catalog_id": "halfspace"}})
-    assert entry is not None and entry.id == "halfspace"
+    inst, cfg = parse_instance({"function": {"catalog_id": "halfspace"}})
+    assert inst.label == "halfspace"
     assert inst.space.dim == 2
     assert cfg.rng_seed == 0  # defaults when no config section
     assert inst.reference is not None
 
 
 def test_catalog_reference_with_matching_space_ok():
-    inst, _, _ = parse_instance({
+    inst, _ = parse_instance({
         "function": {"catalog_id": "box_sup"},
         "space": {"dim": 2, "norm": "sup"},
     })
@@ -33,32 +34,31 @@ def test_catalog_reference_space_conflict():
 
 
 def test_catalog_boundary_point_override():
-    inst, _, entry = parse_instance({
+    inst, _ = parse_instance({
         "function": {"catalog_id": "halfspace"},
         "boundary_points": [[0.0, 0.5]],
     })
     assert len(inst.boundary_points) == 1
     np.testing.assert_array_equal(inst.boundary_points[0], [0.0, 0.5])
     # the entry itself is untouched
-    assert len(entry.instance.boundary_points) != 0
+    assert len(load("halfspace").instance.boundary_points) != 0
 
 
 def test_expression_instance():
-    inst, cfg, entry = parse_instance({
+    inst, cfg = parse_instance({
         "space": {"dim": 2, "norm": "euclidean"},
         "function": {"expression": ["-", ["norm2", "x1", "x2"], 1],
                      "lipschitz_hint": 1.0},
         "boundary_points": [[1.0, 0.0]],
         "label": "disc",
     })
-    assert entry is None
     assert inst.label == "disc"
     assert inst.f.lipschitz_hint == 1.0
     assert inst.f.value(np.array([1.0, 0.0])) == 0.0
 
 
 def test_config_overrides():
-    _, cfg, _ = parse_instance({
+    _, cfg = parse_instance({
         "function": {"catalog_id": "halfspace"},
         "config": {"rng_seed": 9, "sample_budget": 512},
     })
@@ -118,14 +118,20 @@ def test_bad_instance_data(data, needle):
         parse_instance(data)
 
 
+@pytest.mark.parametrize("field", ["tol_bisect", "tol_value", "shrink_factor"])
+def test_config_string_tolerance_names_the_field(field):
+    with pytest.raises(InstanceSpecError, match=f"{field} must be a number, got '1e-3'"):
+        parse_instance({"function": {"catalog_id": "halfspace"}, "config": {field: "1e-3"}})
+
+
 def test_load_instance_file(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "function": {"catalog_id": "unit_ball_euclid"},
         "config": {"rng_seed": 3},
     }))
-    inst, cfg, entry = load_instance_file(path)
-    assert entry.id == "unit_ball_euclid"
+    inst, cfg = load_instance_file(path)
+    assert inst.label == "unit_ball_euclid"
     assert cfg.rng_seed == 3
 
 

@@ -116,7 +116,6 @@ def test_check_theorem2_halfspace(cfg):
     assert res.alpha is not None and res.alpha >= 0.2
     assert res.witness is not None
     assert res.witness.coords[0] < -0.9
-    assert res.probe_resolution > 0
     assert res.directions_tried >= 1
 
 
@@ -162,7 +161,7 @@ ONE_NORM_D4 = {
 def test_check_theorem2_answers_true_at_kinks(spec, seed):
     # at these seeds the random probe directions alone missed the open
     # orthant where M lies, and the signed distance read far too large
-    inst, _, _ = parse_instance(spec)
+    inst, _ = parse_instance(spec)
     cfg = NumericConfig(rng_seed=seed)
     res = check_theorem2(inst, inst.boundary_points[0], cfg)
     assert res.nondegenerate, res.note

@@ -22,7 +22,6 @@ def _hull(gens):
         generators=gens,
         min_norm_point=gens[0],
         min_norm_value=float(np.linalg.norm(gens[0])),
-        weights=np.ones(len(gens)) / len(gens),
     )
 
 
