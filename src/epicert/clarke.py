@@ -250,14 +250,25 @@ class NondegeneracyResult:
     witness: Direction | None
     alpha: float | None               # minus half the directional derivative along the witness
     hull: GradientHull
-    consistent: bool                  # witness search agrees with the hull test
-    degenerate: bool
     directions_tried: int
-    note: str = ""
 
     @property
     def nondegenerate(self) -> bool:
         return self.witness is not None
+
+    @property
+    def consistent(self) -> bool:  # the witness search agrees with the hull test
+        return self.nondegenerate == (self.hull.min_norm_value > HULL_ZERO_TOL)
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.nondegenerate and self.consistent
+
+    @property
+    def note(self) -> str:
+        found = "found" if self.nondegenerate else "none"
+        return "" if self.consistent else (f"hull min-norm {self.hull.min_norm_value:.3g} "
+                                           f"disagrees with witness search ({found})")
 
 
 def is_nondegenerate(
@@ -300,24 +311,7 @@ def is_nondegenerate(
             alpha = -est.value / 2.0
             break
 
-    hull_nonzero = hull.min_norm_value > HULL_ZERO_TOL
-    consistent = (witness is not None) == hull_nonzero
-    degenerate = witness is None and not hull_nonzero
-    note = ""
-    if not consistent:
-        note = (
-            f"hull min-norm {hull.min_norm_value:.3g} disagrees with witness "
-            f"search ({'found' if witness is not None else 'none'})"
-        )
-    return NondegeneracyResult(
-        witness=witness,
-        alpha=alpha,
-        hull=hull,
-        consistent=consistent,
-        degenerate=degenerate,
-        directions_tried=tried,
-        note=note,
-    )
+    return NondegeneracyResult(witness=witness, alpha=alpha, hull=hull, directions_tried=tried)
 
 
 @dataclass(frozen=True)

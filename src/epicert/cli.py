@@ -51,9 +51,7 @@ _FAILURE_EXIT = {
 
 
 def _error(message: str, extra: dict | None = None) -> None:
-    payload = dict(extra or {})
-    payload.pop("message", None)
-    payload["error"] = message
+    payload = {**(extra or {}), "error": message}
     print(json.dumps(payload, sort_keys=True, allow_nan=False), file=sys.stderr)
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "ProblemInstance",
     "sample_ball",
     "pair_quotients",
-    "to_jsonable",
     "canonical_json",
     "internal_verify_seed",
 ]
@@ -121,7 +120,6 @@ class Direction:
     """Unit vector in a given space.  Construct via ``Direction.make``."""
 
     coords: np.ndarray
-    unit_norm: float
 
     @staticmethod
     def make(space: NormedSpace, v: np.ndarray) -> "Direction":
@@ -130,7 +128,7 @@ class Direction:
         n = float(space.norm(u))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"normalisation failed, |v| = {n}")
-        return Direction(coords=u, unit_norm=n)
+        return Direction(coords=u)
 
 
 def signed_axes(d: int) -> np.ndarray:
@@ -420,28 +418,17 @@ def pair_quotients(
     return np.abs(g(A[ok]) - g(B[ok])) / sep[ok]
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert to plain JSON types.  ndarray -> list, float64 -> float."""
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise ValueError("non-finite float in JSON payload")
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return to_jsonable(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, Mapping):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
+def _numpy_to_json(obj: Any) -> Any:
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
 def canonical_json(obj: Any) -> str:
-    """Stable serialisation: sorted keys, no whitespace.  Same input, same bytes."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """Stable serialisation: sorted keys, no whitespace, numpy values as plain
+    lists and numbers, ValueError on NaN or infinity.  Same input, same bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_numpy_to_json)
 
 
 def internal_verify_seed(seed: int) -> int:

@@ -35,7 +35,6 @@ from .core import (
     require_integer,
     require_number,
     sample_ball,
-    to_jsonable,
 )
 
 if TYPE_CHECKING:
@@ -393,17 +392,17 @@ class EpigraphCertificate:
                 "dim": self.space.dim,
                 "norm": self.space.norm_kind,
             },
-            "x": to_jsonable(w.x),
-            "v": to_jsonable(w.v),
+            "x": w.x.tolist(),
+            "v": w.v.tolist(),
             "alpha": w.alpha,
             "r": w.r,
             "k": w.k,
             "epsilon": w.epsilon,
-            "phi_weights": to_jsonable(self.phi.weights),
+            "phi_weights": self.phi.weights.tolist(),
             "lipschitz_bound": self.lipschitz_bound,
             "measured_lipschitz": self.measured_lipschitz,
             "lambda_samples": [
-                {"point": to_jsonable(p), "value": val} for p, val in self.lambda_samples
+                {"point": p.tolist(), "value": val} for p, val in self.lambda_samples
             ],
             "lemma_report": (
                 None if self.report is None else self.report.to_json_dict()["per_lemma"]
@@ -442,7 +441,7 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
     samples = tuple(
         (vector(s["point"], f"lambda sample {i} point"),
          require_number(s["value"], f"lambda sample {i} value"))
-        for i, s in enumerate(data.get("lambda_samples", []))
+        for i, s in enumerate(data["lambda_samples"])
     )
     return EpigraphCertificate(
         witness=w,
@@ -467,7 +466,7 @@ class CertificationFailure:
     report: "VerificationReport | None" = None
 
     def to_json_dict(self) -> dict:
-        out = {"failure": self.stage, "message": self.message}
+        out = {"failure": self.stage}
         if self.hull is not None:
             out["hull_min_norm_value"] = self.hull.min_norm_value
         if self.report is not None:

@@ -43,7 +43,7 @@ __all__ = [
     "SD_SCALES",
     "SignedDistanceOracle",
     "signed_distance_values",
-    "as_function_oracle",
+    "sd_instance",
     "sd_lipschitz_check",
     "check_theorem2",
     "promote_to_certificate",
@@ -117,15 +117,13 @@ class SignedDistanceOracle:
 
 
 def _ray_crossings(
-    f_values,               # (m, dim) -> (m,)
+    sd: SignedDistanceOracle,
     signs: np.ndarray,      # (n,) +-1, makes f positive at each origin
     origins: np.ndarray,    # (n, dim)
     dirs: np.ndarray,       # (n, p, dim) unit directions per row
-    radius: float,
-    resolution: int,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First sign crossing along each ray; (dist, hit) of shape (n, p)."""
+    """First sign crossing along each ray on sd's grid; (dist, hit) of shape (n, p)."""
+    f_values, radius, resolution = sd.base.f.values, sd.search_radius, sd.resolution
     n, p, d = dirs.shape
     rho = np.linspace(0.0, radius, resolution + 1)
     probes = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[:, :, None, :]
@@ -141,7 +139,7 @@ def _ray_crossings(
         U = dirs.reshape(n * p, d)[idx]
         S = np.repeat(signs, p)[idx]
         dist[idx] = bisect_sign_change(lambda P: S * f_values(P), O, U, rho[j0[idx]],
-                                       rho[j0[idx] + 1], radius / resolution, tol)
+                                       rho[j0[idx] + 1], radius / resolution, sd.bisect_tol)
     return dist.reshape(n, p), hit
 
 
@@ -179,8 +177,7 @@ def signed_distance_values(
             props = best_dir[:, None, :] + sigma * sd.refine_noise[t - 1][None, :, :]
             props = props / np.maximum(space.norm(props), 1e-300)[..., None]
             sigma *= sd.refine_shrink
-        dist, hit = _ray_crossings(f.values, s, Ya, props, sd.search_radius,
-                                   sd.resolution, sd.bisect_tol)
+        dist, hit = _ray_crossings(sd, s, Ya, props)
         cand = np.min(dist, axis=1)
         improved = hit.any(axis=1) & (cand < best)
         best = np.where(improved, cand, best)
@@ -192,14 +189,16 @@ def signed_distance_values(
     return vals, flags
 
 
-def as_function_oracle(sd: SignedDistanceOracle, cfg: NumericConfig) -> FunctionOracle:
-    """Wrap the signed distance as a plain oracle for the witness machinery.
+def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
+    """inst with f replaced by its signed distance, for the witness machinery.
 
     The gradient uses wide central differences so that probe noise is
     averaged out instead of amplified; value_noise carries the probe
     resolution so verification tolerances account for it, and every stage,
     the verifier's included, samples it at ``SD_SCALES``.
     """
+    sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
+
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(sd, P, cfg)[0]
 
@@ -208,13 +207,17 @@ def as_function_oracle(sd: SignedDistanceOracle, cfg: NumericConfig) -> Function
     def gradient(P: np.ndarray) -> np.ndarray:
         return finite_difference_gradients(evaluate, P, step)
 
-    return FunctionOracle(
-        eval=evaluate,
-        grad=gradient,
-        lipschitz_hint=None,
-        descriptor=f"(signed-distance {sd.base.f.descriptor})",
-        value_noise=sd.probe_resolution,
-        scales=SD_SCALES,
+    return ProblemInstance(
+        space=inst.space,
+        f=FunctionOracle(
+            eval=evaluate,
+            grad=gradient,
+            descriptor=f"(signed-distance {inst.f.descriptor})",
+            value_noise=sd.probe_resolution,
+            scales=SD_SCALES,
+        ),
+        boundary_points=inst.boundary_points,
+        label=(inst.label + "+signed-distance") if inst.label else "signed-distance",
     )
 
 
@@ -242,17 +245,6 @@ def sd_lipschitz_check(
     return {"ok": bool(worst <= 0.0), "max_excess": worst, "pairs": n_pairs}
 
 
-def _sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
-    sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
-    return ProblemInstance(
-        space=inst.space,
-        f=as_function_oracle(sd, cfg),
-        boundary_points=inst.boundary_points,
-        reference=None,
-        label=(inst.label + "+signed-distance") if inst.label else "signed-distance",
-    )
-
-
 def check_theorem2(
     inst: ProblemInstance,
     x: np.ndarray,
@@ -267,7 +259,7 @@ def check_theorem2(
     offsets.  x is not checked against the boundary band here.
     """
     budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, 768))
-    return is_nondegenerate(_sd_instance(inst, cfg), np.asarray(x, dtype=float), budget_cfg)
+    return is_nondegenerate(sd_instance(inst, cfg), np.asarray(x, dtype=float), budget_cfg)
 
 
 def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericConfig):
@@ -279,4 +271,4 @@ def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericCon
     """
     from .epirep import certify
 
-    return certify(_sd_instance(inst, cfg), x, cfg)
+    return certify(sd_instance(inst, cfg), x, cfg)

@@ -25,6 +25,7 @@ from .core import (
     sample_ball,
 )
 from .epirep import (
+    N_LAMBDA_SAMPLES,
     BracketViolation,
     CylinderError,
     EpigraphCertificate,
@@ -133,6 +134,11 @@ def _structural_problems(inst: ProblemInstance, cert: EpigraphCertificate,
         problems.append("lipschitz_bound != 1 + 2k/alpha")
     if not 0.0 <= cert.measured_lipschitz <= cert.lipschitz_bound * 1.01:
         problems.append("measured_lipschitz outside [0, bound * 1.01]")
+    if len(cert.lambda_samples) != N_LAMBDA_SAMPLES:
+        problems.append(f"{len(cert.lambda_samples)} stored lambda samples, "
+                        f"expected {N_LAMBDA_SAMPLES}")
+    if cert.confidence != "sampling_probabilistic":
+        problems.append(f"confidence {cert.confidence!r} is not sampling_probabilistic")
     lam_cap = w.r / 4.0 + cfg.tol_bisect
     for _, val in cert.lambda_samples:
         if abs(val) > lam_cap:

@@ -9,13 +9,15 @@ from hypothesis.extra import numpy as hnp
 from epicert.catalog import load
 from epicert.clarke import (
     SAFETY,
+    GradientHull,
+    NondegeneracyResult,
     directional_derivative,
     estimate_gradient_hull,
     is_nondegenerate,
     local_lipschitz_constant,
     min_norm_point,
 )
-from epicert.core import FunctionOracle, NormedSpace, NumericConfig
+from epicert.core import Direction, FunctionOracle, NormedSpace, NumericConfig
 from epicert.expressions import compile_expression
 
 
@@ -181,6 +183,28 @@ def test_is_nondegenerate_abs_wall():
     res = is_nondegenerate(entry.instance, np.zeros(2), cfg)
     assert res.degenerate
     assert res.hull.min_norm_value <= 1e-3
+
+
+@pytest.mark.parametrize("found,hull_norm,consistent,degenerate,note_end", [
+    (True, 0.5, True, False, None),
+    (False, 0.0, True, True, None),
+    (True, 0.0, False, False, "(found)"),
+    (False, 0.5, False, False, "(none)"),
+])
+def test_nondegeneracy_verdicts_follow_witness_and_hull(
+        e2, found, hull_norm, consistent, degenerate, note_end):
+    mnp = np.array([hull_norm, 0.0])
+    hull = GradientHull(generators=mnp[None, :], min_norm_point=mnp, min_norm_value=hull_norm)
+    witness = Direction.make(e2, np.array([-1.0, 0.0])) if found else None
+    res = NondegeneracyResult(witness=witness, alpha=0.25 if found else None, hull=hull,
+                              directions_tried=3)
+    assert res.nondegenerate is found
+    assert res.consistent is consistent
+    assert res.degenerate is degenerate
+    if note_end is None:
+        assert res.note == ""
+    else:
+        assert res.note.startswith("hull min-norm ") and res.note.endswith(note_end)
 
 
 def test_local_lipschitz_linear_attains_dual_norm(e2):

@@ -149,7 +149,6 @@ def test_direction_make_normalizes():
     space = ec.NormedSpace(3, "sup")
     d = ec.Direction.make(space, np.array([0.2, -4.0, 1.0]))
     assert float(space.norm(d.coords)) == pytest.approx(1.0, abs=1e-12)
-    assert d.unit_norm
 
 
 def test_stream_rng_deterministic_and_label_sensitive():
@@ -264,6 +263,10 @@ def test_canonical_json_rejects_nonfinite():
         ec.canonical_json({"x": float("nan")})
     with pytest.raises(ValueError):
         ec.canonical_json({"x": np.inf})
+    with pytest.raises(ValueError):
+        ec.canonical_json({"x": np.array([1.0, np.nan])})
+    with pytest.raises(TypeError):
+        ec.canonical_json({"x": object()})
 
 
 def test_finite_difference_gradients_on_polynomial():

@@ -2,7 +2,8 @@
 
 Whatever the file holds, the command ends in one of the documented exit
 codes (0 to 4), and stderr is either empty or exactly one JSON line; a
-non-number in a scalar certificate field is always exit 1.  The last
+non-number in a scalar certificate field is always exit 1, and a stored
+sample list of the wrong length or another confidence exit 3.  The last
 property parses deeply nested expression instances directly.
 """
 
@@ -117,6 +118,47 @@ def test_verify_non_number_scalar_is_input_error(field, value):
     assert code == 1
     assert_contract(code, err)
     assert len(err.splitlines()) == 1
+
+
+# a stored sample list of the wrong length or another confidence is a
+# structural L1 failure (exit 3), never a pass; a missing list is an input error
+sample_edits = (st.tuples(st.just("cut"), st.integers(0, 255))
+                | st.tuples(st.just("repeat"), st.integers(1, 300))
+                | st.tuples(st.just("confidence"),
+                            st.text(max_size=24).filter(lambda t: t != "sampling_probabilistic"))
+                | st.just(("delete", 0)))
+
+
+@FUZZ
+@given(edit=sample_edits)
+def test_verify_incomplete_samples_or_other_confidence(edit):
+    kind, arg = edit
+    data = json.loads(halfspace_certificate())
+    samples = data["lambda_samples"]
+    if kind == "cut":
+        data["lambda_samples"] = samples[:arg]
+    elif kind == "repeat":
+        data["lambda_samples"] = samples + [samples[i % len(samples)] for i in range(arg)]
+    elif kind == "confidence":
+        data["confidence"] = arg
+    else:
+        del data["lambda_samples"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli("verify", "--catalog", "halfspace", "--certificate", str(path))
+    assert_contract(code, err)
+    if kind == "delete":
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        return
+    assert code == 3, (code, err)
+    note = json.loads(out)["per_lemma"]["L1"]["note"]
+    assert note.startswith("structural: ")
+    if kind == "confidence":
+        assert f"confidence {arg!r} is not sampling_probabilistic" in note
+    else:
+        assert f"{len(data['lambda_samples'])} stored lambda samples, expected 256" in note
 
 
 @FUZZ

@@ -11,8 +11,8 @@ from epicert.expressions import compile_expression
 from epicert.instancefile import parse_instance
 from epicert.signed_distance import (
     SignedDistanceOracle,
-    as_function_oracle,
     check_theorem2,
+    sd_instance,
     sd_lipschitz_check,
     signed_distance_values,
 )
@@ -102,7 +102,7 @@ def test_lipschitz_check_passes(half_sd, ball_sd, cfg):
 
 
 def test_as_function_oracle_contract(half_sd, cfg):
-    f = as_function_oracle(half_sd, cfg)
+    f = sd_instance(half_sd.base, cfg).f
     assert f.value_noise == half_sd.probe_resolution
     assert "signed-distance" in f.descriptor
     g = f.gradients(np.array([[0.4, 0.2]]))
