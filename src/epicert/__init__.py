@@ -1,7 +1,6 @@
 """Certified local epigraph representations of sublevel sets."""
 
 from .core import (
-    Direction,
     NormedSpace,
     NumericConfig,
     ReferenceData,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Direction,
     FunctionOracle,
     NormedSpace,
     NumericConfig,
@@ -86,7 +85,7 @@ def directional_derivative(
     )
     stab_tol = cfg.tol_value if scales.dd_stab_tol is None else scales.dd_stab_tol
     vnorm = float(space.norm(np.asarray(v, dtype=float)))
-    u = Direction.make(space, v).coords
+    u = space.unit(v)
 
     n_per_level = max(16, cfg.sample_budget // 32)
     rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
@@ -205,7 +204,11 @@ class GradientHull:
 
     generators: np.ndarray       # (m, dim)
     min_norm_point: np.ndarray   # (dim,)
-    min_norm_value: float        # euclidean norm of the min-norm point
+
+    @property
+    def min_norm_value(self) -> float:
+        """Euclidean norm of the min-norm point."""
+        return float(np.linalg.norm(self.min_norm_point))
 
 
 def estimate_gradient_hull(
@@ -238,16 +241,12 @@ def estimate_gradient_hull(
     pts = x[None, :] + perturbation * D
     grads = f.gradients(pts)
     mnp, _ = min_norm_point(grads)
-    return GradientHull(
-        generators=grads,
-        min_norm_point=mnp,
-        min_norm_value=float(np.linalg.norm(mnp)),
-    )
+    return GradientHull(generators=grads, min_norm_point=mnp)
 
 
 @dataclass(frozen=True, eq=False)
 class NondegeneracyResult:
-    witness: Direction | None
+    witness: np.ndarray | None        # unit descent direction
     alpha: float | None               # minus half the directional derivative along the witness
     hull: GradientHull
     directions_tried: int
@@ -307,7 +306,7 @@ def is_nondegenerate(
         u = space.unit(c)
         est = directional_derivative(space, inst.f, x, u, cfg)
         if est.value < -WITNESS_TOL:
-            witness = Direction.make(space, u)
+            witness = space.unit(u)
             alpha = -est.value / 2.0
             break
 

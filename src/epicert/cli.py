@@ -189,7 +189,7 @@ def cmd_theorem2(args) -> int:
     payload = {
         "nondegenerate": t2.nondegenerate,
         "alpha": t2.alpha,
-        "witness": None if t2.witness is None else t2.witness.coords.tolist(),
+        "witness": None if t2.witness is None else t2.witness.tolist(),
         "probe_resolution": SignedDistanceOracle.probe_resolution,
         "directions_tried": t2.directions_tried,
         "note": t2.note,

@@ -21,7 +21,6 @@ __all__ = [
     "NORM_KINDS",
     "stream_rng",
     "NormedSpace",
-    "Direction",
     "signed_axes",
     "NonFiniteValue",
     "FunctionOracle",
@@ -84,9 +83,12 @@ class NormedSpace:
 
     def unit(self, y: np.ndarray) -> np.ndarray:
         """A point (dim,) or each row of a batch (n, dim) rescaled to norm 1.
-        Raises on a (numerically) zero input."""
+        Raises ValueError on a (numerically) zero input, NonFiniteValue on a
+        norm that is not finite."""
         y = np.asarray(y, dtype=float)
         n = self.norm(y)
+        if not np.all(np.isfinite(n)):
+            raise NonFiniteValue("norm overflows; cannot normalise")
         if np.any(n < 1e-300):
             raise ValueError("cannot normalise zero vector")
         u = y / np.expand_dims(n, -1)
@@ -113,22 +115,6 @@ class NormedSpace:
         j = np.argmax(np.abs(g), axis=-1)[..., None]
         s = np.where(np.take_along_axis(g, j, axis=-1) >= 0.0, 1.0, -1.0)
         return np.where(np.arange(self.dim) == j, s, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """Unit vector in a given space.  Construct via ``Direction.make``."""
-
-    coords: np.ndarray
-
-    @staticmethod
-    def make(space: NormedSpace, v: np.ndarray) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        u = space.unit(v)
-        n = float(space.norm(u))
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"normalisation failed, |v| = {n}")
-        return Direction(coords=u)
 
 
 def signed_axes(d: int) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .clarke import GradientHull, is_nondegenerate, local_lipschitz_constant
 from .core import (
-    Direction,
     FunctionOracle,
     NormedSpace,
     NumericConfig,
@@ -46,7 +45,7 @@ __all__ = [
     "CylinderError",
     "epsilon_formula",
     "DescentWitness",
-    "NormingFunctional",
+    "norming_problems",
     "norming_functional",
     "find_descent_radius",
     "to_graph_coordinates",
@@ -142,27 +141,20 @@ class DescentWitness:
         return w
 
 
-@dataclass(frozen=True, eq=False)
-class NormingFunctional:
-    """Linear functional phi(y) = <weights, y> with phi(v)=1, dual norm 1."""
-
-    weights: np.ndarray
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=float) @ self.weights
-
-    def problems(self, space: NormedSpace, v: np.ndarray) -> list[str]:
-        """Broken norming conditions for the direction v; empty when sound."""
-        out = []
-        if abs(float(self.weights @ v) - 1.0) > 1e-12:
-            out.append("phi(v) != 1")
-        if abs(float(space.dual_norm(self.weights)) - 1.0) > 1e-10:
-            out.append("phi dual norm != 1")
-        return out
+def norming_problems(space: NormedSpace, v: np.ndarray, phi: np.ndarray) -> list[str]:
+    """Broken norming conditions of the weights phi for the direction v;
+    empty when sound."""
+    out = []
+    if abs(float(phi @ v) - 1.0) > 1e-12:
+        out.append("phi(v) != 1")
+    if abs(float(space.dual_norm(phi)) - 1.0) > 1e-10:
+        out.append("phi dual norm != 1")
+    return out
 
 
-def norming_functional(space: NormedSpace, v: np.ndarray) -> NormingFunctional:
-    """Explicit dual-norming functional for the supported norms.
+def norming_functional(space: NormedSpace, v: np.ndarray) -> np.ndarray:
+    """Weights of an explicit dual-norming functional phi(y) = <phi, y> for
+    the supported norms.
 
     euclidean: phi = <v, .> (self-dual).  sup norm: phi picks the maximal
     coordinate of v (lowest index on ties), signed.  one norm: phi is the
@@ -178,11 +170,10 @@ def norming_functional(space: NormedSpace, v: np.ndarray) -> NormingFunctional:
         w[j] = 1.0 if v[j] >= 0 else -1.0
     else:
         w = np.sign(v)
-    phi = NormingFunctional(weights=w)
-    problems = phi.problems(space, v)
+    problems = norming_problems(space, v, w)
     if problems:
         raise ValueError("; ".join(problems))
-    return phi
+    return w
 
 
 def find_descent_radius(
@@ -202,7 +193,7 @@ def find_descent_radius(
     kink set is covered as well as full-length chords.
     """
     x = np.asarray(x, dtype=float)
-    u = Direction.make(space, v).coords
+    u = space.unit(v)
     rng = cfg.rng("radius", f.descriptor, *np.round(x, 12).tolist())
     n = max(256, cfg.sample_budget // 2)
     t_min_fraction = f.scales.t_min_fraction
@@ -226,11 +217,11 @@ def find_descent_radius(
 
 
 def to_graph_coordinates(
-    phi: NormingFunctional, v: np.ndarray, y: np.ndarray
+    phi: np.ndarray, v: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split y into (component in ker phi, height along v)."""
     y = np.asarray(y, dtype=float)
-    t = phi(y)
+    t = y @ phi
     xi = y - np.multiply.outer(t, v)
     return xi, t
 
@@ -244,7 +235,7 @@ def lambda_values(
     space: NormedSpace,
     f: FunctionOracle,
     witness: DescentWitness,
-    phi: NormingFunctional,
+    phi: np.ndarray,
     Y: np.ndarray,
     cfg: NumericConfig,
 ) -> np.ndarray:
@@ -296,7 +287,7 @@ def lambda_values(
 def sample_cylinder(
     space: NormedSpace,
     witness: DescentWitness,
-    phi: NormingFunctional,
+    phi: np.ndarray,
     n: int,
     rng: np.random.Generator,
     *,
@@ -313,7 +304,7 @@ def sample_cylinder(
     got = 0
     for _ in range(200):
         u = sample_ball(space, zero, eps, max(2 * n, 64), rng)
-        xi = u - np.multiply.outer(phi(u), v)
+        xi = u - np.multiply.outer(u @ phi, v)
         keep = np.asarray(space.norm(xi), dtype=float) < 0.98 * eps
         xi = xi[keep]
         if xi.shape[0]:
@@ -332,7 +323,7 @@ def measured_cylinder_lipschitz(
     space: NormedSpace,
     f: FunctionOracle,
     witness: DescentWitness,
-    phi: NormingFunctional,
+    phi: np.ndarray,
     cfg: NumericConfig,
     n_pairs: int = 500,
     seed_tag: str = "measured-lipschitz",
@@ -372,7 +363,7 @@ class EpigraphCertificate:
     """The artifact's statement that M is locally an epigraph at witness.x."""
 
     witness: DescentWitness
-    phi: NormingFunctional
+    phi: np.ndarray                        # norming weights, phi(y) = y @ phi
     lambda_samples: tuple[tuple[np.ndarray, float], ...]
     lipschitz_bound: float                 # 1 + 2k/alpha
     measured_lipschitz: float
@@ -398,7 +389,7 @@ class EpigraphCertificate:
             "r": w.r,
             "k": w.k,
             "epsilon": w.epsilon,
-            "phi_weights": self.phi.weights.tolist(),
+            "phi_weights": self.phi.tolist(),
             "lipschitz_bound": self.lipschitz_bound,
             "measured_lipschitz": self.measured_lipschitz,
             "lambda_samples": [
@@ -445,12 +436,12 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
     )
     return EpigraphCertificate(
         witness=w,
-        phi=NormingFunctional(weights=vector(data["phi_weights"], "phi_weights")),
+        phi=vector(data["phi_weights"], "phi_weights"),
         lambda_samples=samples,
         lipschitz_bound=require_number(data["lipschitz_bound"], "lipschitz_bound"),
         measured_lipschitz=require_number(data["measured_lipschitz"], "measured_lipschitz"),
         report=None,
-        confidence=str(data.get("confidence", "sampling_probabilistic")),
+        confidence=str(data["confidence"]),
         seed=require_integer(data["seed"], "seed"),
         instance_label=str(info.get("label", "")),
         instance_descriptor=str(info.get("descriptor", "")),
@@ -512,7 +503,7 @@ def certify(
         elif nd.note:
             msg += f"; {nd.note}"
         return CertificationFailure(stage="degenerate-point", message=msg, hull=nd.hull)
-    v = nd.witness.coords
+    v = nd.witness
     alpha = float(nd.alpha)
 
     try:

@@ -113,13 +113,16 @@ _OPS = {
 
 
 def _compile(expr: Any, dim: int) -> tuple[list[_Row], str]:
-    """Postfix tape and descriptor; types are checked on entry, operator and arity on exit."""
+    """Postfix tape and descriptor; types are checked on entry, operator and arity on exit.
+    A node found inside itself (a Python list that contains itself) is an error."""
     tape: list[_Row] = []
     descs: list[str] = []
     todo = [(expr, False)]
+    open_ids: set[int] = set()  # operator nodes entered and not yet exited
     while todo:
         e, args_done = todo.pop()
         if args_done:
+            open_ids.discard(id(e))
             op, k = e[0], len(e) - 1
             if op not in _OPS:
                 raise ExpressionError(f"unknown operator {op!r}")
@@ -146,7 +149,10 @@ def _compile(expr: Any, dim: int) -> tuple[list[_Row], str]:
             raise ExpressionError(f"bad expression node {e!r}")
         elif not isinstance(e[0], str):
             raise ExpressionError(f"operator must be a string, got {e[0]!r}")
+        elif id(e) in open_ids:
+            raise ExpressionError("expression contains itself")
         else:
+            open_ids.add(id(e))
             todo.append((e, True))
             todo.extend((a, False) for a in reversed(e[1:]))
     return tape, descs[0]

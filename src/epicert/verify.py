@@ -32,6 +32,7 @@ from .epirep import (
     from_graph_coordinates,
     lambda_values,
     measured_cylinder_lipschitz,
+    norming_problems,
     sample_cylinder,
     to_graph_coordinates,
 )
@@ -127,7 +128,7 @@ def _agreement(agree: np.ndarray, gap: np.ndarray, empty: float) -> tuple[bool, 
 def _structural_problems(inst: ProblemInstance, cert: EpigraphCertificate,
                          cfg: NumericConfig) -> list[str]:
     w = cert.witness
-    problems = w.problems(inst.space) + cert.phi.problems(inst.space, w.v)
+    problems = w.problems(inst.space) + norming_problems(inst.space, w.v, cert.phi)
     # the bound divides by alpha
     if w.alpha != 0 and not np.isclose(cert.lipschitz_bound, w.lipschitz_bound,
                                        rtol=1e-12, atol=0.0):

@@ -17,7 +17,7 @@ from epicert.clarke import (
     local_lipschitz_constant,
     min_norm_point,
 )
-from epicert.core import Direction, FunctionOracle, NormedSpace, NumericConfig
+from epicert.core import FunctionOracle, NormedSpace, NumericConfig
 from epicert.expressions import compile_expression
 
 
@@ -163,7 +163,7 @@ def test_is_nondegenerate_halfspace():
     assert not res.degenerate
     assert res.consistent
     assert res.witness is not None
-    np.testing.assert_allclose(res.witness.coords, [-1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(res.witness, [-1.0, 0.0], atol=1e-9)
     assert res.alpha == pytest.approx(0.5, abs=1e-6)
     assert res.directions_tried >= 1
 
@@ -194,8 +194,9 @@ def test_is_nondegenerate_abs_wall():
 def test_nondegeneracy_verdicts_follow_witness_and_hull(
         e2, found, hull_norm, consistent, degenerate, note_end):
     mnp = np.array([hull_norm, 0.0])
-    hull = GradientHull(generators=mnp[None, :], min_norm_point=mnp, min_norm_value=hull_norm)
-    witness = Direction.make(e2, np.array([-1.0, 0.0])) if found else None
+    hull = GradientHull(generators=mnp[None, :], min_norm_point=mnp)
+    assert hull.min_norm_value == hull_norm
+    witness = e2.unit(np.array([-1.0, 0.0])) if found else None
     res = NondegeneracyResult(witness=witness, alpha=0.25 if found else None, hull=hull,
                               directions_tried=3)
     assert res.nondegenerate is found

@@ -339,13 +339,16 @@ def test_bad_instance_field_exit_1(capsys, tmp_path, command, field, value):
 # inf * 0 makes f NaN everywhere; inf - inf makes it NaN beside the point, not at it
 NAN_EVERYWHERE = ["+", "x1", ["*", ["*", 1e308, 10], 0]]
 NAN_NEAR_POINT = ["-", ["*", "x1", 1e200, 1e200], ["*", "x1", 1e200, 1e200]]
+# finite values and gradients, but the gradient's norm overflows
+HUGE_GRADIENT = ["+", ["*", 1e300, "x1"], ["*", 1e300, "x2"]]
 
 
 @pytest.mark.parametrize(
     "command, expression",
     [("certify", NAN_EVERYWHERE), ("theorem2", NAN_EVERYWHERE),
-     ("certify", NAN_NEAR_POINT), ("theorem2", NAN_NEAR_POINT)],
-    ids=["certify", "theorem2", "certify-nan-near-point", "theorem2-nan-near-point"],
+     ("certify", NAN_NEAR_POINT), ("theorem2", NAN_NEAR_POINT), ("certify", HUGE_GRADIENT)],
+    ids=["certify", "theorem2", "certify-nan-near-point", "theorem2-nan-near-point",
+         "certify-overflowing-gradient"],
 )
 def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command, expression):
     inst = tmp_path / "inst.json"
@@ -410,8 +413,9 @@ def _string_lambda_values(data):
     lambda data: data.update(phi_weights=[repr(c) for c in data["phi_weights"]]),
     lambda data: data.update(measured_lipschitz=repr(data["measured_lipschitz"])),
     lambda data: data.update(r=True),
+    lambda data: data.pop("confidence"),
 ], ids=["string-alpha", "string-lambda-values", "string-x", "string-phi", "string-measured",
-        "bool-r"])
+        "bool-r", "no-confidence"])
 def test_verify_refuses_non_number_certificate_field_exit_1(capsys, tmp_path, tamper):
     code, out, _ = run(capsys, "certify", "--catalog", "halfspace", "--seed", "42")
     assert code == 0

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import epicert as ec
 from epicert.core import (
-    NORM_KINDS, bisect_sign_change, pair_quotients, require_number, signed_axes, stream_rng,
+    NORM_KINDS, NonFiniteValue, bisect_sign_change, pair_quotients, require_number, signed_axes,
+    stream_rng,
 )
 
 DIMS = st.integers(min_value=1, max_value=5)
@@ -139,16 +140,22 @@ def test_signed_axes_order_and_zero_sign():
     assert not np.any(np.signbit(axes[axes == 0.0]))
 
 
-def test_direction_make_rejects_zero():
+def test_unit_rejects_zero():
     space = ec.NormedSpace(2, "euclidean")
     with pytest.raises(ValueError):
-        ec.Direction.make(space, np.zeros(2))
+        space.unit(np.zeros(2))
 
 
-def test_direction_make_normalizes():
+def test_unit_normalizes():
     space = ec.NormedSpace(3, "sup")
-    d = ec.Direction.make(space, np.array([0.2, -4.0, 1.0]))
-    assert float(space.norm(d.coords)) == pytest.approx(1.0, abs=1e-12)
+    u = space.unit(np.array([0.2, -4.0, 1.0]))
+    assert float(space.norm(u)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unit_rejects_overflowing_norm():
+    space = ec.NormedSpace(2, "euclidean")
+    with pytest.raises(NonFiniteValue, match="norm overflows"), np.errstate(over="ignore"):
+        space.unit(np.array([1e308, 1e308]))
 
 
 def test_stream_rng_deterministic_and_label_sensitive():

@@ -61,26 +61,26 @@ def test_norming_functional_euclidean_is_self():
     sp = NormedSpace(3, "euclidean")
     v = sp.unit(np.array([1.0, 2.0, -2.0]))
     phi = norming_functional(sp, v)
-    np.testing.assert_allclose(phi.weights, v)
-    assert float(phi(v)) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(phi, v)
+    assert float(v @ phi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norming_functional_sup_picks_max_coordinate():
     sp = NormedSpace(2, "sup")
     phi = norming_functional(sp, np.array([1.0, 0.2]))
-    np.testing.assert_array_equal(phi.weights, [1.0, 0.0])
+    np.testing.assert_array_equal(phi, [1.0, 0.0])
     phi = norming_functional(sp, np.array([0.2, -1.0]))
-    np.testing.assert_array_equal(phi.weights, [0.0, -1.0])
+    np.testing.assert_array_equal(phi, [0.0, -1.0])
     # tie resolves to the lowest index
     phi = norming_functional(sp, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(phi.weights, [1.0, 0.0])
+    np.testing.assert_array_equal(phi, [1.0, 0.0])
 
 
 def test_norming_functional_one_norm_is_sign_vector():
     sp = NormedSpace(2, "one")
     phi = norming_functional(sp, np.array([0.5, -0.5]))
-    np.testing.assert_array_equal(phi.weights, [1.0, -1.0])
-    assert sp.dual_norm(phi.weights) == 1.0
+    np.testing.assert_array_equal(phi, [1.0, -1.0])
+    assert sp.dual_norm(phi) == 1.0
 
 
 def test_norming_functional_rejects_non_unit():
@@ -101,8 +101,8 @@ def test_norming_functional_contract_all_norms(kind, raw):
     sp = NormedSpace(len(raw), kind)
     u = sp.unit(v)
     phi = norming_functional(sp, u)
-    assert float(phi(u)) == pytest.approx(1.0, abs=1e-12)
-    assert float(sp.dual_norm(phi.weights)) == pytest.approx(1.0, abs=1e-10)
+    assert float(u @ phi) == pytest.approx(1.0, abs=1e-12)
+    assert float(sp.dual_norm(phi)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_find_descent_radius_halfspace_keeps_r0():
@@ -135,7 +135,7 @@ def test_graph_coordinates_round_trip(kind, seed):
     xi, t = to_graph_coordinates(phi, v, Y)
     back = from_graph_coordinates(v, xi, t)
     np.testing.assert_allclose(back, Y, atol=1e-12)
-    np.testing.assert_allclose(phi(xi), np.zeros(8), atol=1e-12)
+    np.testing.assert_allclose(xi @ phi, np.zeros(8), atol=1e-12)
 
 
 def test_lambda_matches_closed_form_on_halfspace(halfspace_cert, cfg42):

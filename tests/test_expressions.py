@@ -172,6 +172,21 @@ def test_deep_chain_needs_no_recursion():
     np.testing.assert_array_equal(f.gradients(p), np.tile([1.0, 0.0], (len(p), 1)))
 
 
+def test_self_containing_expression_raises():
+    loop = ["+", "x1"]
+    loop.append(loop)
+    inner = ["max", "x1"]
+    outer = ["-", inner]
+    inner.append(outer)
+    for expr in (loop, outer):
+        with pytest.raises(ExpressionError, match="^expression contains itself$"):
+            compile_expression(expr, 2)
+    # a node used twice side by side is a repeat, not a cycle
+    shared = ["sqr", "x1"]
+    f = compile_expression(["+", shared, shared], 2)
+    np.testing.assert_array_equal(f.values(np.array([[3.0, 0.0]])), [18.0])
+
+
 def test_eval_rejects_wrong_dim():
     f = compile_expression(["max", "x1", "x2"], 2)
     for query in (f.values, f.gradients):

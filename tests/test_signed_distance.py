@@ -115,7 +115,7 @@ def test_check_theorem2_halfspace(cfg):
     assert res.nondegenerate
     assert res.alpha is not None and res.alpha >= 0.2
     assert res.witness is not None
-    assert res.witness.coords[0] < -0.9
+    assert res.witness[0] < -0.9
     assert res.directions_tried >= 1
 
 
