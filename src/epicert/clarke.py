@@ -16,6 +16,7 @@ Three pieces:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -203,7 +204,11 @@ class GradientHull:
     """Convex hull of sampled nearby gradients, with its min-norm point."""
 
     generators: np.ndarray       # (m, dim)
-    min_norm_point: np.ndarray   # (dim,)
+
+    @functools.cached_property
+    def min_norm_point(self) -> np.ndarray:
+        """Minimum-norm point of the hull, computed on first use."""
+        return min_norm_point(self.generators)[0]
 
     @property
     def min_norm_value(self) -> float:
@@ -239,9 +244,7 @@ def estimate_gradient_hull(
     D = np.stack(dirs)
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     pts = x[None, :] + perturbation * D
-    grads = f.gradients(pts)
-    mnp, _ = min_norm_point(grads)
-    return GradientHull(generators=grads, min_norm_point=mnp)
+    return GradientHull(generators=f.gradients(pts))
 
 
 @dataclass(frozen=True, eq=False)

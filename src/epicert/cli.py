@@ -4,8 +4,9 @@ Subcommands: certify, verify, theorem2, sweep-rockafellar, list-catalog.
 
 Exit codes are a stable contract:
     0  success
-    1  input error (bad flags, unreadable files, point not on the boundary,
-       f or its gradient not finite near the point, too large for memory)
+    1  input error (bad flags, unreadable files, unwritable --out paths,
+       point not on the boundary, f or its gradient not finite near the
+       point, too large for memory)
     2  degenerate point (no descent direction; also theorem2 = false, and
        a descent radius that shrinks to nothing)
     3  lemma-check failure (certificate produced or loaded, suite rejected
@@ -61,12 +62,19 @@ def _failure(res: CertificationFailure, prefix: str = "") -> int:
     return _FAILURE_EXIT[res.stage]
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to an --out path, newline-terminated; an unwritable path is
+    an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise InstanceSpecError(f"cannot write --out: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        _write(out, text)
     print(text)
 
 
@@ -146,8 +154,7 @@ def cmd_certify(args) -> int:
         return _failure(res)
     if args.out:
         # out always receives the canonical JSON, stdout follows --format
-        with open(args.out, "w") as fh:
-            fh.write(canonical_json(res.to_json_dict()) + "\n")
+        _write(args.out, canonical_json(res.to_json_dict()))
     print(_certificate_text(res, args.format))
     return EXIT_OK
 
@@ -265,8 +272,16 @@ def _add_instance_flags(p: argparse.ArgumentParser, with_point: bool = True) -> 
     p.add_argument("--out", help="also write the primary output to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so they end in the JSON error line like any other
+    input error; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise InstanceSpecError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="epicert",
         description="Certify that a sublevel set is locally the epigraph of "
                     "a Lipschitz function, and verify such certificates.",
@@ -288,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--promote", action="store_true",
                    help="additionally certify against the signed distance")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_theorem2)
 
     p = sub.add_parser("sweep-rockafellar", help="certify the truncation family over d")
@@ -306,13 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; keep 1 as the input-error code
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         # a non-finite oracle value is reported below, not warned about
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -423,7 +423,6 @@ def internal_verify_seed(seed: int) -> int:
     Must differ from the build seed (checked by the verifier) while staying a
     pure function of it so runs stay reproducible end to end.
     """
-    mixed = (int(seed) * 6364136223846793005 + 1442695040888963407) % (2**63)
-    if mixed == seed:
-        mixed += 1
-    return mixed
+    # a * s + c == s (mod 2**63) would make the even (a - 1) * s equal the odd
+    # -c, so no seed in [0, 2**63) maps to itself; other seeds are out of range
+    return (int(seed) * 6364136223846793005 + 1442695040888963407) % (2**63)

@@ -45,7 +45,6 @@ __all__ = [
     "CylinderError",
     "epsilon_formula",
     "DescentWitness",
-    "norming_problems",
     "norming_functional",
     "find_descent_radius",
     "to_graph_coordinates",
@@ -86,8 +85,8 @@ class CylinderError(ValueError):
 def epsilon_formula(alpha: float, r: float, k: float) -> float:
     """Neighbourhood size for the representation.  Single source of truth:
 
-    DescentWitness computes and checks epsilon with it, so the stored value
-    is reproducible bit for bit.
+    certify computes epsilon with it and verification (L1) checks the stored
+    value against it, so the stored value is reproducible bit for bit.
     """
     return min(r / 4.0, (alpha * r) / (4.0 * k))
 
@@ -103,53 +102,10 @@ class DescentWitness:
     k: float
     epsilon: float
 
-    def problems(self, space: NormedSpace) -> list[str]:
-        """Broken witness invariants, one note each; empty when sound."""
-        out = []
-        if not (self.alpha > 0 and self.r > 0 and self.k > 0):
-            out.append("nonpositive alpha/r/k")
-        if abs(float(space.norm(self.v)) - 1.0) > 1e-12:
-            out.append("witness direction not unit")
-        if self.k != 0:  # the formula divides by k
-            expected = epsilon_formula(self.alpha, self.r, self.k)
-            if self.epsilon != expected:
-                out.append(f"epsilon {self.epsilon!r} != min(r/4, alpha*r/(4k)) = {expected!r}")
-        return out
-
-    def validate(self, space: NormedSpace) -> None:
-        problems = self.problems(space)
-        if problems:
-            raise ValueError("; ".join(problems))
-
     @property
     def lipschitz_bound(self) -> float:
         """Modulus 1 + 2k/alpha of the graph function."""
         return 1.0 + 2.0 * self.k / self.alpha
-
-    @staticmethod
-    def assemble(
-        space: NormedSpace, x: np.ndarray, v: np.ndarray,
-        alpha: float, r: float, k: float,
-    ) -> "DescentWitness":
-        w = DescentWitness(
-            x=np.asarray(x, dtype=float),
-            v=np.asarray(v, dtype=float),
-            alpha=float(alpha), r=float(r), k=float(k),
-            epsilon=epsilon_formula(float(alpha), float(r), float(k)),
-        )
-        w.validate(space)
-        return w
-
-
-def norming_problems(space: NormedSpace, v: np.ndarray, phi: np.ndarray) -> list[str]:
-    """Broken norming conditions of the weights phi for the direction v;
-    empty when sound."""
-    out = []
-    if abs(float(phi @ v) - 1.0) > 1e-12:
-        out.append("phi(v) != 1")
-    if abs(float(space.dual_norm(phi)) - 1.0) > 1e-10:
-        out.append("phi dual norm != 1")
-    return out
 
 
 def norming_functional(space: NormedSpace, v: np.ndarray) -> np.ndarray:
@@ -158,8 +114,9 @@ def norming_functional(space: NormedSpace, v: np.ndarray) -> np.ndarray:
 
     euclidean: phi = <v, .> (self-dual).  sup norm: phi picks the maximal
     coordinate of v (lowest index on ties), signed.  one norm: phi is the
-    componentwise sign vector of v.  In each case phi(v) = |v| = 1 and the
-    dual norm of the weights is 1, which is what the splitting needs.
+    componentwise sign vector of v.  For a unit v, in each case phi(v) = |v| = 1
+    and the dual norm of the weights is 1, which is what the splitting needs;
+    verification (L1) checks both.
     """
     v = np.asarray(v, dtype=float)
     if space.norm_kind == "euclidean":
@@ -170,9 +127,6 @@ def norming_functional(space: NormedSpace, v: np.ndarray) -> np.ndarray:
         w[j] = 1.0 if v[j] >= 0 else -1.0
     else:
         w = np.sign(v)
-    problems = norming_problems(space, v, w)
-    if problems:
-        raise ValueError("; ".join(problems))
     return w
 
 
@@ -512,7 +466,8 @@ def certify(
         return CertificationFailure(stage="radius-underflow", message=str(exc), hull=nd.hull)
 
     lip = local_lipschitz_constant(space, inst.f, x, r, cfg)
-    witness = DescentWitness.assemble(space, x, v, alpha, r, lip.value)
+    witness = DescentWitness(x=x, v=v, alpha=alpha, r=r, k=lip.value,
+                             epsilon=epsilon_formula(alpha, r, lip.value))
     phi = norming_functional(space, v)
 
     # stored graph samples: keep the height slab thin so every stored value

@@ -194,7 +194,7 @@ def test_is_nondegenerate_abs_wall():
 def test_nondegeneracy_verdicts_follow_witness_and_hull(
         e2, found, hull_norm, consistent, degenerate, note_end):
     mnp = np.array([hull_norm, 0.0])
-    hull = GradientHull(generators=mnp[None, :], min_norm_point=mnp)
+    hull = GradientHull(generators=mnp[None, :])
     assert hull.min_norm_value == hull_norm
     witness = e2.unit(np.array([-1.0, 0.0])) if found else None
     res = NondegeneracyResult(witness=witness, alpha=0.25 if found else None, hull=hull,

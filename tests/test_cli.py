@@ -77,11 +77,40 @@ def test_certify_degenerate_exit_2(capsys):
         ("sweep-rockafellar", "--d-list", ""),
         ("frobnicate",),                                    # unknown subcommand
         (),                                                 # usage
+        ("certify", "--seed", "abc"),                       # bad flag value
+        ("certify", "--frob"),                              # unknown flag
+        ("sweep-rockafellar",),                             # missing required flag
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
-    code, _, _ = run(capsys, *argv)
+    run_input_error(capsys, *argv)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: epicert certify")
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--catalog", "halfspace"),
+    ("verify", "--catalog", "halfspace", "--certificate", "CERT"),
+    ("theorem2", "--catalog", "halfspace"),
+    ("sweep-rockafellar", "--d-list", "1"),
+    ("list-catalog",),
+], ids=["certify", "verify", "theorem2", "sweep-rockafellar", "list-catalog"])
+def test_unwritable_out_exit_1(capsys, tmp_path, argv):
+    cert = tmp_path / "cert.json"
+    if "CERT" in argv:
+        run(capsys, "certify", "--catalog", "halfspace", "--seed", "42", "--out", str(cert))
+    argv = [str(cert) if a == "CERT" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
     assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("cannot write --out")
 
 
 @pytest.mark.parametrize("command", ["certify", "theorem2"])
@@ -152,15 +181,17 @@ def test_verify_seed_reuse_exit_4(capsys, tmp_path):
                                                  ("r", -1.0, "nonpositive alpha/r/k"),
                                                  ("epsilon", -1.0, "epsilon"),
                                                  ("measured_lipschitz", -1.0,
-                                                  "measured_lipschitz")],
+                                                  "measured_lipschitz"),
+                                                 ("v", 2.0, "witness direction not unit"),
+                                                 ("phi_weights", 2.0, "phi(v) != 1")],
                          ids=["epsilon-x2", "k-0", "alpha-0", "r-1e308", "r-negative",
-                              "epsilon-negative", "measured-negative"])
+                              "epsilon-negative", "measured-negative", "v-x2", "phi-x2"])
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path, field, factor, note):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--catalog", "halfspace", "--seed", "42",
         "--out", str(cert))
     data = json.loads(cert.read_text())
-    data[field] = data[field] * factor
+    data[field] = np.multiply(data[field], factor).tolist()
     cert.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", "--catalog", "halfspace",
                        "--certificate", str(cert))
@@ -291,6 +322,22 @@ def test_instance_file_certify(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["instance"]["label"] == "my-halfspace"
     assert cert["seed"] == 5
+
+
+def test_lemmas_without_off_band_samples_exit_3(capsys, tmp_path):
+    # a band this wide holds every L5 and L6 sample of the halfspace
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"function": {"catalog_id": "halfspace"},
+                                "config": {"tol_value": 0.5}}))
+    code, out, err = run(capsys, "certify", "--instance", str(inst))
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "lemma checks failed: L5, L6"
+    for lid in ("L5", "L6"):
+        check = payload["lemma_report"][lid]
+        assert check["pass"] is False and check["samples"] == 0
+        assert check["note"].startswith("no sample outside the membership band")
 
 
 def run_input_error(capsys, *argv):

@@ -1,6 +1,7 @@
-"""Witness assembly, norming functionals, the graph split, and lambda."""
+"""Witness epsilon and L1 notes, norming functionals, the graph split, and lambda."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from epicert.epirep import (
     to_graph_coordinates,
 )
 from epicert.expressions import compile_expression
+from epicert.verify import run_suite
 
 
 def test_epsilon_formula_branches():
@@ -38,23 +40,21 @@ def test_epsilon_formula_branches():
     assert epsilon_formula(1.0, 2.0, 1.0) == 0.5
 
 
-def test_witness_assemble_stores_formula_epsilon():
-    sp = NormedSpace(2, "euclidean")
-    w = DescentWitness.assemble(sp, np.zeros(2), np.array([-1.0, 0.0]), 0.5, 1.0, 1.0)
-    assert w.epsilon == epsilon_formula(0.5, 1.0, 1.0)
-    w.validate(sp)
+def test_certify_stores_formula_epsilon(catalog_certs):
+    for (cid, i), (entry, cert) in catalog_certs.items():
+        w = cert.witness
+        assert w.epsilon == epsilon_formula(w.alpha, w.r, w.k), (cid, i)
 
 
-def test_witness_validate_rejections():
-    sp = NormedSpace(2, "euclidean")
-    good = dict(x=np.zeros(2), v=np.array([1.0, 0.0]), alpha=0.5, r=1.0, k=1.0,
-                epsilon=epsilon_formula(0.5, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        DescentWitness(**{**good, "alpha": 0.0}).validate(sp)
-    with pytest.raises(ValueError):
-        DescentWitness(**{**good, "v": np.array([2.0, 0.0])}).validate(sp)
-    with pytest.raises(ValueError):
-        DescentWitness(**{**good, "epsilon": 0.2}).validate(sp)
+def test_broken_witness_is_an_l1_note(halfspace_cert, cfg42):
+    entry, cert = halfspace_cert
+    for field, value, note in [("alpha", 0.0, "nonpositive alpha/r/k"),
+                               ("v", np.array([2.0, 0.0]), "witness direction not unit"),
+                               ("epsilon", 0.2, "epsilon 0.2 != min(r/4, alpha*r/(4k))")]:
+        broken = replace(cert, witness=replace(cert.witness, **{field: value}))
+        rep = run_suite(entry.instance, broken, replace(cfg42, rng_seed=777))
+        assert not rep.overall, field
+        assert rep.per_lemma["L1"].note.startswith("structural: " + note), field
 
 
 def test_norming_functional_euclidean_is_self():
@@ -81,12 +81,6 @@ def test_norming_functional_one_norm_is_sign_vector():
     phi = norming_functional(sp, np.array([0.5, -0.5]))
     np.testing.assert_array_equal(phi, [1.0, -1.0])
     assert sp.dual_norm(phi) == 1.0
-
-
-def test_norming_functional_rejects_non_unit():
-    sp = NormedSpace(2, "euclidean")
-    with pytest.raises(ValueError):
-        norming_functional(sp, np.array([2.0, 0.0]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,9 +171,8 @@ def test_bracket_violation_surfaces_not_degrades(cfg42):
     # the -r/4 probe lands back inside the ball, breaking the sign bracket
     entry = load("unit_ball_euclid")
     sp = entry.instance.space
-    w = DescentWitness.assemble(
-        sp, np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 0.5, 12.0, 1.0
-    )
+    w = DescentWitness(x=np.array([1.0, 0.0]), v=np.array([-1.0, 0.0]), alpha=0.5,
+                       r=12.0, k=1.0, epsilon=epsilon_formula(0.5, 12.0, 1.0))
     phi = norming_functional(sp, w.v)
     with pytest.raises(BracketViolation):
         lambda_values(sp, entry.instance.f, w, phi, w.x[None, :], cfg42)

@@ -18,7 +18,7 @@ from epicert.verify import (
 
 def _hull(gens):
     gens = np.atleast_2d(np.asarray(gens, dtype=float))
-    return GradientHull(generators=gens, min_norm_point=gens[0])
+    return GradientHull(generators=gens)
 
 
 def test_pointedness_single_generator():
