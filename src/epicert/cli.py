@@ -5,8 +5,9 @@ Subcommands: certify, verify, theorem2, sweep-rockafellar, list-catalog.
 Exit codes are a stable contract:
     0  success
     1  input error (bad flags, unreadable files, unwritable --out paths,
-       point not on the boundary, f or its gradient not finite near the
-       point, too large for memory)
+       point not on the boundary, a tol_bisect finer than the float grid
+       at the point, f or its gradient not finite near the point, too
+       large for memory)
     2  degenerate point (no descent direction; also theorem2 = false, and
        a descent radius that shrinks to nothing)
     3  lemma-check failure (certificate produced or loaded, suite rejected
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -29,6 +31,7 @@ from .core import NonFiniteValue, NumericConfig, ProblemInstance, canonical_json
 from .epirep import (
     CertificationFailure,
     EpigraphCertificate,
+    bisection_tolerance_failure,
     boundary_band_failure,
     certificate_from_json,
     certify,
@@ -60,6 +63,21 @@ def _failure(res: CertificationFailure, prefix: str = "") -> int:
     """Report a failed construction on stderr; return its exit code."""
     _error(prefix + res.message, res.to_json_dict())
     return _FAILURE_EXIT[res.stage]
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before any work is done;
+    creates no file.  _write's OSError handler stays the backstop."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent!r}"
+    elif not os.access(parent, os.W_OK):
+        problem = f"directory {parent!r} is not writable"
+    else:
+        return
+    raise InstanceSpecError(f"cannot write --out {path!r}: {problem}")
 
 
 def _write(path: str, text: str) -> None:
@@ -173,6 +191,9 @@ def cmd_verify(args) -> int:
             raise InstanceSpecError(
                 f"certificate {field} {got!r} does not match the instance's {want!r}"
             )
+    too_fine = bisection_tolerance_failure(cert.witness.x, cfg)
+    if too_fine is not None:
+        return _failure(too_fine)
     if args.seed is None:
         # fresh by default; an explicit matching --seed still trips the guard
         cfg = dataclasses.replace(cfg, rng_seed=cert.seed + 1)
@@ -322,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         # a non-finite oracle value is reported below, not warned about
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -55,6 +55,7 @@ __all__ = [
     "EpigraphCertificate",
     "CertificationFailure",
     "boundary_band_failure",
+    "bisection_tolerance_failure",
     "certificate_from_json",
     "certify",
 ]
@@ -280,16 +281,16 @@ def measured_cylinder_lipschitz(
     phi: np.ndarray,
     cfg: NumericConfig,
     n_pairs: int = 500,
-    seed_tag: str = "measured-lipschitz",
 ) -> float:
     """Max sampled quotient |lambda(z)-lambda(y)|/|z-y| over cylinder pairs.
 
     Mix of pair types: unconstrained, along v (where the quotient is exactly
     1 by the translation identity), and pure ker-phi displacements (where
-    the graph function's own modulus shows).
+    the graph function's own modulus shows).  Lemma check L4; a certificate's
+    ``measured_lipschitz`` is its value in certify's suite, at the derived seed.
     """
     r, eps, v = witness.r, witness.epsilon, witness.v
-    rng = cfg.rng(seed_tag, f.descriptor)
+    rng = cfg.rng("verify-L4", f.descriptor)
     n_free = n_pairs // 2
     n_v = n_pairs // 4
     n_flat = n_pairs - n_free - n_v
@@ -432,6 +433,20 @@ def boundary_band_failure(inst: ProblemInstance, x: np.ndarray,
     )
 
 
+def bisection_tolerance_failure(x: np.ndarray, cfg: NumericConfig) -> CertificationFailure | None:
+    """The precondition failure if tol_bisect is finer than the float grid
+    can resolve near x, else None.  Every bisection point lies within r <= 1
+    of x, so the spacing at max|x_i| + 1 is the smallest usable tolerance."""
+    least = float(np.spacing(np.max(np.abs(x)) + 1.0))
+    if cfg.tol_bisect >= least:
+        return None
+    return CertificationFailure(
+        stage="precondition",
+        message=f"tol_bisect {cfg.tol_bisect!r} is below the float spacing near x; "
+                f"the smallest usable value is {least!r}",
+    )
+
+
 def certify(
     inst: ProblemInstance,
     x: np.ndarray,
@@ -445,9 +460,9 @@ def certify(
 
     space = inst.space
     x = np.asarray(x, dtype=float)
-    off_band = boundary_band_failure(inst, x, cfg)
-    if off_band is not None:
-        return off_band
+    refused = boundary_band_failure(inst, x, cfg) or bisection_tolerance_failure(x, cfg)
+    if refused is not None:
+        return refused
 
     nd = is_nondegenerate(inst, x, cfg)
     if nd.witness is None:
@@ -479,7 +494,6 @@ def certify(
             tau_halfwidth=witness.r / 256.0,
         )
         lam = lambda_values(space, inst.f, witness, phi, pts, cfg)
-        measured = measured_cylinder_lipschitz(space, inst.f, witness, phi, cfg)
     except (BracketViolation, CylinderError) as exc:
         return CertificationFailure(stage="lemma-check-failure",
                                     message=f"sampling stage: {exc}", hull=nd.hull)
@@ -489,7 +503,7 @@ def certify(
         phi=phi,
         lambda_samples=tuple((p, float(l)) for p, l in zip(pts, lam)),
         lipschitz_bound=witness.lipschitz_bound,
-        measured_lipschitz=measured,
+        measured_lipschitz=0.0,  # the suite's L4 measures it
         report=None,
         confidence="sampling_probabilistic",
         seed=cfg.rng_seed,
@@ -499,7 +513,6 @@ def certify(
     )
     verify_cfg = replace(cfg, rng_seed=internal_verify_seed(cfg.rng_seed))
     report = run_suite(inst, cert, verify_cfg)
-    cert = replace(cert, report=report)
     if not report.overall:
         failed = [lid for lid, c in report.per_lemma.items() if not c.passed]
         return CertificationFailure(
@@ -507,4 +520,4 @@ def certify(
             message=f"lemma checks failed: {', '.join(failed)}",
             hull=nd.hull, report=report,
         )
-    return cert
+    return replace(cert, report=report, measured_lipschitz=report.measured_lipschitz)

@@ -76,6 +76,7 @@ class LemmaCheck:
 class VerificationReport:
     per_lemma: dict[str, LemmaCheck]
     seed: int
+    measured_lipschitz: float | None     # L4's maximum quotient; None if L4 raised
 
     @property
     def overall(self) -> bool:
@@ -186,6 +187,7 @@ def run_suite(
     phi = cert.phi
     x, v, r, eps, k = w.x, w.v, w.r, w.epsilon, w.k
     counts = CHECK_SAMPLE_COUNTS
+    measured = None  # set by l4, handed back on the report
 
     # each check returns (passed, margin, samples, note)
     def l1():
@@ -222,10 +224,10 @@ def run_suite(
                 f"distance slack {dist_slack:.3g}, residual slack {value_slack:.3g}")
 
     def l4():
-        maxq = measured_cylinder_lipschitz(space, f, w, phi, cfg, n_pairs=counts["L4"],
-                                           seed_tag="verify-L4")
+        nonlocal measured
+        measured = measured_cylinder_lipschitz(space, f, w, phi, cfg, n_pairs=counts["L4"])
         bound = 1.01 * cert.lipschitz_bound
-        return maxq <= bound, bound - maxq, counts["L4"], ""
+        return measured <= bound, bound - measured, counts["L4"], ""
 
     def l5():
         Y = sample_ball(space, x, eps, counts["L5"], cfg.rng("verify", "L5"))
@@ -274,4 +276,4 @@ def run_suite(
         True, pointedness_margin(hull), hull.generators.shape[0], 0.0,
         note="diagnostic only; near 0 suggests the generated cone is not pointed",
     )
-    return VerificationReport(per_lemma=checks, seed=cfg.rng_seed)
+    return VerificationReport(per_lemma=checks, seed=cfg.rng_seed, measured_lipschitz=measured)

@@ -93,24 +93,45 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: epicert certify")
 
 
+def _forbid_pipeline(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline ran before --out was checked")
+
+    for name in ("certify", "run_suite", "check_theorem2", "promote_to_certificate"):
+        monkeypatch.setattr(cli, name, never)
+
+
 @pytest.mark.parametrize("argv", [
     ("certify", "--catalog", "halfspace"),
     ("verify", "--catalog", "halfspace", "--certificate", "CERT"),
     ("theorem2", "--catalog", "halfspace"),
+    ("theorem2", "--catalog", "halfspace", "--promote"),
     ("sweep-rockafellar", "--d-list", "1"),
     ("list-catalog",),
-], ids=["certify", "verify", "theorem2", "sweep-rockafellar", "list-catalog"])
-def test_unwritable_out_exit_1(capsys, tmp_path, argv):
+], ids=["certify", "verify", "theorem2", "theorem2-promote", "sweep-rockafellar",
+        "list-catalog"])
+def test_unwritable_out_exit_1(capsys, tmp_path, monkeypatch, argv):
     cert = tmp_path / "cert.json"
     if "CERT" in argv:
         run(capsys, "certify", "--catalog", "halfspace", "--seed", "42", "--out", str(cert))
     argv = [str(cert) if a == "CERT" else a for a in argv]
+    _forbid_pipeline(monkeypatch)
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
     assert code == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"].startswith("cannot write --out")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_directory_exit_1(capsys, tmp_path, monkeypatch):
+    _forbid_pipeline(monkeypatch)
+    code, out, err = run(capsys, "certify", "--catalog", "halfspace", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"].endswith("it is a directory")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["certify", "theorem2"])
@@ -472,3 +493,42 @@ def test_verify_refuses_non_number_certificate_field_exit_1(capsys, tmp_path, ta
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
     run_input_error(capsys, "verify", "--catalog", "halfspace", "--certificate", str(path))
+
+
+# a halfspace far from the origin: the float spacing at 1e7 is about 1.86e-9
+FAR_HALFSPACE = {"space": {"dim": 2}, "boundary_points": [[1e7, 0]],
+                 "function": {"expression": ["-", "x1", 1e7]}}
+
+
+def _far_instance(tmp_path, name, **config):
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(FAR_HALFSPACE, config=config)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("certify",), ("theorem2", "--promote")],
+                         ids=["certify", "theorem2-promote"])
+def test_tol_bisect_below_float_spacing_exit_1(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--instance", _far_instance(tmp_path, "inst.json"))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["failure"] == "precondition"
+    assert payload["error"].endswith(
+        f"the smallest usable value is {float(np.spacing(1e7 + 1.0))!r}")
+
+
+def test_tol_bisect_at_float_spacing_certifies_and_verifies(capsys, tmp_path):
+    coarse = _far_instance(tmp_path, "coarse.json", tol_bisect=2e-9)
+    cert = str(tmp_path / "cert.json")
+    code, _, _ = run(capsys, "certify", "--instance", coarse, "--out", cert)
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "--instance", coarse, "--certificate", cert)
+    assert code == 0
+    # the default tolerance is refused at the certificate's x as well
+    code, out, err = run(capsys, "verify", "--instance", _far_instance(tmp_path, "fine.json"),
+                         "--certificate", cert)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["failure"] == "precondition"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import epicert as ec
 from epicert.catalog import load
-from epicert.core import NormedSpace, NumericConfig, canonical_json, stream_rng
+from epicert.core import NormedSpace, NumericConfig, canonical_json, internal_verify_seed, stream_rng
 from epicert.epirep import (
     BracketViolation,
     CertificationFailure,
@@ -29,7 +29,7 @@ from epicert.epirep import (
     to_graph_coordinates,
 )
 from epicert.expressions import compile_expression
-from epicert.verify import run_suite
+from epicert.verify import CHECK_SAMPLE_COUNTS, run_suite
 
 
 def test_epsilon_formula_branches():
@@ -198,6 +198,16 @@ def test_measured_lipschitz_halfspace_is_one(halfspace_cert, cfg42):
     )
     assert m == pytest.approx(1.0, abs=1e-8)
     assert cert.measured_lipschitz == pytest.approx(1.0, abs=1e-8)
+
+
+def test_measured_lipschitz_is_the_internal_l4_value(catalog_certs, cfg42):
+    # certify stores its own suite's L4 maximum, drawn at the derived seed
+    suite_cfg = replace(cfg42, rng_seed=internal_verify_seed(cfg42.rng_seed))
+    for (cid, i), (entry, cert) in catalog_certs.items():
+        m = measured_cylinder_lipschitz(cert.space, entry.instance.f, cert.witness, cert.phi,
+                                        suite_cfg, n_pairs=CHECK_SAMPLE_COUNTS["L4"])
+        assert cert.measured_lipschitz == m, (cid, i)
+        assert cert.report.measured_lipschitz == m, (cid, i)
 
 
 def test_certificate_json_round_trip(halfspace_cert):
