@@ -7,7 +7,7 @@ Exit codes are a stable contract:
     1  input error (bad flags, unreadable files, unwritable --out paths,
        point not on the boundary, a tol_bisect finer than the float grid
        at the point, f or its gradient not finite near the point, too
-       large for memory)
+       large for memory, a closed stdout)
     2  degenerate point (no descent direction; also theorem2 = false, and
        a descent radius that shrinks to nothing)
     3  lemma-check failure (certificate produced or loaded, suite rejected
@@ -347,7 +347,15 @@ def main(argv: list[str] | None = None) -> int:
             _check_out(args.out)
         # a non-finite oracle value is reported below, not warned about
         with np.errstate(all="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so the
+        # flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _error("stdout was closed before the output was written")
+        return EXIT_INPUT
     except (InstanceSpecError, NonFiniteValue) as exc:
         _error(str(exc))
         return EXIT_INPUT

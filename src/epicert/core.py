@@ -211,7 +211,9 @@ class FunctionOracle:
     ideal function it stands for (0 for closed forms; the probe resolution
     for estimated oracles); magnitude-sensitive checks add it to their
     tolerance.  Every pipeline stage samples f at f.scales.  values and
-    gradients raise NonFiniteValue on NaN or infinity.
+    gradients raise NonFiniteValue on NaN or infinity.  sign, when present,
+    is a cheaper (n, dim) -> (n,) query whose entries are > 0, < 0 and <= 0
+    exactly where eval's are; sign bisections ask it instead of eval.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -220,6 +222,7 @@ class FunctionOracle:
     descriptor: str = ""
     value_noise: float = 0.0
     scales: Scales = PLAIN
+    sign: Callable[[np.ndarray], np.ndarray] | None = None
 
     def values(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -229,6 +232,10 @@ class FunctionOracle:
                 f"oracle returned shape {out.shape}, expected ({points.shape[0]},)"
             )
         return _finite(out, points, "f")
+
+    def signs(self, points: np.ndarray) -> np.ndarray:
+        """Values with the sign of f at each point: f.sign if set, else f.values."""
+        return self.values(points) if self.sign is None else self.sign(points)
 
     def value(self, point: np.ndarray) -> float:
         return float(self.values(np.asarray(point, dtype=float)[None, :])[0])

@@ -202,7 +202,8 @@ def lambda_values(
     points are first translated along v to x's phi-level, which keeps the
     bisection base inside B(x, epsilon) no matter how far along v the query
     sits.  The proof-level sign guarantees at +-r/4 are asserted; violations
-    raise rather than degrade.
+    raise rather than degrade.  The bracket check and the bisection ask only
+    f.signs.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     x, v, r, eps = witness.x, witness.v, witness.r, witness.epsilon
@@ -226,15 +227,16 @@ def lambda_values(
     bases = Y + shift[:, None] * v[None, :]
 
     w = r / 4.0
-    f_lo = f.values(bases - w * v[None, :])
-    f_hi = f.values(bases + w * v[None, :])
-    if not (np.all(f_lo > 0.0) and np.all(f_hi < 0.0)):
-        i = int(np.argmax(~((f_lo > 0.0) & (f_hi < 0.0))))
+    s_lo = f.signs(bases - w * v[None, :])
+    s_hi = f.signs(bases + w * v[None, :])
+    if not (np.all(s_lo > 0.0) and np.all(s_hi < 0.0)):
+        # a sign query may answer with codes; report f's values at the failing base
+        b = bases[int(np.argmax(~((s_lo > 0.0) & (s_hi < 0.0))))]
         raise BracketViolation(
-            f"sign bracket failed at base {bases[i].tolist()}: "
-            f"f(-r/4)={f_lo[i]:.6g}, f(+r/4)={f_hi[i]:.6g}"
+            f"sign bracket failed at base {b.tolist()}: "
+            f"f(-r/4)={f.value(b - w * v):.6g}, f(+r/4)={f.value(b + w * v):.6g}"
         )
-    roots = bisect_sign_change(f.values, bases, v[None, :], np.full(len(bases), -w),
+    roots = bisect_sign_change(f.signs, bases, v[None, :], np.full(len(bases), -w),
                                np.full(len(bases), w), 2.0 * w, cfg.tol_bisect)
     return roots + shift
 

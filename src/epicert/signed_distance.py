@@ -195,7 +195,9 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     The gradient uses wide central differences so that probe noise is
     averaged out instead of amplified; value_noise carries the probe
     resolution so verification tolerances account for it, and every stage,
-    the verifier's included, samples it at ``SD_SCALES``.
+    the verifier's included, samples it at ``SD_SCALES``.  Its sign query is
+    the base membership code, which has exactly the signed distance's sign,
+    so sign bisections march no rays.
     """
     sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
 
@@ -215,6 +217,7 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
             descriptor=f"(signed-distance {inst.f.descriptor})",
             value_noise=sd.probe_resolution,
             scales=SD_SCALES,
+            sign=lambda P: membership_codes(inst.f, P, cfg),
         ),
         boundary_points=inst.boundary_points,
         label=(inst.label + "+signed-distance") if inst.label else "signed-distance",
@@ -265,9 +268,10 @@ def check_theorem2(
 def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericConfig):
     """Run the full construction against the signed distance itself.
 
-    The bisections stay exact (the signed distance's sign is the base
-    membership), so the standard pipeline applies at the oracle's coarser
-    ``SD_SCALES``.  Returns whatever certify returns.
+    The bisections stay exact, and cheap: they ask only the signed
+    distance's sign, which is the base membership code.  So the standard
+    pipeline applies at the oracle's coarser ``SD_SCALES``.  Returns
+    whatever certify returns.
     """
     from .epirep import certify
 

@@ -1,6 +1,9 @@
 """Command line behaviour, driven in-process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -532,3 +535,21 @@ def test_tol_bisect_at_float_spacing_certifies_and_verifies(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert json.loads(err)["failure"] == "precondition"
+
+
+def test_closed_stdout_exit_1_one_json_line():
+    # the reader of stdout is gone before anything is written
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "epicert", "list-catalog", "--format", "json"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])

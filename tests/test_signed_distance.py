@@ -1,17 +1,35 @@
 """Membership-only signed distance and the derived nondegeneracy check."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epicert.catalog import load
-from epicert.core import NormedSpace, NumericConfig, ProblemInstance, signed_axes
+from epicert.core import (
+    NormedSpace,
+    NumericConfig,
+    ProblemInstance,
+    membership_codes,
+    signed_axes,
+    stream_rng,
+)
+from epicert.epirep import (
+    BracketViolation,
+    DescentWitness,
+    EpigraphCertificate,
+    epsilon_formula,
+    lambda_values,
+    norming_functional,
+    sample_cylinder,
+)
 from epicert.expressions import compile_expression
 from epicert.instancefile import parse_instance
 from epicert.signed_distance import (
     SignedDistanceOracle,
     check_theorem2,
+    promote_to_certificate,
     sd_instance,
     sd_lipschitz_check,
     signed_distance_values,
@@ -168,3 +186,81 @@ def test_check_theorem2_answers_true_at_kinks(spec, seed):
     assert res.alpha > 0.1
     for cid in ("singleton_sq", "abs_wall"):
         assert not check_theorem2(load(cid).instance, np.zeros(2), cfg).nondegenerate, cid
+
+
+@pytest.mark.parametrize("cid", ["halfspace", "unit_ball_euclid"])
+def test_sign_query_agrees_with_signed_distance(cid, cfg):
+    # the sign query is the membership code; > 0, < 0 and <= 0 must hold on
+    # the same rows as for the signed distance, band and boundary included
+    inst = load(cid).instance
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((6, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    if cid == "halfspace":
+        edge = np.column_stack([np.zeros(6), u[:, 1]])
+        band = edge + np.array([1.0, 0.0]) * rng.uniform(-0.9, 0.9, (6, 1)) * cfg.tol_value
+    else:
+        edge = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.8, 0.6]])
+        band = u * (1.0 + rng.uniform(-0.9, 0.9, (6, 1)) * cfg.tol_value)
+    pts = np.vstack([rng.uniform(-1.5, 1.5, (24, 2)), edge, band])
+    codes = membership_codes(inst.f, pts, cfg)
+    assert (codes == 0).sum() >= 12 and (codes > 0).any() and (codes < 0).any()
+    sd_vals, _ = signed_distance_values(SignedDistanceOracle(base=inst, seed=cfg.rng_seed),
+                                        pts, cfg)
+    signs = sd_instance(inst, cfg).f.signs(pts)
+    for got in (codes, signs):
+        np.testing.assert_array_equal(got > 0, sd_vals > 0)
+        np.testing.assert_array_equal(got < 0, sd_vals < 0)
+        np.testing.assert_array_equal(got <= 0, sd_vals <= 0)
+
+
+def _halfspace_sd_witness(r):
+    v = np.array([-1.0, 0.0])
+    return DescentWitness(x=np.zeros(2), v=v, alpha=0.5, r=r, k=1.0,
+                          epsilon=epsilon_formula(0.5, r, 1.0))
+
+
+def test_lambda_values_same_bits_with_and_without_sign_query(cfg):
+    inst = sd_instance(load("halfspace").instance, cfg)
+    w = _halfspace_sd_witness(0.4)
+    phi = norming_functional(inst.space, w.v)
+    Y = sample_cylinder(inst.space, w, phi, 8, stream_rng(0, "sd-sign"), tau_halfwidth=w.r / 16.0)
+    fast = lambda_values(inst.space, inst.f, w, phi, Y, cfg)
+    full = lambda_values(inst.space, replace(inst.f, sign=None), w, phi, Y, cfg)
+    np.testing.assert_array_equal(fast, full)
+    np.testing.assert_allclose(fast, Y[:, 0], atol=1e-9 + cfg.tol_value)
+
+
+def test_sd_bracket_violation_reports_values_not_codes(cfg):
+    # r far too large for the ball: -r/4 lands beyond the search radius and
+    # +r/4 goes through the ball and out the far side, so both signs are +
+    entry = load("unit_ball_euclid")
+    inst = sd_instance(entry.instance, cfg)
+    v = np.array([-1.0, 0.0])
+    w = DescentWitness(x=np.array([1.0, 0.0]), v=v, alpha=0.5, r=10.0, k=1.0,
+                       epsilon=epsilon_formula(0.5, 10.0, 1.0))
+    phi = norming_functional(inst.space, v)
+    messages = []
+    for f in (inst.f, replace(inst.f, sign=None)):
+        with pytest.raises(BracketViolation) as exc:
+            lambda_values(inst.space, f, w, phi, w.x[None, :], cfg)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    lo, hi = inst.f.value(w.x - 2.5 * v), inst.f.value(w.x + 2.5 * v)
+    assert f"f(-r/4)={lo:.6g}, f(+r/4)={hi:.6g}" in messages[0]
+    assert lo == SignedDistanceOracle.search_radius and hi == pytest.approx(0.5, abs=1e-3)
+
+
+def test_promote_halfspace_certifies(cfg):
+    entry = load("halfspace")
+    x = entry.certifiable_at[0]
+    cert = promote_to_certificate(entry.instance, x, cfg)
+    assert isinstance(cert, EpigraphCertificate), getattr(cert, "message", cert)
+    assert cert.report is not None and cert.report.overall
+    assert cert.lambda_samples
+    pts = np.stack([p for p, _ in cert.lambda_samples])
+    stored = np.array([val for _, val in cert.lambda_samples])
+    # the signed distance is 0 on the band |f| < tol_value, which moves the
+    # crossing by up to tol_value / |grad f|
+    form = entry.reference.lambda_form_at(x)
+    assert np.max(np.abs(form(pts, cert.witness.v) - stored)) <= 1e-9 + cfg.tol_value
