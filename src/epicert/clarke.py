@@ -297,13 +297,11 @@ def is_nondegenerate(
     rng = cfg.rng("witness-dirs", inst.f.descriptor, *np.round(x, 12).tolist())
     candidates.extend(rng.standard_normal(space.dim) for _ in range(16))
 
+    # every candidate is nonzero: the hull's is longer than HULL_ZERO_TOL, the
+    # axes are unit and the Gaussian draws are nonzero
     witness = None
     alpha = None
-    tried = 0
-    for c in candidates:
-        if float(space.norm(c)) < 1e-12:
-            continue
-        tried += 1
+    for tried, c in enumerate(candidates, 1):
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(c)

@@ -37,7 +37,12 @@ from .epirep import (
     certify,
 )
 from .instancefile import InstanceSpecError, load_instance_file, parse_instance, parse_json
-from .signed_distance import SignedDistanceOracle, check_theorem2, promote_to_certificate
+from .signed_distance import (
+    SignedDistanceOracle,
+    check_theorem2,
+    promote_to_certificate,
+    sd_instance,
+)
 from .verify import SeedReuseError, run_suite
 
 EXIT_OK = 0
@@ -184,6 +189,11 @@ def cmd_verify(args) -> int:
             cert = certificate_from_json(parse_json(fh.read()))
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise InstanceSpecError(f"cannot load certificate: {exc}") from exc
+    # theorem2 --promote certifies the signed distance of f built at the
+    # certificate's seed; check that function, not f
+    sd = sd_instance(inst, dataclasses.replace(cfg, rng_seed=cert.seed))
+    if cert.instance_descriptor == sd.f.descriptor:
+        inst = sd
     stored = (cert.space.dim, cert.space.norm_kind, cert.instance_descriptor)
     wanted = (inst.space.dim, inst.space.norm_kind, inst.f.descriptor)
     for field, got, want in zip(("dim", "norm", "descriptor"), stored, wanted):

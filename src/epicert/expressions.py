@@ -6,24 +6,30 @@ third coordinate (1-based), and a list is an operator application, e.g.
     ["-", ["norm2", "x1", "x2"], 1]
 
 for the unit-disc membership function.  Compilation produces a batch oracle
-together with forward-mode gradients; at kink points of max/min/abs the
-gradient is the lowest-index branch choice, which is fine because consumers
-only trust gradients away from the nonsmooth locus.
+whose gradients come from one reverse (adjoint) pass, so a gradient query
+costs a small multiple of one evaluation at any dimension.  At kink points of
+max/min/abs the gradient is the lowest-index branch choice, which is fine
+because consumers only trust gradients away from the nonsmooth locus.
 
 Tape contract: _compile walks the JSON with an explicit stack and emits a
 postfix tape, one row per node: ("const", c), ("coord", j) for coordinate
-j + 1, or (rule, k) for an operator of k arguments, rule taken from its _OPS
-row (least and most arguments, rule).  _run reads the rows in order on
-points (n, dim): a leaf pushes (values (n,), gradients (n, dim)), an operator
-pops the top k pairs and pushes rule(vs, gs), and the one pair left is f's.
-gs is None on a value query, so no derivative is formed.  Nothing recurses,
-so nesting depth is unbounded.
+j + 1, or ((value, partials), k) for an operator of k arguments, the rules
+from its _OPS row.  _run's forward pass reads the rows in order on points
+(n, dim): a leaf pushes its values (n,), an operator pops the top k and
+pushes value(args), and the one array left is f's.  A gradient query keeps
+each operator's args and value, then reads the rows backwards with a stack of
+adjoints df/dnode, the root's being 1: an operator pops its adjoint a and
+pushes a * p for each p in partials(args, value), which leaves its last
+argument, the next row back, on top; a coordinate leaf adds its adjoint into
+G[:, j].  The tape is a tree, so each node gets one adjoint.  Nothing
+recurses, so nesting depth is unbounded.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
+from itertools import accumulate
 from typing import Any, Callable
 
 import numpy as np
@@ -45,70 +51,49 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-_Pair = tuple[np.ndarray, np.ndarray | None]
-_Row = tuple[Any, Any]  # ("const", c), ("coord", j) or (rule, argument count)
+_Row = tuple[Any, Any]  # ("const", c), ("coord", j) or ((value, partials), argument count)
 
 
-def _add(vs, gs) -> _Pair:
-    return reduce(np.add, vs), None if gs is None else reduce(np.add, gs)
+def _mul_partials(vs, v) -> list:
+    """Product of the other factors, for each factor."""
+    left = [1.0, *accumulate(vs[:-1], np.multiply)]
+    right = [*accumulate(vs[:0:-1], np.multiply)][::-1] + [1.0]
+    return [lo * hi for lo, hi in zip(left, right)]
 
 
-def _sub(vs, gs) -> _Pair:
-    if len(vs) == 1:
-        return -vs[0], None if gs is None else -gs[0]
-    return vs[0] - vs[1], None if gs is None else gs[0] - gs[1]
-
-
-def _mul(vs, gs) -> _Pair:
-    v, g = vs[0], None if gs is None else gs[0]
-    for i in range(1, len(vs)):
-        if gs is not None:
-            g = g * vs[i][:, None] + gs[i] * v[:, None]
-        v = v * vs[i]
-    return v, g
-
-
-def _pick(arg: Callable) -> Callable[..., _Pair]:
-    def extremum(vs, gs) -> _Pair:
+def _pick(arg: Callable) -> tuple[Callable, Callable]:
+    def value(vs):
         vstack = np.stack(vs)                  # (k, n)
         idx = arg(vstack, axis=0)              # ties resolve to lowest index
-        cols = np.arange(vstack.shape[1])
-        return vstack[idx, cols], None if gs is None else np.stack(gs)[idx, cols, :]
+        return vstack[idx, np.arange(vstack.shape[1])]
 
-    return extremum
-
-
-def _abs(vs, gs) -> _Pair:
-    return np.abs(vs[0]), None if gs is None else np.sign(vs[0])[:, None] * gs[0]
+    # 1 for the picked argument, 0 for the others
+    return value, lambda vs, v: np.arange(len(vs))[:, None] == arg(np.stack(vs), axis=0)
 
 
-def _sqr(vs, gs) -> _Pair:
-    return vs[0] * vs[0], None if gs is None else 2.0 * vs[0][:, None] * gs[0]
-
-
-def _norm2(vs, gs) -> _Pair:
+def _norm2(vs):
     vstack = np.stack(vs)                      # (k, n)
-    s = np.sqrt(np.sum(vstack * vstack, axis=0))
-    if gs is None:
-        return s, None
-    safe = np.maximum(s, 1e-300)
-    g_out = np.zeros_like(gs[0])
-    for v, g in zip(vs, gs):
-        g_out += (v / safe)[:, None] * g
-    g_out[s == 0.0] = 0.0
-    return s, g_out
+    return np.sqrt(np.sum(vstack * vstack, axis=0))
 
 
-# operator: (least arguments, most arguments or None, rule)
+def _norm2_partials(vs, s):
+    w = np.stack(vs) / np.maximum(s, 1e-300)
+    w[:, s == 0.0] = 0.0
+    return w
+
+
+# operator: (least arguments, most arguments or None, value rule, partials rule);
+# partials(args, value) gives d value / d args[i] for each argument
 _OPS = {
-    "+": (1, None, _add),
-    "-": (1, 2, _sub),
-    "*": (1, None, _mul),
-    "max": (1, None, _pick(np.argmax)),
-    "min": (1, None, _pick(np.argmin)),
-    "abs": (1, 1, _abs),
-    "sqr": (1, 1, _sqr),
-    "norm2": (1, None, _norm2),
+    "+": (1, None, lambda vs: reduce(np.add, vs), lambda vs, v: [1.0] * len(vs)),
+    "-": (1, 2, lambda vs: -vs[0] if len(vs) == 1 else vs[0] - vs[1],
+          lambda vs, v: [-1.0] if len(vs) == 1 else [1.0, -1.0]),
+    "*": (1, None, lambda vs: reduce(np.multiply, vs), _mul_partials),
+    "max": (1, None, *_pick(np.argmax)),
+    "min": (1, None, *_pick(np.argmin)),
+    "abs": (1, 1, lambda vs: np.abs(vs[0]), lambda vs, v: [np.sign(vs[0])]),
+    "sqr": (1, 1, lambda vs: vs[0] * vs[0], lambda vs, v: [2.0 * vs[0]]),
+    "norm2": (1, None, _norm2, _norm2_partials),
 }
 
 
@@ -126,10 +111,10 @@ def _compile(expr: Any, dim: int) -> tuple[list[_Row], str]:
             op, k = e[0], len(e) - 1
             if op not in _OPS:
                 raise ExpressionError(f"unknown operator {op!r}")
-            lo, hi, rule = _OPS[op]
+            lo, hi, *rules = _OPS[op]
             if k < lo or (hi is not None and k > hi):
                 raise ExpressionError(f"{op} got {k} arguments")
-            tape.append((rule, k))
+            tape.append((tuple(rules), k))
             descs[-k:] = ["(" + " ".join([op, *descs[-k:]]) + ")"]
         elif isinstance(e, bool):
             raise ExpressionError("booleans are not valid expressions")
@@ -158,22 +143,34 @@ def _compile(expr: Any, dim: int) -> tuple[list[_Row], str]:
     return tape, descs[0]
 
 
-def _run(tape: list[_Row], pts: np.ndarray, grad: bool) -> _Pair:
+def _run(tape: list[_Row], pts: np.ndarray, grad: bool) -> np.ndarray:
+    """f's values at pts (n, dim), or its gradients (n, dim) if grad."""
     vs: list[np.ndarray] = []
-    gs: list[np.ndarray | None] = []
+    kept: list[tuple[list[np.ndarray], np.ndarray]] = []  # operators' arguments and values
     for head, arg in tape:
         if head == "const":
-            v, g = np.full(pts.shape[0], arg), np.zeros_like(pts) if grad else None
+            v = np.full(pts.shape[0], arg)
         elif head == "coord":
-            v, g = pts[:, arg].copy(), np.zeros_like(pts) if grad else None
-            if grad:
-                g[:, arg] = 1.0
+            v = pts[:, arg].copy()
         else:
-            v, g = head(vs[-arg:], gs[-arg:] if grad else None)
-            del vs[-arg:], gs[-arg:]
+            args = vs[-arg:]
+            del vs[-arg:]
+            v = head[0](args)
+            if grad:
+                kept.append((args, v))
         vs.append(v)
-        gs.append(g)
-    return vs[0], gs[0]
+    if not grad:
+        return vs[0]
+    G = np.zeros_like(pts)
+    adjoints = [np.ones(pts.shape[0])]
+    for head, arg in reversed(tape):
+        a = adjoints.pop()
+        if head == "coord":
+            G[:, arg] += a
+        elif head != "const":
+            args, v = kept.pop()
+            adjoints.extend(a * p for p in head[1](args, v))
+    return G
 
 
 def compile_expression(expr: Any, dim: int) -> FunctionOracle:
@@ -186,5 +183,5 @@ def compile_expression(expr: Any, dim: int) -> FunctionOracle:
             raise ExpressionError(f"points have dim {pts.shape[1]}, expected {dim}")
         return pts
 
-    return FunctionOracle(eval=lambda pts: _run(tape, batch(pts), False)[0],
-                          grad=lambda pts: _run(tape, batch(pts), True)[1], descriptor=desc)
+    return FunctionOracle(eval=lambda pts: _run(tape, batch(pts), False),
+                          grad=lambda pts: _run(tape, batch(pts), True), descriptor=desc)

@@ -63,6 +63,19 @@ def test_lambda_closed_forms_match_bisection(catalog_certs):
         np.testing.assert_allclose(vals, want, atol=1e-8, err_msg=f"{cid}[{i}]")
 
 
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_rockafellar_lambda_closed_form_matches_bisection(d, seed):
+    entry = rockafellar_truncation(d)
+    x0 = entry.certifiable_at[0]
+    cert = ec.certify(entry.instance, x0, NumericConfig(rng_seed=seed))
+    assert isinstance(cert, ec.EpigraphCertificate)
+    pts = np.array([p for p, _ in cert.lambda_samples])
+    vals = np.array([v for _, v in cert.lambda_samples])
+    want = entry.reference.lambda_form_at(x0)(pts, cert.witness.v)
+    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-9)
+
+
 def test_subdifferential_references_match_sampled_hulls(cfg42):
     for cid in FIXED_IDS:
         entry = load(cid)

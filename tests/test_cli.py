@@ -170,6 +170,25 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     assert json.loads(err) == {"error": "input too large for memory: Unable to allocate 149. GiB"}
 
 
+@pytest.mark.parametrize("target, exc, stage, code", [
+    ("find_descent_radius", "RadiusUnderflow", "radius-underflow", 2),
+    ("lambda_values", "BracketViolation", "lemma-check-failure", 3),
+], ids=["radius-underflow", "sampling-stage"])
+def test_certify_failure_stage_exit_code(capsys, monkeypatch, target, exc, stage, code):
+    from epicert import epirep
+
+    def fail(*args, **kwargs):
+        raise getattr(epirep, exc)("forced")
+
+    monkeypatch.setattr(epirep, target, fail)
+    got, out, err = run(capsys, "certify", "--catalog", "halfspace")
+    assert got == code
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["failure"] == stage
+
+
 def test_verify_round_trip(capsys, tmp_path):
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "certify", "--catalog", "unit_ball_euclid",
@@ -249,6 +268,32 @@ def test_verify_refuses_mismatched_certificate_exit_1(capsys, tmp_path, catalog_
     assert code == 1
     assert out == ""
     assert needle in json.loads(err)["error"]
+
+
+def test_verify_promoted_certificate(capsys, tmp_path):
+    # verify checks a theorem2 --promote certificate against the signed
+    # distance it certified, built at the certificate's seed
+    code, out, _ = run(capsys, "theorem2", "--catalog", "halfspace", "--promote", "--seed", "42")
+    assert code == 0
+    data = json.loads(out)["certificate"]
+    assert data["instance"]["descriptor"] == "(signed-distance x1)"
+    cert = tmp_path / "promoted.json"
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--catalog", "halfspace", "--certificate", str(cert))
+    assert code == 0
+    assert json.loads(out)["overall"] is True
+
+    cert.write_text(json.dumps(dict(data, epsilon=2.0 * data["epsilon"])))
+    code, out, _ = run(capsys, "verify", "--catalog", "halfspace", "--certificate", str(cert))
+    assert code == 3
+    assert "epsilon" in json.loads(out)["per_lemma"]["L1"]["note"]
+
+    # the signed distance of another instance is still a mismatch
+    code, out, err = run(capsys, "verify", "--catalog", "max_two_planes",
+                         "--certificate", str(cert))
+    assert code == 1
+    assert out == ""
+    assert "descriptor '(signed-distance x1)'" in json.loads(err)["error"]
 
 
 def test_verify_missing_certificate_exit_1(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from epicert.catalog import rockafellar_truncation
 from epicert.core import NonFiniteValue, finite_difference_gradients
 from epicert.expressions import ExpressionError, compile_expression
 
@@ -250,3 +252,69 @@ def test_values_match_reference_bit_for_bit(expr, coords):
         reject()  # NaN and inf pass through max and min by other rules here
     want = reference_values(expr, p)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+
+def reference_gradients(expr, p):
+    """Forward-mode gradients, one operator at a time, with the summed magnitude
+    of the terms in each entry, which bounds its rounding error."""
+    if isinstance(expr, str):
+        g = np.zeros_like(p)
+        g[:, int(expr[1:]) - 1] = 1.0
+        return g, g
+    if not isinstance(expr, list):
+        return np.zeros_like(p), np.zeros_like(p)
+    op, vs = expr[0], [reference_values(a, p) for a in expr[1:]]
+    if op in ("max", "min"):
+        out, pick = vs[0], np.zeros(len(p))
+        for i, v in enumerate(vs[1:], 1):
+            better = v > out if op == "max" else v < out
+            out, pick = np.where(better, v, out), np.where(better, i, pick)
+        partials = [pick == i for i in range(len(vs))]
+    else:
+        s = np.sqrt(reduce(np.add, [v * v for v in vs]))
+        partials = {
+            "+": lambda: [1.0] * len(vs),
+            "-": lambda: [-1.0] if len(vs) == 1 else [1.0, -1.0],
+            "*": lambda: [reduce(np.multiply, vs[:i] + vs[i + 1:], 1.0) for i in range(len(vs))],
+            "abs": lambda: [np.sign(vs[0])],
+            "sqr": lambda: [2.0 * vs[0]],
+            "norm2": lambda: [np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0) for v in vs],
+        }[op]()
+    g, m = np.zeros_like(p), np.zeros_like(p)
+    for q, a in zip(partials, expr[1:]):
+        q = np.broadcast_to(np.asarray(q, dtype=float), (len(p),))[:, None]
+        ga, ma = reference_gradients(a, p)
+        g, m = g + q * ga, m + np.abs(q) * ma
+    return g, m
+
+
+# the reverse pass multiplies the same partials in another order, so entries
+# agree to rounding, not bit for bit
+@settings(max_examples=200, deadline=None)
+@given(expr=trees, coords=st.lists(st.floats(-2, 2), min_size=15, max_size=15))
+def test_gradients_match_forward_mode_reference(expr, coords):
+    p = np.array(coords).reshape(5, 3)
+    try:
+        got = compile_expression(expr, 3).gradients(p)
+    except NonFiniteValue:
+        reject()
+    want, magnitude = reference_gradients(expr, p)
+    assert np.all(np.abs(got - want) <= 1e-12 * magnitude + 1e-300)  # 1e-300: subnormals
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_wide_gradient_matches_hand_written_rockafellar(d):
+    # rockafellar_truncation(d) written as an expression: sum_j j*xi_j^2 - t
+    expr = ["-", ["+", *(["*", j, ["sqr", f"x{j}"]] for j in range(1, d + 1))], f"x{d + 1}"]
+    f = compile_expression(expr, d + 1)
+    p = np.random.default_rng(d).uniform(-1.0, 1.0, size=(1000, d + 1))
+    tracemalloc.start()
+    try:
+        got = f.gradients(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = rockafellar_truncation(d).instance.f.gradients(p)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert peak < 100e6  # forward-mode gradients peaked above 500 MB at d = 256
