@@ -25,12 +25,13 @@ __all__ = [
     "NonFiniteValue",
     "FunctionOracle",
     "finite_difference_gradients",
-    "bisect_sign_change",
+    "itp_crossings",
     "require_integer",
     "require_number",
     "NumericConfig",
     "Scales",
     "PLAIN",
+    "band_codes",
     "membership_codes",
     "ReferenceData",
     "ProblemInstance",
@@ -147,23 +148,67 @@ def finite_difference_gradients(
     return (fp - fm) / (2.0 * step)
 
 
-def bisect_sign_change(
+def itp_crossings(
     values: Callable[[np.ndarray], np.ndarray], origins: np.ndarray, dirs: np.ndarray,
-    lo: np.ndarray, hi: np.ndarray, width: float, tol: float,
+    lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, tol: float,
+    orient: np.ndarray | float = 1.0,
 ) -> np.ndarray:
-    """Per-row sign bisection of t -> values(origins + t dirs) on [lo, hi].
+    """Per-row crossing of g(t) = orient * values(origins + t dirs) on [lo, hi].
 
-    Assumes values > 0 at lo and <= 0 at hi (checked by callers); the
-    iteration count is sized for brackets of length width.  Rows never mix.
+    The ITP method of Oliveira & Takahashi (ACM TOMS 47(1), 2020) with
+    kappa1 = 0.2 / (the row's starting width), kappa2 = 2 and n0 = 0: each
+    pass steps from the regula falsi point towards the midpoint by
+    kappa1 (hi - lo)**2, at least tol / 2, and stays within the radius that
+    keeps bisection's pass count.  Assumes g > 0 at lo and g <= 0 at hi
+    (checked by callers), whose values g_lo and g_hi the caller already
+    holds; a zero moves hi, so the result is the first crossing.  A row
+    stops once hi - lo <= tol, after at most ceil(log2(width / tol)) passes,
+    and returns its midpoint.  values must be a point function: each pass
+    asks it only for the rows still open.  Rows never mix.
     """
-    ratio = width / tol  # overflows for a huge bracket; the log difference does not
-    steps = math.log2(max(ratio, 2.0)) if ratio < math.inf else math.log2(width) - math.log2(tol)
-    for _ in range(math.ceil(steps)):
-        mid = 0.5 * (lo + hi)
-        cross = values(origins + mid[:, None] * dirs) <= 0.0
-        hi = np.where(cross, mid, hi)
-        lo = np.where(cross, lo, mid)
-    return 0.5 * (lo + hi)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    width = hi - lo
+    # bisection's pass count: the least m with tol * 2**m >= width; ldexp
+    # stays finite where 2.0 ** m overflows (m > 1023: 1e298 wide at tol 1e-10)
+    with np.errstate(divide="ignore", over="ignore"):
+        m = np.maximum(np.ceil(np.log2(width) - math.log2(tol)), 0.0).astype(int)
+        m += np.ldexp(tol, m) < width
+        m -= (m > 0) & (np.ldexp(tol, m - 1) >= width)
+        kappa1 = 0.2 / width
+    # per open row: bracket, g at its ends, orientation, kappa1, passes left
+    # and eps * 2**(passes left) with eps = tol / 2, which is the projection
+    # radius plus half the current width
+    state = (lo, hi, np.asarray(g_lo, dtype=float), np.asarray(g_hi, dtype=float),
+             np.broadcast_to(np.asarray(orient, dtype=float), lo.shape), kappa1, m,
+             np.ldexp(0.5 * tol, m))
+    rows, P, U = np.arange(lo.size), origins, dirs   # U may be one row for all
+    out = np.empty(lo.shape)
+    while True:
+        a, b, ga, gb, s, k1, left, budget = state
+        done = (b - a <= tol) | (left == 0)
+        if done.any():
+            out[rows[done]] = 0.5 * (a[done] + b[done])
+            keep = ~done
+            rows, P, U = rows[keep], P[keep], U[keep] if len(U) > 1 else U
+            a, b, ga, gb, s, k1, left, budget = (arr[keep] for arr in state)
+        if not rows.size:
+            return out
+        w = b - a
+        mid = 0.5 * (a + b)
+        x_f = a + w * (ga / (ga - gb))
+        sigma = np.sign(mid - x_f)
+        # (k1 * w) <= 0.2 comes first, so w * w cannot overflow; the floor
+        # keeps an endpoint with g = 0 exactly from stalling the far one
+        delta = np.maximum(k1 * w * w, 0.5 * tol)
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        radius = np.maximum(budget - 0.5 * w, 0.0)
+        x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
+        pts = x[:, None] * U
+        pts += P   # in place: one (rows, dim) temporary per pass
+        g = s * values(pts)
+        cross = g <= 0.0
+        state = (np.where(cross, a, x), np.where(cross, x, b), np.where(cross, ga, g),
+                 np.where(cross, g, gb), s, k1, left - 1, 0.5 * budget)
 
 
 class NonFiniteValue(ValueError):
@@ -213,7 +258,9 @@ class FunctionOracle:
     tolerance.  Every pipeline stage samples f at f.scales.  values and
     gradients raise NonFiniteValue on NaN or infinity.  sign, when present,
     is a cheaper (n, dim) -> (n,) query whose entries are > 0, < 0 and <= 0
-    exactly where eval's are; sign bisections ask it instead of eval.
+    exactly where eval's are; lambda's bracket check and root finder ask it
+    instead of eval; on +-1 codes the regula falsi point of itp_crossings is
+    the midpoint.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -289,13 +336,17 @@ class NumericConfig:
         return stream_rng(self.rng_seed, *labels)
 
 
-def membership_codes(f: FunctionOracle, points: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-    """-1 inside, 0 within the value tolerance band, +1 outside (int8)."""
-    vals = f.values(points)
+def band_codes(vals: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """-1 at values <= -tol_value, +1 at values >= tol_value, else 0 (int8)."""
     out = np.zeros(vals.shape, dtype=np.int8)
     out[vals <= -cfg.tol_value] = -1
     out[vals >= cfg.tol_value] = 1
     return out
+
+
+def membership_codes(f: FunctionOracle, points: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """-1 inside, 0 within the value tolerance band, +1 outside (int8)."""
+    return band_codes(f.values(points), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +361,7 @@ class ReferenceData:
     witness_direction: np.ndarray | None = None
     directional_derivative_at_witness: float | None = None
     # per boundary point: (point, closed form (Y, v) -> crossing heights for
-    # descent direction v), used to cross-check bisection output against the
+    # descent direction v), used to cross-check computed lambda against the
     # direction actually certified
     lambda_forms: tuple[tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]], ...] = ()
     subdifferential: tuple[tuple[np.ndarray, np.ndarray], ...] = ()

@@ -19,7 +19,8 @@ from its _OPS row.  _run's forward pass reads the rows in order on points
 pushes value(args), and the one array left is f's.  A gradient query keeps
 each operator's args and value, then reads the rows backwards with a stack of
 adjoints df/dnode, the root's being 1: an operator pops its adjoint a and
-pushes a * p for each p in partials(args, value), which leaves its last
+pushes a * p for each p in partials(args, value), 0 where a is 0 (a max/min
+branch not picked may have an infinite partial), which leaves its last
 argument, the next row back, on top; a coordinate leaf adds its adjoint into
 G[:, j].  The tape is a tree, so each node gets one adjoint.  Nothing
 recurses, so nesting depth is unbounded.
@@ -169,7 +170,7 @@ def _run(tape: list[_Row], pts: np.ndarray, grad: bool) -> np.ndarray:
             G[:, arg] += a
         elif head != "const":
             args, v = kept.pop()
-            adjoints.extend(a * p for p in head[1](args, v))
+            adjoints.extend(a * np.where(a == 0.0, 0.0, p) for p in head[1](args, v))
     return G
 
 

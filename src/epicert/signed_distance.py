@@ -4,11 +4,15 @@ The value at y is the distance to M for outside points and minus the
 distance to the complement for inside points; zero inside the membership
 band.  Distances are found by marching a radial grid along each direction
 (the signed axes, one diagonal per open orthant for dim <= 4, random unit
-vectors) until the signed oracle value flips, bisecting the bracket against
-the sign (which the membership oracle gives exactly), then refining the best
-direction with a shrinking cone of proposals.  The sign is therefore exact;
-the magnitude overestimates the true distance by at most roughly the
-reported probe_resolution, because only finitely many directions are tried.
+vectors) until the signed oracle value flips, then solving for the crossing
+inside that grid cell with core.itp_crossings, started from the grid values
+at the cell's ends.  The oracle's values only place each probe; its sign,
+which membership gives exactly, decides which end the probe replaces.  A ray
+never takes more passes than bisection down to bisect_tol (36), and most
+calls end after 8-11.  The best direction is then refined with a shrinking
+cone of proposals.  The sign is therefore exact; the magnitude overestimates
+the true distance by at most roughly the reported probe_resolution, because
+only finitely many directions are tried.
 ``check_theorem2`` returns the ``clarke.NondegeneracyResult`` of the witness
 search run on the signed distance.
 
@@ -31,8 +35,9 @@ from .core import (
     NumericConfig,
     ProblemInstance,
     Scales,
-    bisect_sign_change,
+    band_codes,
     finite_difference_gradients,
+    itp_crossings,
     membership_codes,
     sample_ball,
     signed_axes,
@@ -119,6 +124,7 @@ class SignedDistanceOracle:
 def _ray_crossings(
     sd: SignedDistanceOracle,
     signs: np.ndarray,      # (n,) +-1, makes f positive at each origin
+    g0: np.ndarray,         # (n,) signs * f at each origin, > 0
     origins: np.ndarray,    # (n, dim)
     dirs: np.ndarray,       # (n, p, dim) unit directions per row
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,20 +132,23 @@ def _ray_crossings(
     f_values, radius, resolution = sd.base.f.values, sd.search_radius, sd.resolution
     n, p, d = dirs.shape
     rho = np.linspace(0.0, radius, resolution + 1)
+    # the grid points are the largest array here: let them go before the solver runs
     probes = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[:, :, None, :]
-    raw = f_values(probes.reshape(n * p * resolution, d)).reshape(n, p, resolution)
-    g = signs[:, None, None] * raw
+    g = signs[:, None, None] * f_values(probes.reshape(n * p * resolution, d)).reshape(
+        n, p, resolution)
+    del probes
     neg = g <= 0.0
     hit = neg.any(axis=2)
     j0 = np.argmax(neg, axis=2).ravel()   # index into rho[1:], first crossing
     dist = np.full(n * p, radius)
     idx = np.nonzero(hit.ravel())[0]
     if idx.size:
-        O = np.repeat(origins[:, None, :], p, axis=1).reshape(n * p, d)[idx]
-        U = dirs.reshape(n * p, d)[idx]
-        S = np.repeat(signs, p)[idx]
-        dist[idx] = bisect_sign_change(lambda P: S * f_values(P), O, U, rho[j0[idx]],
-                                       rho[j0[idx] + 1], radius / resolution, sd.bisect_tol)
+        row, j = idx // p, j0[idx]
+        g_rays = g.reshape(n * p, resolution)
+        g_lo = np.where(j > 0, g_rays[idx, j - 1], g0[row])   # g at rho[j], the origin for j = 0
+        dist[idx] = itp_crossings(f_values, origins[row], dirs.reshape(n * p, d)[idx],
+                                  rho[j], rho[j + 1], g_lo, g_rays[idx, j], sd.bisect_tol,
+                                  orient=signs[row])
     return dist.reshape(n, p), hit
 
 
@@ -157,13 +166,15 @@ def signed_distance_values(
     f = sd.base.f
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = Y.shape[0]
-    codes = membership_codes(f, Y, cfg)
+    f0 = f.values(Y)
+    codes = band_codes(f0, cfg)
     vals = np.zeros(n)
     flags = np.zeros(n, dtype=bool)
     active = np.nonzero(codes != 0)[0]
     if active.size == 0:
         return vals, flags
     s = codes[active].astype(float)
+    g0 = s * f0[active]
     Ya = Y[active]
     rows = np.arange(active.size)
     # round 0 marches the fixed directions, each later round a shrinking cone
@@ -177,7 +188,7 @@ def signed_distance_values(
             props = best_dir[:, None, :] + sigma * sd.refine_noise[t - 1][None, :, :]
             props = props / np.maximum(space.norm(props), 1e-300)[..., None]
             sigma *= sd.refine_shrink
-        dist, hit = _ray_crossings(sd, s, Ya, props)
+        dist, hit = _ray_crossings(sd, s, g0, Ya, props)
         cand = np.min(dist, axis=1)
         improved = hit.any(axis=1) & (cand < best)
         best = np.where(improved, cand, best)
@@ -197,7 +208,7 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     resolution so verification tolerances account for it, and every stage,
     the verifier's included, samples it at ``SD_SCALES``.  Its sign query is
     the base membership code, which has exactly the signed distance's sign,
-    so sign bisections march no rays.
+    so lambda's bracket check and root finder march no rays.
     """
     sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
 
@@ -268,7 +279,7 @@ def check_theorem2(
 def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericConfig):
     """Run the full construction against the signed distance itself.
 
-    The bisections stay exact, and cheap: they ask only the signed
+    Lambda's root finding stays exact, and cheap: it asks only the signed
     distance's sign, which is the base membership code.  So the standard
     pipeline applies at the oracle's coarser ``SD_SCALES``.  Returns
     whatever certify returns.

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import epicert as ec
 from epicert.core import (
-    NORM_KINDS, NonFiniteValue, bisect_sign_change, pair_quotients, require_number, signed_axes,
+    NORM_KINDS, NonFiniteValue, itp_crossings, pair_quotients, require_number, signed_axes,
     stream_rng,
 )
 
@@ -313,37 +313,110 @@ def test_function_oracle_value_shape_checks():
     assert f.value(np.array([2.5, 0.0])) == 2.5
 
 
-def test_bisect_sign_change_finds_linear_roots():
-    # values(p) = c - p[0] along +e1 from the origin crosses at t = c
+def test_itp_crossings_finds_linear_roots():
+    # values(p) = p[1] - p[0] along +e1 from (0, c) crosses at t = c
     roots = np.array([-0.7, 0.0, 0.123456789, 0.9])
-    origins = np.zeros((4, 2))
+    origins = np.column_stack([np.zeros(4), roots])
     dirs = np.array([[1.0, 0.0]])
 
     def values(P):
-        return roots - P[:, 0]
+        return P[:, 1] - P[:, 0]
 
     tol = 1e-10
-    got = bisect_sign_change(values, origins, dirs, np.full(4, -1.0),
-                             np.full(4, 1.0), 2.0, tol)
+    got = itp_crossings(values, origins, dirs, np.full(4, -1.0), np.full(4, 1.0),
+                        roots + 1.0, roots - 1.0, tol)
     assert np.all(np.abs(got - roots) <= tol)
 
 
-def test_bisect_sign_change_rows_are_independent():
+def test_itp_crossings_rows_are_independent():
     # a row's result is bitwise the same alone and inside a mixed batch
     rng = np.random.default_rng(0)
-    origins = rng.uniform(-1.0, 1.0, (6, 3))
+    origins = rng.uniform(-0.25, 0.25, (6, 3))
     dirs = rng.standard_normal((6, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    lo, hi = np.full(6, -2.0), np.linspace(1.0, 3.0, 6)
+    lo, hi = np.zeros(6), np.linspace(1.6, 3.0, 6)
 
     def values(P):
         return 1.0 - np.sum(P * P, axis=1)
 
-    batch = bisect_sign_change(values, origins, dirs, lo, hi, 5.0, 1e-12)
+    g_lo, g_hi = values(origins), values(origins + hi[:, None] * dirs)
+    batch = itp_crossings(values, origins, dirs, lo, hi, g_lo, g_hi, 1e-12)
     for i in range(6):
-        alone = bisect_sign_change(values, origins[i:i + 1], dirs[i:i + 1],
-                                   lo[i:i + 1], hi[i:i + 1], 5.0, 1e-12)
-        assert alone.tobytes() == batch[i:i + 1].tobytes()
+        s = slice(i, i + 1)
+        alone = itp_crossings(values, origins[s], dirs[s], lo[s], hi[s], g_lo[s], g_hi[s], 1e-12)
+        assert alone.tobytes() == batch[s].tobytes()
+
+
+# g(t) along a ray, first crossing c (g > 0 before c, g <= 0 at c), slope a
+RAY_KINDS = {
+    "linear": lambda t, c, a: a * (c - t),
+    # convex max of two lines, kinked before c
+    "kinked": lambda t, c, a: np.maximum(a * (c - t), 4.0 * a * (c - 0.25 - t)),
+    "convex": lambda t, c, a: np.expm1(a * (c - t)),
+    # exactly 0 on [c, c + 0.5], negative beyond
+    "plateau": lambda t, c, a: a * np.maximum(c - t, 0.0) - np.maximum(t - c - 0.5, 0.0),
+    # a sign-only oracle: codes +-1
+    "codes": lambda t, c, a: np.where(t < c, 1.0, -1.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_itp_crossings_property(data):
+    n = data.draw(st.integers(1, 6))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(RAY_KINDS)), min_size=n, max_size=n))
+    c = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    a = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    width = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    frac = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    orient = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    tol = data.draw(st.floats(1e-12, 1e-4))
+    lo = c - frac * width
+    hi = lo + width
+    # row i runs along +e1 from (0, i), so a query point names its row
+    origins = np.column_stack([np.zeros(n), np.arange(n, dtype=float)])
+    dirs = np.array([[1.0, 0.0]])
+    passes = np.zeros(n, dtype=int)
+
+    def g(t, rows):
+        return np.array([RAY_KINDS[kinds[i]](ti, c[i], a[i]) for ti, i in zip(t, rows)])
+
+    def values(P):
+        rows = P[:, 1].astype(int)
+        np.add.at(passes, rows, 1)
+        return orient[rows] * g(P[:, 0], rows)
+
+    everyone = np.arange(n)
+    g_lo, g_hi = g(lo, everyone), g(hi, everyone)
+    assume(np.all(g_lo > 0.0) and np.all(g_hi <= 0.0))
+    got = itp_crossings(values, origins, dirs, lo, hi, g_lo, g_hi, tol, orient=orient)
+    slack = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    assert np.all(np.abs(got - c) <= 0.5 * tol + slack), (kinds, got - c)
+    bisection = np.ceil(np.log2(width / tol)).astype(int)
+    assert np.all(passes <= bisection), (kinds, passes, bisection)
+    for i in range(n):
+        s = slice(i, i + 1)
+        alone = itp_crossings(values, origins[s], dirs, lo[s], hi[s], g_lo[s], g_hi[s], tol,
+                              orient=orient[s])
+        assert alone.tobytes() == got[s].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "codes"])
+def test_itp_crossings_bracket_of_width_1e308(kind):
+    # 1057 passes at most; 2.0 ** 1057 would overflow
+    lo, hi, tol = np.array([-5e307]), np.array([5e307]), 1e-10
+    origins, dirs = np.zeros((1, 1)), np.ones((1, 1))
+    calls = []
+
+    def values(P):
+        calls.append(len(P))
+        return RAY_KINDS[kind](P[:, 0], 0.3, 1.0)
+
+    got = itp_crossings(values, origins, dirs, lo, hi, values(origins + lo[:, None]),
+                        values(origins + hi[:, None]), tol)
+    assert abs(got[0] - 0.3) <= 0.5 * tol
+    bisection = math.ceil(math.log2(1e308) - math.log2(tol))
+    assert bisection == 1057 and len(calls) - 2 <= bisection
 
 
 @pytest.mark.parametrize("field", ["tol_bisect", "tol_value", "sample_budget"])

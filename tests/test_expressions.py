@@ -11,7 +11,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from epicert.catalog import rockafellar_truncation
-from epicert.core import NonFiniteValue, finite_difference_gradients
+from epicert.core import (
+    NonFiniteValue, NormedSpace, NumericConfig, ProblemInstance, finite_difference_gradients,
+)
+from epicert.epirep import EpigraphCertificate, certify
 from epicert.expressions import ExpressionError, compile_expression
 
 
@@ -103,6 +106,18 @@ def test_min_tie_picks_lowest_index_branch():
     f = compile_expression(["min", "x1", "x2"], 2)
     g = f.gradients(np.array([[0.5, 0.5]]))
     np.testing.assert_array_equal(g, np.array([[1.0, 0.0]]))
+
+
+def test_min_branch_not_picked_with_infinite_partial():
+    # the second branch overflows to inf, and so does its partial; the zero
+    # adjoint it gets must not turn into 0 * inf = NaN
+    f = compile_expression(["min", "x1", ["sqr", ["sqr", ["*", 1e200, "x2"]]]], 2)
+    with np.errstate(over="ignore"):
+        g = f.gradients(np.array([[0.5, 1.0]]))
+        res = certify(ProblemInstance(NormedSpace(2), f), np.array([0.0, 1.0]),
+                      NumericConfig(rng_seed=42))
+    np.testing.assert_array_equal(g, np.array([[1.0, 0.0]]))
+    assert isinstance(res, EpigraphCertificate) and res.report.overall
 
 
 def test_abs_gradient_zero_at_origin():
