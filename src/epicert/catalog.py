@@ -87,7 +87,6 @@ def _halfspace() -> CatalogEntry:
         subdifferential=((x0, np.array([[1.0, 0.0]])),),
         lipschitz_on_ball=lambda r: 1.0,
         smooth_points=(_pt(0.2, -0.3), _pt(-0.5, 0.1)),
-        notes="linear boundary, crossing height equals the first coordinate",
     )
     return _entry("halfspace", space, f, ref, (x0,))
 
@@ -109,7 +108,6 @@ def _unit_ball_euclid() -> CatalogEntry:
         ),
         lipschitz_on_ball=lambda r: 1.0,
         smooth_points=(p1, _pt(0.6, 0.1)),
-        notes="distance-to-origin sublevel set, gradient has unit norm away from 0",
     )
     return _entry("unit_ball_euclid", space, f, ref, (p1, p2))
 
@@ -134,7 +132,6 @@ def _box_sup() -> CatalogEntry:
         ),
         lipschitz_on_ball=lambda r: 1.0,
         smooth_points=(p1, _pt(0.2, -0.9)),
-        notes="sup-norm box; both listed points sit on a single face",
     )
     return _entry("box_sup", space, f, ref, (p1, p2))
 
@@ -161,7 +158,6 @@ def _max_two_planes() -> CatalogEntry:
         ),
         lipschitz_on_ball=lambda r: 1.0,
         smooth_points=(_pt(0.5, -0.2), _pt(-0.7, 0.0)),
-        notes="kink along the diagonal; generalized gradient at 0 is the segment [e1, e2]",
     )
     return _entry("max_two_planes", space, f, ref, (p1, p2))
 
@@ -188,7 +184,6 @@ def _union_balls() -> CatalogEntry:
         ),
         lipschitz_on_ball=lambda r: 1.0,
         smooth_points=(p1, p2),
-        notes="two unit balls centered (+-1.5, 0); both listed points lie on the right ball",
     )
     return _entry("union_balls", space, f, ref, (p1, p2))
 
@@ -200,7 +195,6 @@ def _singleton_sq() -> CatalogEntry:
     ref = ReferenceData(
         subdifferential=((x0, np.array([[0.0, 0.0]])),),
         smooth_points=(_pt(0.3, 0.4), x0),
-        notes="sublevel set is the single point 0; its gradient vanishes there, no descent direction exists",
     )
     return _entry("singleton_sq", space, f, ref, (), (x0,))
 
@@ -212,7 +206,6 @@ def _abs_wall() -> CatalogEntry:
     ref = ReferenceData(
         subdifferential=((x0, np.array([[-1.0, 0.0], [1.0, 0.0]])),),
         smooth_points=(_pt(0.5, 0.1), _pt(-0.3, 0.7)),
-        notes="sublevel set is the x2 axis, a set with empty interior; 0 lies between the two gradient branches",
     )
     return _entry("abs_wall", space, f, ref, (), (x0,))
 
@@ -266,7 +259,6 @@ def rockafellar_truncation(d: int) -> CatalogEntry:
         subdifferential=((x0, np.concatenate([np.zeros(d), [-1.0]])[None, :]),),
         lipschitz_on_ball=lambda r: math.sqrt(4.0 * d * d * r * r + 1.0),
         smooth_points=(x0, smooth),
-        notes="curvature along the last xi coordinate grows with d, shrinking the certified slab",
     )
     return _entry(f"rockafellar_{d}", space, f, ref, (x0,))
 

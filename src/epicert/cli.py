@@ -27,12 +27,11 @@ import sys
 import numpy as np
 
 from . import catalog as _catalog
-from .core import NonFiniteValue, NumericConfig, ProblemInstance, canonical_json
+from .core import NonFiniteValue, NumericConfig, ProblemInstance, canonical_json, require_vector
 from .epirep import (
     CertificationFailure,
     EpigraphCertificate,
     bisection_tolerance_failure,
-    boundary_band_failure,
     certificate_from_json,
     certify,
 )
@@ -118,25 +117,18 @@ def _resolve_instance(args) -> tuple[ProblemInstance, NumericConfig]:
 def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
     if getattr(args, "point", None):
         try:
-            p = np.asarray([float(t) for t in args.point.split(",")], dtype=float)
+            coords = [float(t) for t in args.point.split(",")]
+            return require_vector(coords, inst.space.dim, "the point")
         except ValueError as exc:
-            raise InstanceSpecError(f"bad --point: {exc}") from exc
-        if not np.all(np.isfinite(p)):
-            raise InstanceSpecError(f"bad --point: non-finite coordinate in {args.point!r}")
-        if p.shape != (inst.space.dim,):
-            raise InstanceSpecError(
-                f"--point has {p.shape[0]} coordinates, space has {inst.space.dim}"
-            )
-    else:
-        idx = getattr(args, "point_index", 0) or 0
-        if not inst.boundary_points:
-            raise InstanceSpecError("instance declares no boundary points; use --point")
-        if not (0 <= idx < len(inst.boundary_points)):
-            raise InstanceSpecError(
-                f"--point-index {idx} out of range ({len(inst.boundary_points)} declared)"
-            )
-        p = np.asarray(inst.boundary_points[idx], dtype=float)
-    return p
+            raise InstanceSpecError(f"bad --point {args.point!r}: {exc}") from None
+    idx = getattr(args, "point_index", 0) or 0
+    if not inst.boundary_points:
+        raise InstanceSpecError("instance declares no boundary points; use --point")
+    if not (0 <= idx < len(inst.boundary_points)):
+        raise InstanceSpecError(
+            f"--point-index {idx} out of range ({len(inst.boundary_points)} declared)"
+        )
+    return np.asarray(inst.boundary_points[idx], dtype=float)
 
 
 def _certificate_text(cert: EpigraphCertificate, fmt: str) -> str:
@@ -220,10 +212,9 @@ def cmd_verify(args) -> int:
 def cmd_theorem2(args) -> int:
     inst, cfg = _resolve_instance(args)
     x = _resolve_point(inst, args)
-    off_band = boundary_band_failure(inst, x, cfg)
-    if off_band is not None:
-        return _failure(off_band)
     t2 = check_theorem2(inst, x, cfg)
+    if isinstance(t2, CertificationFailure):
+        return _failure(t2)
     payload = {
         "nondegenerate": t2.nondegenerate,
         "alpha": t2.alpha,

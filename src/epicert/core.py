@@ -28,6 +28,7 @@ __all__ = [
     "itp_crossings",
     "require_integer",
     "require_number",
+    "require_vector",
     "NumericConfig",
     "Scales",
     "PLAIN",
@@ -257,10 +258,10 @@ class FunctionOracle:
     for estimated oracles); magnitude-sensitive checks add it to their
     tolerance.  Every pipeline stage samples f at f.scales.  values and
     gradients raise NonFiniteValue on NaN or infinity.  sign, when present,
-    is a cheaper (n, dim) -> (n,) query whose entries are > 0, < 0 and <= 0
-    exactly where eval's are; lambda's bracket check and root finder ask it
-    instead of eval; on +-1 codes the regula falsi point of itp_crossings is
-    the midpoint.
+    is a cheaper (n, dim) -> (n,) query for f's membership codes, with
+    exactly eval's signs (0 in the band); membership_codes and lambda's root
+    finding ask it instead of eval; on +-1 codes the regula falsi point of
+    itp_crossings is the midpoint.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -303,10 +304,25 @@ def require_integer(value: Any, name: str) -> Any:
 
 
 def require_number(value: Any, name: str) -> float:
-    """float(value) for an int or a float (numpy scalars count, bool does not)."""
+    """float(value) for a finite int or float (numpy scalars count, bool does not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is non-finite: {value!r}")
     return float(value)
+
+
+def require_vector(value: Any, dim: int, name: str) -> np.ndarray:
+    """A (dim,) array from a list of dim finite numbers, else ValueError."""
+    try:
+        if not isinstance(value, list):
+            raise ValueError("not a list")
+        out = np.array([require_number(c, "an entry") for c in value], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a list of numbers, got {value!r} ({exc})") from None
+    if out.shape != (dim,):
+        raise ValueError(f"{name} has shape {out.shape}, expected ({dim},)")
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,7 +340,6 @@ class NumericConfig:
         require_integer(self.rng_seed, "rng_seed")
         for name in ("tol_bisect", "tol_value", "shrink_factor"):
             require_number(getattr(self, name), name)
-        # written so that NaN fails every check
         if not (self.tol_bisect > 0 and self.tol_value > 0):
             raise ValueError("tolerances must be positive")
         if not (0 < self.shrink_factor < 1):
@@ -345,7 +360,11 @@ def band_codes(vals: np.ndarray, cfg: NumericConfig) -> np.ndarray:
 
 
 def membership_codes(f: FunctionOracle, points: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-    """-1 inside, 0 within the value tolerance band, +1 outside (int8)."""
+    """-1 inside, 0 within the value tolerance band, +1 outside (int8):
+    f.sign's answer if present (banding its codes again would zero them once
+    tol_value >= 1), else f's values banded."""
+    if f.sign is not None:
+        return f.sign(points)
     return band_codes(f.values(points), cfg)
 
 
@@ -367,7 +386,6 @@ class ReferenceData:
     subdifferential: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     lipschitz_on_ball: Callable[[float], float] | None = None
     smooth_points: tuple[np.ndarray, ...] = ()
-    notes: str = ""
 
     def _lookup(self, table, point: np.ndarray, atol: float):
         p = np.asarray(point, dtype=float)

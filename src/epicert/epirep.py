@@ -33,6 +33,7 @@ from .core import (
     pair_quotients,
     require_integer,
     require_number,
+    require_vector,
     sample_ball,
 )
 
@@ -40,6 +41,8 @@ if TYPE_CHECKING:
     from .verify import VerificationReport
 
 __all__ = [
+    "N_LAMBDA_SAMPLES",
+    "CHECK_SAMPLE_COUNTS",
     "RadiusUnderflow",
     "BracketViolation",
     "CylinderError",
@@ -62,6 +65,8 @@ __all__ = [
 
 
 N_LAMBDA_SAMPLES = 256  # stored (point, lambda) pairs per certificate
+# samples per lemma check (L4: cylinder pairs), a reporting contract
+CHECK_SAMPLE_COUNTS = {"L1": 200, "L2": 200, "L3": 200, "L4": 500, "L5": 500, "L6": 1000}
 
 
 class RadiusUnderflow(RuntimeError):
@@ -262,8 +267,7 @@ def sample_cylinder(
     collected: list[np.ndarray] = []
     got = 0
     for _ in range(200):
-        u = sample_ball(space, zero, eps, max(2 * n, 64), rng)
-        xi = u - np.multiply.outer(u @ phi, v)
+        xi, _ = to_graph_coordinates(phi, v, sample_ball(space, zero, eps, max(2 * n, 64), rng))
         keep = np.asarray(space.norm(xi), dtype=float) < 0.98 * eps
         xi = xi[keep]
         if xi.shape[0]:
@@ -284,9 +288,8 @@ def measured_cylinder_lipschitz(
     witness: DescentWitness,
     phi: np.ndarray,
     cfg: NumericConfig,
-    n_pairs: int = 500,
 ) -> float:
-    """Max sampled quotient |lambda(z)-lambda(y)|/|z-y| over cylinder pairs.
+    """Max sampled quotient |lambda(z)-lambda(y)|/|z-y| over L4's count of cylinder pairs.
 
     Mix of pair types: unconstrained, along v (where the quotient is exactly
     1 by the translation identity), and pure ker-phi displacements (where
@@ -295,6 +298,7 @@ def measured_cylinder_lipschitz(
     """
     r, eps, v = witness.r, witness.epsilon, witness.v
     rng = cfg.rng("verify-L4", f.descriptor)
+    n_pairs = CHECK_SAMPLE_COUNTS["L4"]
     n_free = n_pairs // 2
     n_v = n_pairs // 4
     n_flat = n_pairs - n_free - n_v
@@ -369,33 +373,29 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
     Values are taken as stored, without revalidation; the verification suite
     is the place where a tampered field turns into a reported failure rather
     than a parse error.  Only the types and shapes are checked: ``dim`` and
-    ``seed`` must be integers, every other scalar a JSON number and every
-    vector a list of ``dim`` numbers, else ValueError.
+    ``seed`` must be integers, every other scalar a finite number and every
+    vector a list of ``dim`` finite numbers, else ValueError.
     """
     info = data["instance"]
     space = NormedSpace(require_integer(info["dim"], "dim"), str(info["norm"]))
-
-    def vector(value, name: str) -> np.ndarray:
-        if not (isinstance(value, list) and len(value) == space.dim):
-            raise ValueError(f"{name} has shape {np.shape(value)}, expected ({space.dim},)")
-        return np.array([require_number(c, f"{name} entry") for c in value])
+    dim = space.dim
 
     w = DescentWitness(
-        x=vector(data["x"], "x"),
-        v=vector(data["v"], "v"),
+        x=require_vector(data["x"], dim, "x"),
+        v=require_vector(data["v"], dim, "v"),
         alpha=require_number(data["alpha"], "alpha"),
         r=require_number(data["r"], "r"),
         k=require_number(data["k"], "k"),
         epsilon=require_number(data["epsilon"], "epsilon"),
     )
     samples = tuple(
-        (vector(s["point"], f"lambda sample {i} point"),
+        (require_vector(s["point"], dim, f"lambda sample {i} point"),
          require_number(s["value"], f"lambda sample {i} value"))
         for i, s in enumerate(data["lambda_samples"])
     )
     return EpigraphCertificate(
         witness=w,
-        phi=vector(data["phi_weights"], "phi_weights"),
+        phi=require_vector(data["phi_weights"], dim, "phi_weights"),
         lambda_samples=samples,
         lipschitz_bound=require_number(data["lipschitz_bound"], "lipschitz_bound"),
         measured_lipschitz=require_number(data["measured_lipschitz"], "measured_lipschitz"),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog
 from .core import (FunctionOracle, NormedSpace, NumericConfig, ProblemInstance,
-                   require_integer, require_number)
+                   require_integer, require_number, require_vector)
 from .expressions import ExpressionError, compile_expression
 
 __all__ = ["InstanceSpecError", "parse_json", "parse_instance", "load_instance_file"]
@@ -62,19 +62,10 @@ def _parse_space(data: dict) -> NormedSpace:
 def _parse_points(raw, dim: int) -> tuple[np.ndarray, ...]:
     if not isinstance(raw, list):
         raise InstanceSpecError(f"boundary_points must be a list of points, got {raw!r}")
-    pts = []
-    for i, row in enumerate(raw):
-        try:
-            if not isinstance(row, list):
-                raise ValueError
-            p = np.array([require_number(c, "coordinate") for c in row])
-        except ValueError:
-            raise InstanceSpecError(
-                f"boundary point {i} must be a list of numbers, got {row!r}") from None
-        if p.shape != (dim,):
-            raise InstanceSpecError(f"boundary point {i} has shape {p.shape}, expected ({dim},)")
-        pts.append(p)
-    return tuple(pts)
+    try:
+        return tuple(require_vector(row, dim, f"boundary point {i}") for i, row in enumerate(raw))
+    except ValueError as exc:
+        raise InstanceSpecError(str(exc)) from None
 
 
 def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
@@ -114,7 +105,7 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
                 hint = require_number(hint, "lipschitz_hint")
             except ValueError as exc:
                 raise InstanceSpecError(str(exc)) from None
-            if not hint >= 0:  # NaN fails too
+            if not hint >= 0:
                 raise InstanceSpecError(f"lipschitz_hint must be a number >= 0, got {hint!r}")
             oracle = dataclasses.replace(oracle, lipschitz_hint=hint)
         if "boundary_points" not in data:

@@ -12,9 +12,10 @@ never takes more passes than bisection down to bisect_tol (36), and most
 calls end after 8-11.  The best direction is then refined with a shrinking
 cone of proposals.  The sign is therefore exact; the magnitude overestimates
 the true distance by at most roughly the reported probe_resolution, because
-only finitely many directions are tried.
-``check_theorem2`` returns the ``clarke.NondegeneracyResult`` of the witness
-search run on the signed distance.
+only finitely many directions are tried.  Membership codes of the signed
+distance are the base ones, and march no rays.  ``check_theorem2`` returns
+certify's precondition failure off the boundary band, else the
+``clarke.NondegeneracyResult`` of the witness search on the signed distance.
 
 Everything here is a pure point function: refinement noise is keyed off the
 oracle's own seed, never off batch position, so splitting or reordering a
@@ -30,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .clarke import NondegeneracyResult, is_nondegenerate
+from .epirep import CertificationFailure, boundary_band_failure
 from .core import (
     FunctionOracle,
     NumericConfig,
@@ -55,23 +57,6 @@ __all__ = [
 ]
 
 
-SEARCH_RADIUS = 1.5
-
-# Scales of the Theorem 2 route: the signed distance is only known to about
-# probe_resolution, so derivative ladders stop well above that floor, hull
-# gradients are taken at wide offsets, and descent steps and Lipschitz chords
-# stay long.  Written as factors of SEARCH_RADIUS, not rounded literals:
-# 6e-3 * 1.5 != 0.009 in binary64, and certificates depend on the exact bits.
-SD_SCALES = Scales(
-    hull_perturbation=5e-3 * SEARCH_RADIUS,
-    dd_delta0=0.04 * SEARCH_RADIUS,
-    dd_delta_floor=6e-3 * SEARCH_RADIUS,
-    dd_stab_tol=1e-3,
-    t_min_fraction=0.05,
-    chord_fraction=3e-2,
-)
-
-
 @dataclass(frozen=True, eq=False)
 class SignedDistanceOracle:
     """Signed distance to the set of ``base``; ``seed`` keys the probe
@@ -80,7 +65,7 @@ class SignedDistanceOracle:
     base: ProblemInstance
     seed: int = 0
 
-    search_radius = SEARCH_RADIUS
+    search_radius = 1.5
     resolution = 24            # radial grid points per direction
     n_directions = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
     diagonal_max_dim = 4       # up to this dim every orthant gets a diagonal
@@ -119,6 +104,21 @@ class SignedDistanceOracle:
         return rng.standard_normal(
             (self.refine_rounds, self.refine_proposals, self.base.space.dim)
         )
+
+
+# Scales of the Theorem 2 route: the signed distance is only known to about
+# probe_resolution, so derivative ladders stop well above that floor, hull
+# gradients are taken at wide offsets, and descent steps and Lipschitz chords
+# stay long.  Written as factors of the search radius, not rounded literals:
+# 6e-3 * 1.5 != 0.009 in binary64, and certificates depend on the exact bits.
+SD_SCALES = Scales(
+    hull_perturbation=5e-3 * SignedDistanceOracle.search_radius,
+    dd_delta0=0.04 * SignedDistanceOracle.search_radius,
+    dd_delta_floor=6e-3 * SignedDistanceOracle.search_radius,
+    dd_stab_tol=1e-3,
+    t_min_fraction=0.05,
+    chord_fraction=3e-2,
+)
 
 
 def _ray_crossings(
@@ -206,9 +206,9 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     The gradient uses wide central differences so that probe noise is
     averaged out instead of amplified; value_noise carries the probe
     resolution so verification tolerances account for it, and every stage,
-    the verifier's included, samples it at ``SD_SCALES``.  Its sign query is
-    the base membership code, which has exactly the signed distance's sign,
-    so lambda's bracket check and root finder march no rays.
+    the verifier's included, samples it at ``SD_SCALES``.  Its sign query
+    returns the base membership codes, which are the signed distance's own,
+    so membership codes and lambda's root finding march no rays.
     """
     sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
 
@@ -263,17 +263,19 @@ def check_theorem2(
     inst: ProblemInstance,
     x: np.ndarray,
     cfg: NumericConfig,
-) -> NondegeneracyResult:
+) -> NondegeneracyResult | CertificationFailure:
     """Nondegeneracy of the signed distance at a boundary point.
 
-    Wraps the signed distance as the function under test and returns the
-    ``NondegeneracyResult`` of the witness search on it; the oracle's
-    ``SD_SCALES`` adapt the search to probe noise: neighbourhood ladders stop
-    well above the resolution floor and hull gradients are taken at wide
-    offsets.  x is not checked against the boundary band here.
+    Certify's precondition failure for an x off f's boundary band; else
+    the ``NondegeneracyResult`` of the witness search on the signed
+    distance, whose ``SD_SCALES`` adapt the search to probe noise:
+    neighbourhood ladders stop well above the resolution floor and hull
+    gradients are taken at wide offsets.
     """
+    x = np.asarray(x, dtype=float)
     budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, 768))
-    return is_nondegenerate(sd_instance(inst, cfg), np.asarray(x, dtype=float), budget_cfg)
+    return (boundary_band_failure(inst, x, cfg)
+            or is_nondegenerate(sd_instance(inst, cfg), x, budget_cfg))
 
 
 def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericConfig):

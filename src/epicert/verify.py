@@ -25,6 +25,7 @@ from .core import (
     sample_ball,
 )
 from .epirep import (
+    CHECK_SAMPLE_COUNTS,
     N_LAMBDA_SAMPLES,
     BracketViolation,
     CylinderError,
@@ -43,11 +44,7 @@ __all__ = [
     "VerificationReport",
     "pointedness_margin",
     "run_suite",
-    "CHECK_SAMPLE_COUNTS",
 ]
-
-# sample counts are part of the reporting contract, not tunables
-CHECK_SAMPLE_COUNTS = {"L1": 200, "L2": 200, "L3": 200, "L4": 500, "L5": 500, "L6": 1000}
 
 
 class SeedReuseError(ValueError):
@@ -225,7 +222,7 @@ def run_suite(
 
     def l4():
         nonlocal measured
-        measured = measured_cylinder_lipschitz(space, f, w, phi, cfg, n_pairs=counts["L4"])
+        measured = measured_cylinder_lipschitz(space, f, w, phi, cfg)
         bound = 1.01 * cert.lipschitz_bound
         return measured <= bound, bound - measured, counts["L4"], ""
 

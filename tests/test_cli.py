@@ -78,6 +78,7 @@ def test_certify_degenerate_exit_2(capsys):
         ("certify", "--catalog", "halfspace", "--point", "1,2,3"),
         ("certify", "--catalog", "halfspace", "--point-index", "9"),
         ("sweep-rockafellar", "--d-list", ""),
+        ("sweep-rockafellar", "--d-list", "1,x"),
         ("frobnicate",),                                    # unknown subcommand
         (),                                                 # usage
         ("certify", "--seed", "abc"),                       # bad flag value
@@ -359,6 +360,20 @@ def test_sweep_bad_dimension_exit_1(capsys, d_list):
     assert f"rockafellar_{d_list}" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("stage, want", [("degenerate-point", 2), ("lemma-check-failure", 3)])
+def test_sweep_failing_certify_names_d(capsys, monkeypatch, stage, want):
+    def failing(inst, x, cfg):
+        return cli.CertificationFailure(stage=stage, message="no luck")
+
+    monkeypatch.setattr(cli, "certify", failing)
+    code, out, err = run(capsys, "sweep-rockafellar", "--d-list", "2,4")
+    assert code == want
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "d=2: no luck", "failure": stage}
+
+
 def test_sweep_repeated_d_fails_monotonicity(capsys):
     code, out, err = run(capsys, "sweep-rockafellar", "--d-list", "1,1")
     assert code == 3
@@ -415,6 +430,12 @@ def run_input_error(capsys, *argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+
+
+def test_instance_file_holding_an_array_exit_1(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('[{"function": {"catalog_id": "halfspace"}}]')
+    run_input_error(capsys, "certify", "--instance", str(inst))
 
 
 def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import epicert as ec
 from epicert.core import (
-    NORM_KINDS, NonFiniteValue, itp_crossings, pair_quotients, require_number, signed_axes,
-    stream_rng,
+    NORM_KINDS, NonFiniteValue, itp_crossings, pair_quotients, require_number, require_vector,
+    signed_axes, stream_rng,
 )
 
 DIMS = st.integers(min_value=1, max_value=5)
@@ -228,6 +228,9 @@ def test_membership_scales_with_f():
         {"tol_value": True},
         {"tol_value": "1e-3"},
         {"shrink_factor": None},
+        {"tol_bisect": math.inf},   # would pass every lemma check
+        {"tol_value": math.inf},
+        {"tol_bisect": math.nan},
     ],
 )
 def test_numeric_config_validation(kwargs):
@@ -246,6 +249,25 @@ def test_require_number_accepts_numbers(value, want):
 def test_require_number_rejects_non_numbers(value):
     with pytest.raises(ValueError, match="v must be a number"):
         require_number(value, "v")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)],
+                         ids=["inf", "-inf", "nan", "numpy-inf"])
+def test_require_number_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="v is non-finite"):
+        require_number(value, "v")
+
+
+def test_require_vector():
+    got = require_vector([1, 2.5, np.float32(0.5)], 3, "p")
+    assert got.dtype == float and got.tolist() == [1.0, 2.5, 0.5]
+    for value, needle in [((1.0, 2.0), "p must be a list of numbers"),
+                          ([1.0, "a"], "p must be a list of numbers"),
+                          ([1.0, True], "p must be a list of numbers"),
+                          ([1.0, math.inf], "non-finite"),
+                          ([1.0, 2.0], r"p has shape \(2,\), expected \(3,\)")]:
+        with pytest.raises(ValueError, match=needle):
+            require_vector(value, 3, "p")
 
 
 def test_numeric_config_rng_depends_on_seed():

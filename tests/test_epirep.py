@@ -29,7 +29,7 @@ from epicert.epirep import (
     to_graph_coordinates,
 )
 from epicert.expressions import compile_expression
-from epicert.verify import CHECK_SAMPLE_COUNTS, run_suite
+from epicert.verify import run_suite
 
 
 def test_epsilon_formula_branches():
@@ -205,7 +205,7 @@ def test_measured_lipschitz_is_the_internal_l4_value(catalog_certs, cfg42):
     suite_cfg = replace(cfg42, rng_seed=internal_verify_seed(cfg42.rng_seed))
     for (cid, i), (entry, cert) in catalog_certs.items():
         m = measured_cylinder_lipschitz(cert.space, entry.instance.f, cert.witness, cert.phi,
-                                        suite_cfg, n_pairs=CHECK_SAMPLE_COUNTS["L4"])
+                                        suite_cfg)
         assert cert.measured_lipschitz == m, (cid, i)
         assert cert.report.measured_lipschitz == m, (cid, i)
 
@@ -220,6 +220,22 @@ def test_certificate_json_round_trip(halfspace_cert):
     assert canonical_json(d1) == canonical_json(d2)
     assert rebuilt.witness.epsilon == cert.witness.epsilon
     assert rebuilt.space.norm_kind == cert.space.norm_kind
+
+
+@pytest.mark.parametrize("path", [("alpha",), ("x", 1), ("lambda_samples", 3, "point", 0),
+                                  ("lambda_samples", 0, "value")],
+                         ids=["alpha", "x", "sample-point", "sample-value"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_certificate_from_json_refuses_non_finite_entries(halfspace_cert, path, bad):
+    # a dict built in the library never passes the JSON parser's checks
+    data = halfspace_cert[1].to_json_dict()
+    *outer, last = path
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        certificate_from_json(data)
 
 
 def test_certify_rejects_off_boundary_point(cfg42):

@@ -6,19 +6,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import epicert.signed_distance as sd_module
 from epicert.catalog import load
 from epicert.core import (
     NormedSpace,
     NumericConfig,
     ProblemInstance,
+    band_codes,
     membership_codes,
     signed_axes,
     stream_rng,
 )
 from epicert.epirep import (
     BracketViolation,
+    CertificationFailure,
     DescentWitness,
     EpigraphCertificate,
+    certify,
     epsilon_formula,
     lambda_values,
     norming_functional,
@@ -264,3 +268,34 @@ def test_promote_halfspace_certifies(cfg):
     # crossing by up to tol_value / |grad f|
     form = entry.reference.lambda_form_at(x)
     assert np.max(np.abs(form(pts, cert.witness.v) - stored)) <= 1e-9 + cfg.tol_value
+
+
+@pytest.mark.parametrize("tol_value", [1e-9, 2.0], ids=["default", "wide-band"])
+def test_sd_membership_codes_are_base_band_codes_without_rays(monkeypatch, tol_value):
+    # the sign query answers membership exactly, at any tol_value, and no
+    # signed distance is computed for it
+    cfg = NumericConfig(rng_seed=42, tol_value=tol_value)
+    inst = load("halfspace").instance
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.uniform(-3.0, 3.0, (40, 2)),
+                     np.column_stack([rng.uniform(-0.9, 0.9, 8) * tol_value, np.ones(8)])])
+    want = band_codes(inst.f.values(pts), cfg)
+    assert (want == 0).any() and (want > 0).any() and (want < 0).any()
+    sd = sd_instance(inst, cfg)
+
+    def no_rays(*args, **kwargs):
+        raise AssertionError("membership codes marched signed-distance rays")
+
+    monkeypatch.setattr(sd_module, "signed_distance_values", no_rays)
+    np.testing.assert_array_equal(membership_codes(sd.f, pts, cfg), want)
+
+
+@pytest.mark.parametrize("point", [(0.5, 0.0), (-0.5, 0.0)], ids=["outside", "inside"])
+def test_check_theorem2_refuses_off_band_point_as_certify_does(cfg, point):
+    inst = load("halfspace").instance
+    x = np.array(point)
+    res = check_theorem2(inst, x, cfg)
+    assert isinstance(res, CertificationFailure)
+    want = certify(inst, x, cfg)
+    assert res.stage == want.stage == "precondition"
+    assert res.message == want.message
