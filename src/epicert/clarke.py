@@ -5,7 +5,9 @@ Three pieces:
 * ``directional_derivative``: the generalized directional derivative at x in
   direction v, estimated as a max of difference quotients over a ladder of
   shrinking neighbourhoods.  Positively homogeneous in v by construction
-  (the direction is normalised internally and the result rescaled).
+  (the direction is normalised internally and the result rescaled).  The
+  ladder's base points depend on x, not on v, so directions probed at one x
+  share them.
 * ``estimate_gradient_hull`` / ``min_norm_point``: a surrogate for the
   generalized gradient, built as the convex hull of gradients sampled at
   nearby points, with Wolfe's algorithm for the minimum-norm point.
@@ -17,6 +19,7 @@ Three pieces:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,12 +65,37 @@ class DirectionalDerivativeEstimate:
     stabilized: bool        # consecutive levels agreed before hitting the floor
 
 
+class _LadderBase:
+    """The base points of ``directional_derivative``'s ladder at one x.
+
+    Level i holds (ys, ts, f(ys)): base points in B(x, delta_i) and steps in
+    [delta_i/4, delta_i], from an rng keyed by (f, x) only, so every
+    direction probed at x would draw the same ones.  Each level is drawn and
+    evaluated once, on first use.
+    """
+
+    def __init__(self, space: NormedSpace, f: FunctionOracle, x: np.ndarray,
+                 cfg: NumericConfig) -> None:
+        self.space, self.f, self.x = space, f, x
+        self.n = max(16, cfg.sample_budget // 32)
+        self.rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def level(self, i: int, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if i == len(self.levels):
+            ys = sample_ball(self.space, self.x, delta, self.n, self.rng)
+            ts = delta * self.rng.uniform(0.25, 1.0, self.n)
+            self.levels.append((ys, ts, self.f.values(ys)))
+        return self.levels[i]
+
+
 def directional_derivative(
     space: NormedSpace,
     f: FunctionOracle,
     x: np.ndarray,
     v: np.ndarray,
     cfg: NumericConfig,
+    base: _LadderBase | None = None,
 ) -> DirectionalDerivativeEstimate:
     """Estimate the generalized directional derivative of f at x along v.
 
@@ -75,7 +103,9 @@ def directional_derivative(
     steps t in [delta/4, delta], take the max of (f(y + t u) - f(y)) / t for
     the unit direction u, and shrink delta until two consecutive levels agree
     to stab_tol or the floor is reached.  The result is scaled by |v| so
-    positive homogeneity holds exactly.
+    positive homogeneity holds exactly.  The (y, t, f(y)) of each level come
+    from ``base``, the ``_LadderBase`` of (space, f, x, cfg); a caller that
+    probes several directions at x passes one, so f(y) is evaluated once.
     """
     x = np.asarray(x, dtype=float)
     scale = 1.0 + float(space.norm(x))
@@ -87,9 +117,8 @@ def directional_derivative(
     stab_tol = cfg.tol_value if scales.dd_stab_tol is None else scales.dd_stab_tol
     vnorm = float(space.norm(np.asarray(v, dtype=float)))
     u = space.unit(v)
-
-    n_per_level = max(16, cfg.sample_budget // 32)
-    rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
+    if base is None:
+        base = _LadderBase(space, f, x, cfg)
 
     delta = float(delta0)
     prev = None
@@ -97,14 +126,12 @@ def directional_derivative(
     used = 0
     stabilized = False
     level_max = -math.inf
-    while True:
-        ys = sample_ball(space, x, delta, n_per_level, rng)
-        ts = delta * rng.uniform(0.25, 1.0, n_per_level)
-        vals0 = f.values(ys)
+    for level in itertools.count():
+        ys, ts, vals0 = base.level(level, delta)
         vals1 = f.values(ys + ts[:, None] * u[None, :])
         quotients = (vals1 - vals0) / ts
         level_max = float(np.max(quotients))
-        used += 2 * n_per_level
+        used += 2 * base.n
         best_overall = max(best_overall, level_max)
         if prev is not None and abs(level_max - prev) <= stab_tol:
             stabilized = True
@@ -283,8 +310,11 @@ def is_nondegenerate(
     A unit v with negative directional derivative certifies that 0 is not in
     the generalized gradient.  Candidates in order: the direction opposite
     the hull's min-norm point, the signed coordinate axes, then random unit
-    vectors.  The hull verdict is kept alongside as a consistency check but
-    the witness, when found, is what downstream consumes.
+    vectors.  The candidates share one ``_LadderBase``: the ladder's base
+    points do not depend on the direction, so each level's f(y) is evaluated
+    once however many candidates reach it.  The hull verdict is kept
+    alongside as a consistency check but the witness, when found, is what
+    downstream consumes.
     """
     space = inst.space
     x = np.asarray(x, dtype=float)
@@ -299,13 +329,14 @@ def is_nondegenerate(
 
     # every candidate is nonzero: the hull's is longer than HULL_ZERO_TOL, the
     # axes are unit and the Gaussian draws are nonzero
+    base = _LadderBase(space, inst.f, x, cfg)
     witness = None
     alpha = None
     for tried, c in enumerate(candidates, 1):
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(c)
-        est = directional_derivative(space, inst.f, x, u, cfg)
+        est = directional_derivative(space, inst.f, x, u, cfg, base)
         if est.value < -WITNESS_TOL:
             witness = space.unit(u)
             alpha = -est.value / 2.0
@@ -388,7 +419,9 @@ def local_lipschitz_constant(
             pair_quotients(space, f.values, base + h * U[live], base - h * U[live], min_sep)
         )
         U[~live] = space.unit(rng.standard_normal((int(np.sum(~live)), d)))
-        HV = (f.gradients(P + hv_step * U) - f.gradients(P - hv_step * U)) / (2.0 * hv_step)
+        # one call for both sides: f is a row-wise point function
+        G_pm = f.gradients(np.concatenate([P + hv_step * U, P - hv_step * U]))
+        HV = (G_pm[:len(P)] - G_pm[len(P):]) / (2.0 * hv_step)
         HV = np.where((np.einsum("ij,ij->i", HV, prev) < 0.0)[:, None], -HV, HV)
         keep = np.linalg.norm(HV, axis=1) >= 1e-12
         P_new = center + 0.999 * radius * space.unit(HV[keep])

@@ -307,9 +307,13 @@ def require_number(value: Any, name: str) -> float:
     """float(value) for a finite int or float (numpy scalars count, bool does not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        out = float(value)
+    except OverflowError:   # an int past the float range
+        out = math.inf
+    if not math.isfinite(out):
         raise ValueError(f"{name} is non-finite: {value!r}")
-    return float(value)
+    return out
 
 
 def require_vector(value: Any, dim: int, name: str) -> np.ndarray:

@@ -6,12 +6,16 @@ band.  Distances are found by marching a radial grid along each direction
 (the signed axes, one diagonal per open orthant for dim <= 4, random unit
 vectors) until the signed oracle value flips, then solving for the crossing
 inside that grid cell with core.itp_crossings, started from the grid values
-at the cell's ends.  The oracle's values only place each probe; its sign,
-which membership gives exactly, decides which end the probe replaces.  A ray
-never takes more passes than bisection down to bisect_tol (36), and most
-calls end after 8-11.  The best direction is then refined with a shrinking
-cone of proposals.  The sign is therefore exact; the magnitude overestimates
-the true distance by at most roughly the reported probe_resolution, because
+at the cell's ends.  The march stops where no value can change: a round
+only keeps a crossing that beats its row's best distance so far, so it
+marches only the grid cells that start below the largest best of the batch,
+and past the first few cells only the rays with no crossing yet.  The
+oracle's values only place each probe; its sign, which membership gives
+exactly, decides which end the probe replaces.  A ray never takes more
+passes than bisection down to bisect_tol (36), and most calls end after
+8-11.  The best direction is then refined with a shrinking cone of
+proposals.  The sign is therefore exact; the magnitude overestimates the
+true distance by at most roughly the reported probe_resolution, because
 only finitely many directions are tried.  Membership codes of the signed
 distance are the base ones, and march no rays.  ``check_theorem2`` returns
 certify's precondition failure off the boundary band, else the
@@ -67,6 +71,7 @@ class SignedDistanceOracle:
 
     search_radius = 1.5
     resolution = 24            # radial grid points per direction
+    head_columns = 4           # grid points marched on every ray; the rest only until a crossing
     n_directions = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
     diagonal_max_dim = 4       # up to this dim every orthant gets a diagonal
     refine_rounds = 9
@@ -127,29 +132,52 @@ def _ray_crossings(
     g0: np.ndarray,         # (n,) signs * f at each origin, > 0
     origins: np.ndarray,    # (n, dim)
     dirs: np.ndarray,       # (n, p, dim) unit directions per row
+    cutoff: float,          # in (0, search_radius]: only crossings below it matter
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First sign crossing along each ray on sd's grid; (dist, hit) of shape (n, p)."""
+    """First sign crossing along each ray on sd's grid; (dist, hit) of shape (n, p).
+
+    Only the grid cells that start below cutoff are marched: the first
+    ``head_columns`` for every ray, the rest only for rays with no crossing
+    in those.  A ray whose first crossing lies below cutoff gets the same
+    (dist, hit) as a march of the whole grid; every other ray reports
+    dist >= cutoff.
+    """
     f_values, radius, resolution = sd.base.f.values, sd.search_radius, sd.resolution
     n, p, d = dirs.shape
     rho = np.linspace(0.0, radius, resolution + 1)
-    # the grid points are the largest array here: let them go before the solver runs
-    probes = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[:, :, None, :]
-    g = signs[:, None, None] * f_values(probes.reshape(n * p * resolution, d)).reshape(
-        n, p, resolution)
-    del probes
+    m = int(np.sum(rho[:-1] < cutoff))   # columns of rho[1:] whose cell starts below cutoff
+    head = min(sd.head_columns, m)
+    flat_dirs = dirs.reshape(n * p, d)
+
+    def march(rays: np.ndarray, cols: slice) -> np.ndarray:
+        # signs * f at the grid points rho[1:][cols] of the given rays; the
+        # grid points are the largest array here: add in place, and let them
+        # go before the product
+        row = rays // p
+        probes = rho[1:][cols, None] * flat_dirs[rays, None, :]
+        probes += origins[row, None, :]
+        vals = f_values(probes.reshape(-1, d)).reshape(rays.size, -1)
+        del probes
+        return signs[row, None] * vals
+
+    # a column a ray skips reads as no crossing; a ray skips columns only
+    # after a crossing in the head, which argmax finds first
+    g = np.full((n * p, m), np.inf)
+    g[:, :head] = march(np.arange(n * p), slice(0, head))
+    late = np.nonzero(~(g[:, :head] <= 0.0).any(axis=1))[0]
+    if m > head and late.size:
+        g[late, head:] = march(late, slice(head, m))
     neg = g <= 0.0
-    hit = neg.any(axis=2)
-    j0 = np.argmax(neg, axis=2).ravel()   # index into rho[1:], first crossing
+    hit = neg.any(axis=1)
+    j0 = np.argmax(neg, axis=1)   # index into rho[1:], first crossing
     dist = np.full(n * p, radius)
-    idx = np.nonzero(hit.ravel())[0]
+    idx = np.nonzero(hit)[0]
     if idx.size:
         row, j = idx // p, j0[idx]
-        g_rays = g.reshape(n * p, resolution)
-        g_lo = np.where(j > 0, g_rays[idx, j - 1], g0[row])   # g at rho[j], the origin for j = 0
-        dist[idx] = itp_crossings(f_values, origins[row], dirs.reshape(n * p, d)[idx],
-                                  rho[j], rho[j + 1], g_lo, g_rays[idx, j], sd.bisect_tol,
-                                  orient=signs[row])
-    return dist.reshape(n, p), hit
+        g_lo = np.where(j > 0, g[idx, j - 1], g0[row])   # g at rho[j], the origin for j = 0
+        dist[idx] = itp_crossings(f_values, origins[row], flat_dirs[idx], rho[j], rho[j + 1],
+                                  g_lo, g[idx, j], sd.bisect_tol, orient=signs[row])
+    return dist.reshape(n, p), hit.reshape(n, p)
 
 
 def signed_distance_values(
@@ -188,7 +216,9 @@ def signed_distance_values(
             props = best_dir[:, None, :] + sigma * sd.refine_noise[t - 1][None, :, :]
             props = props / np.maximum(space.norm(props), 1e-300)[..., None]
             sigma *= sd.refine_shrink
-        dist, hit = _ray_crossings(sd, s, g0, Ya, props)
+        # a ray's crossing counts only below its row's best, so no row needs
+        # the grid past the largest best: round 0 marches it whole
+        dist, hit = _ray_crossings(sd, s, g0, Ya, props, float(np.max(best)))
         cand = np.min(dist, axis=1)
         improved = hit.any(axis=1) & (cand < best)
         best = np.where(improved, cand, best)

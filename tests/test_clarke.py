@@ -1,11 +1,14 @@
 """Directional derivative estimator, min-norm point, nondegeneracy, Lipschitz."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import epicert.clarke as clarke
 from epicert.catalog import load
 from epicert.clarke import (
     SAFETY,
@@ -19,6 +22,7 @@ from epicert.clarke import (
 )
 from epicert.core import FunctionOracle, NormedSpace, NumericConfig
 from epicert.expressions import compile_expression
+from epicert.signed_distance import sd_instance
 
 
 @pytest.fixture
@@ -183,6 +187,42 @@ def test_is_nondegenerate_abs_wall():
     res = is_nondegenerate(entry.instance, np.zeros(2), cfg)
     assert res.degenerate
     assert res.hull.min_norm_value <= 1e-3
+
+
+@pytest.mark.parametrize("route", ["plain", "signed-distance"])
+def test_is_nondegenerate_shares_one_ladder_base(route, monkeypatch):
+    # every candidate at singleton_sq fails, so all 20 run their ladder; each
+    # estimate is the one an independent call gives, and no batch of points
+    # is evaluated twice: each level's base points are evaluated once
+    entry = load("singleton_sq")
+    cfg = NumericConfig(rng_seed=42)
+    inst = entry.instance
+    if route == "signed-distance":
+        inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=768)
+    x = entry.degenerate_at[0]
+    batches = []
+
+    def counted(P):
+        batches.append(P.tobytes())
+        return inst.f.eval(P)
+
+    probes = []
+    real = clarke.directional_derivative
+
+    def spy(*args):
+        probes.append((args[3], real(*args)))
+        return probes[-1][1]
+
+    monkeypatch.setattr(clarke, "directional_derivative", spy)
+    res = is_nondegenerate(replace(inst, f=replace(inst.f, eval=counted)), x, cfg)
+    monkeypatch.undo()
+    assert (res.witness, res.alpha, res.directions_tried) == (None, None, 20)
+    assert len(probes) == 20
+    for u, est in probes:
+        assert real(inst.space, inst.f, x, u, cfg) == est
+    n = max(16, cfg.sample_budget // 32)
+    levels = [est.samples_used // (2 * n) for _, est in probes]
+    assert len(batches) == len(set(batches)) == max(levels) + sum(levels)
 
 
 @pytest.mark.parametrize("found,hull_norm,consistent,degenerate,note_end", [

@@ -231,6 +231,7 @@ def test_membership_scales_with_f():
         {"tol_bisect": math.inf},   # would pass every lemma check
         {"tol_value": math.inf},
         {"tol_bisect": math.nan},
+        {"tol_bisect": 10**400},    # an int past the float range
     ],
 )
 def test_numeric_config_validation(kwargs):
@@ -251,8 +252,8 @@ def test_require_number_rejects_non_numbers(value):
         require_number(value, "v")
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)],
-                         ids=["inf", "-inf", "nan", "numpy-inf"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf), -(10**400)],
+                         ids=["inf", "-inf", "nan", "numpy-inf", "int-past-float-range"])
 def test_require_number_rejects_non_finite(value):
     with pytest.raises(ValueError, match="v is non-finite"):
         require_number(value, "v")

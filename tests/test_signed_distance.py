@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import epicert.signed_distance as sd_module
 from epicert.catalog import load
@@ -96,6 +98,43 @@ def test_determinism(ball_sd, cfg):
     a, _ = signed_distance_values(ball_sd, pts, cfg)
     b, _ = signed_distance_values(ball_sd, pts, cfg)
     np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ray_march_cutoff_keeps_every_crossing_below_it(data, cfg):
+    # the march stops at cutoff: every ray whose crossing on the whole grid
+    # lies below it keeps its (dist, hit) bit for bit, every other one
+    # reports dist >= cutoff
+    cid = data.draw(st.sampled_from(["halfspace", "unit_ball_euclid", "max_two_planes",
+                                     "union_balls", "singleton_sq"]))
+    sd = SignedDistanceOracle(base=load(cid).instance)
+    n, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 16))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    origins = rng.uniform(-1.5, 1.5, (n, 2))
+    f0 = sd.base.f.values(origins)
+    signs = band_codes(f0, cfg).astype(float)
+    assume(np.all(signs != 0.0))
+    dirs = rng.standard_normal((n, p, 2))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    rho = np.linspace(0.0, sd.search_radius, sd.resolution + 1)
+    cutoff = data.draw(st.one_of(st.sampled_from(rho[1:].tolist()),
+                                 st.floats(1e-6, sd.search_radius)))
+    args = (sd, signs, signs * f0, origins, dirs)
+    full_dist, full_hit = sd_module._ray_crossings(*args, sd.search_radius)
+    dist, hit = sd_module._ray_crossings(*args, cutoff)
+    # the full march finds the first crossing cell of a plain whole-grid march
+    grid = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[:, :, None, :]
+    crossed = signs[:, None, None] * sd.base.f.values(grid.reshape(-1, 2)).reshape(n, p, -1) <= 0
+    j = np.argmax(crossed, axis=2)
+    np.testing.assert_array_equal(full_hit, crossed.any(axis=2))
+    assert np.all(np.where(full_hit, (rho[j] <= full_dist) & (full_dist <= rho[j + 1]),
+                           full_dist == sd.search_radius))
+    below = full_dist < cutoff
+    np.testing.assert_array_equal(dist[below], full_dist[below])
+    np.testing.assert_array_equal(hit[below], full_hit[below])
+    assert np.all(full_hit[below])
+    assert np.all(dist[~below] >= cutoff)
 
 
 def test_singleton_far_side_saturates(cfg):
