@@ -37,7 +37,7 @@ from .epirep import (
 )
 from .instancefile import InstanceSpecError, load_instance_file, parse_instance, parse_json
 from .signed_distance import (
-    SignedDistanceOracle,
+    PROBE_RESOLUTION,
     check_theorem2,
     promote_to_certificate,
     sd_instance,
@@ -181,9 +181,9 @@ def cmd_verify(args) -> int:
             cert = certificate_from_json(parse_json(fh.read()))
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise InstanceSpecError(f"cannot load certificate: {exc}") from exc
-    # theorem2 --promote certifies the signed distance of f built at the
-    # certificate's seed; check that function, not f
-    sd = sd_instance(inst, dataclasses.replace(cfg, rng_seed=cert.seed))
+    # theorem2 --promote certifies the signed distance of f; check that
+    # function, not f
+    sd = sd_instance(inst, cfg)
     if cert.instance_descriptor == sd.f.descriptor:
         inst = sd
     stored = (cert.space.dim, cert.space.norm_kind, cert.instance_descriptor)
@@ -219,7 +219,7 @@ def cmd_theorem2(args) -> int:
         "nondegenerate": t2.nondegenerate,
         "alpha": t2.alpha,
         "witness": None if t2.witness is None else t2.witness.tolist(),
-        "probe_resolution": SignedDistanceOracle.probe_resolution,
+        "probe_resolution": PROBE_RESOLUTION,
         "directions_tried": t2.directions_tried,
         "note": t2.note,
     }

@@ -2,35 +2,36 @@
 
 The value at y is the distance to M for outside points and minus the
 distance to the complement for inside points; zero inside the membership
-band.  Distances are found by marching a radial grid along each direction
-(the signed axes, one diagonal per open orthant for dim <= 4, random unit
-vectors) until the signed oracle value flips, then solving for the crossing
-inside that grid cell with core.itp_crossings, started from the grid values
-at the cell's ends.  The march stops where no value can change: a round
-only keeps a crossing that beats its row's best distance so far, so it
-marches only the grid cells that start below the largest best of the batch,
-and past the first few cells only the rays with no crossing yet.  The
-oracle's values only place each probe; its sign, which membership gives
-exactly, decides which end the probe replaces.  A ray never takes more
-passes than bisection down to bisect_tol (36), and most calls end after
-8-11.  The best direction is then refined with a shrinking cone of
-proposals.  The sign is therefore exact; the magnitude overestimates the
-true distance by at most roughly the reported probe_resolution, because
-only finitely many directions are tried.  Membership codes of the signed
-distance are the base ones, and march no rays.  ``check_theorem2`` returns
-certify's precondition failure off the boundary band, else the
-``clarke.NondegeneracyResult`` of the witness search on the signed distance.
-
-Everything here is a pure point function: refinement noise is keyed off the
-oracle's own seed, never off batch position, so splitting or reordering a
-batch cannot change any value.
+band.  It depends on the instance alone, never on a run seed or on batch
+position, so splitting or reordering a batch cannot change any value.
+Distances are found by marching a radial grid along each direction until the
+signed oracle value flips, then solving for the crossing inside that grid
+cell with core.itp_crossings, started from the grid values at the cell's
+ends.  Round 0 marches a fixed table of directions per space (the signed
+axes, one diagonal per open orthant for dim <= 4, unit vectors from a fixed
+stream) and decides saturation: a row with no crossing keeps the signed
+search radius.  Later rounds refine only the rows that crossed, with a
+shrinking cone of proposals, fixed per dimension, around the best direction
+so far.  The march stops where no value can change: a round only keeps a
+crossing that beats its row's best distance so far, so it marches only the
+grid cells that start below the largest best of the batch, and past the
+first few cells only the rays with no crossing yet.  The oracle's values
+only place each probe; its sign, which membership gives exactly, decides
+which end the probe replaces.  A ray never takes more passes than bisection
+down to BISECT_TOL (36), and most calls end after 8-11.  The sign is
+therefore exact; the magnitude overestimates the true distance by at most
+roughly PROBE_RESOLUTION, because only finitely many directions are tried.
+Membership codes of the signed distance are the base ones, and march no
+rays.  ``check_theorem2`` returns certify's precondition failure off the
+boundary band, else the ``clarke.NondegeneracyResult`` of the witness search
+on the signed distance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .clarke import NondegeneracyResult, is_nondegenerate
 from .epirep import CertificationFailure, boundary_band_failure
 from .core import (
     FunctionOracle,
+    NormedSpace,
     NumericConfig,
     ProblemInstance,
     Scales,
@@ -52,7 +54,7 @@ from .core import (
 
 __all__ = [
     "SD_SCALES",
-    "SignedDistanceOracle",
+    "PROBE_RESOLUTION",
     "signed_distance_values",
     "sd_instance",
     "sd_lipschitz_check",
@@ -61,65 +63,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SignedDistanceOracle:
-    """Signed distance to the set of ``base``; ``seed`` keys the probe
-    directions.  The search settings are class constants."""
+SEARCH_RADIUS = 1.5
+RESOLUTION = 24            # radial grid points per direction
+HEAD_COLUMNS = 4           # grid points marched on every ray; the rest only until a crossing
+N_DIRECTIONS = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
+DIAGONAL_MAX_DIM = 4       # up to this dim every orthant gets a diagonal
+REFINE_ROUNDS = 9
+REFINE_STEP = 0.6
+REFINE_SHRINK = 0.55
+REFINE_PROPOSALS = 4
+BISECT_TOL = 1e-12
 
-    base: ProblemInstance
-    seed: int = 0
+# Conservative bound on magnitude overestimation.  Direction search ends
+# with proposal cones of angular scale REFINE_STEP *
+# REFINE_SHRINK**(rounds-1); the induced overestimate is second order in
+# that angle, scaled to the search radius.
+_SIGMA = REFINE_STEP * REFINE_SHRINK ** (REFINE_ROUNDS - 1)
+PROBE_RESOLUTION = 4.0 * SEARCH_RADIUS * _SIGMA * _SIGMA + 100.0 * BISECT_TOL
 
-    search_radius = 1.5
-    resolution = 24            # radial grid points per direction
-    head_columns = 4           # grid points marched on every ray; the rest only until a crossing
-    n_directions = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
-    diagonal_max_dim = 4       # up to this dim every orthant gets a diagonal
-    refine_rounds = 9
-    refine_step = 0.6
-    refine_shrink = 0.55
-    refine_proposals = 4
-    bisect_tol = 1e-12
 
-    # Conservative bound on magnitude overestimation.  Direction search ends
-    # with proposal cones of angular scale refine_step *
-    # refine_shrink**(rounds-1); the induced overestimate is second order in
-    # that angle, scaled to the search radius.
-    _sigma = refine_step * refine_shrink ** (refine_rounds - 1)
-    probe_resolution = 4.0 * search_radius * _sigma * _sigma + 100.0 * bisect_tol
+@functools.cache
+def _directions(space: NormedSpace) -> np.ndarray:
+    # round 0's probes, shared read-only; random directions alone can miss a
+    # thin wedge of M in some orthant
+    d = space.dim
+    fixed = list(signed_axes(d))   # in dim 1 the whole unit sphere
+    if 1 < d <= DIAGONAL_MAX_DIM:
+        fixed += [space.unit(s) for s in itertools.product((1.0, -1.0), repeat=d)]
+    m = max(N_DIRECTIONS, 2 * d + 4, len(fixed)) if d > 1 else 2
+    rng = stream_rng(0, "sd-directions")
+    dirs = np.vstack([*fixed, *(space.unit(rng.standard_normal(d)) for _ in range(m - len(fixed)))])
+    dirs.setflags(write=False)
+    return dirs
 
-    @cached_property
-    def directions(self) -> np.ndarray:
-        # random directions alone can miss a thin wedge of M in some orthant
-        space = self.base.space
-        d = space.dim
-        if d == 1:
-            return signed_axes(1)  # the whole unit sphere of R^1
-        fixed = list(signed_axes(d))
-        if d <= self.diagonal_max_dim:
-            fixed += [space.unit(s) for s in itertools.product((1.0, -1.0), repeat=d)]
-        m = max(self.n_directions, 2 * d + 4, len(fixed))
-        rng = stream_rng(self.seed, "sd-directions")
-        extra = [space.unit(rng.standard_normal(d)) for _ in range(m - len(fixed))]
-        return np.vstack([*fixed, *extra])
 
-    @cached_property
-    def refine_noise(self) -> np.ndarray:
-        # (rounds, proposals, dim), shared across query points on purpose
-        rng = stream_rng(self.seed, "sd-refine")
-        return rng.standard_normal(
-            (self.refine_rounds, self.refine_proposals, self.base.space.dim)
-        )
+@functools.cache
+def _refine_noise(dim: int) -> np.ndarray:
+    """(rounds, proposals, dim) cone offsets, shared across query points on purpose."""
+    noise = stream_rng(0, "sd-refine").standard_normal((REFINE_ROUNDS, REFINE_PROPOSALS, dim))
+    noise.setflags(write=False)
+    return noise
 
 
 # Scales of the Theorem 2 route: the signed distance is only known to about
-# probe_resolution, so derivative ladders stop well above that floor, hull
+# PROBE_RESOLUTION, so derivative ladders stop well above that floor, hull
 # gradients are taken at wide offsets, and descent steps and Lipschitz chords
 # stay long.  Written as factors of the search radius, not rounded literals:
 # 6e-3 * 1.5 != 0.009 in binary64, and certificates depend on the exact bits.
 SD_SCALES = Scales(
-    hull_perturbation=5e-3 * SignedDistanceOracle.search_radius,
-    dd_delta0=0.04 * SignedDistanceOracle.search_radius,
-    dd_delta_floor=6e-3 * SignedDistanceOracle.search_radius,
+    hull_perturbation=5e-3 * SEARCH_RADIUS,
+    dd_delta0=0.04 * SEARCH_RADIUS,
+    dd_delta_floor=6e-3 * SEARCH_RADIUS,
     dd_stab_tol=1e-3,
     t_min_fraction=0.05,
     chord_fraction=3e-2,
@@ -127,26 +121,25 @@ SD_SCALES = Scales(
 
 
 def _ray_crossings(
-    sd: SignedDistanceOracle,
+    f_values,               # the base oracle's batch values
     signs: np.ndarray,      # (n,) +-1, makes f positive at each origin
     g0: np.ndarray,         # (n,) signs * f at each origin, > 0
     origins: np.ndarray,    # (n, dim)
     dirs: np.ndarray,       # (n, p, dim) unit directions per row
-    cutoff: float,          # in (0, search_radius]: only crossings below it matter
+    cutoff: float,          # in (0, SEARCH_RADIUS]: only crossings below it matter
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First sign crossing along each ray on sd's grid; (dist, hit) of shape (n, p).
+    """First sign crossing along each ray on the radial grid; (dist, hit) of shape (n, p).
 
     Only the grid cells that start below cutoff are marched: the first
-    ``head_columns`` for every ray, the rest only for rays with no crossing
+    ``HEAD_COLUMNS`` for every ray, the rest only for rays with no crossing
     in those.  A ray whose first crossing lies below cutoff gets the same
     (dist, hit) as a march of the whole grid; every other ray reports
     dist >= cutoff.
     """
-    f_values, radius, resolution = sd.base.f.values, sd.search_radius, sd.resolution
     n, p, d = dirs.shape
-    rho = np.linspace(0.0, radius, resolution + 1)
+    rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
     m = int(np.sum(rho[:-1] < cutoff))   # columns of rho[1:] whose cell starts below cutoff
-    head = min(sd.head_columns, m)
+    head = min(HEAD_COLUMNS, m)
     flat_dirs = dirs.reshape(n * p, d)
 
     def march(rays: np.ndarray, cols: slice) -> np.ndarray:
@@ -170,63 +163,67 @@ def _ray_crossings(
     neg = g <= 0.0
     hit = neg.any(axis=1)
     j0 = np.argmax(neg, axis=1)   # index into rho[1:], first crossing
-    dist = np.full(n * p, radius)
+    dist = np.full(n * p, SEARCH_RADIUS)
     idx = np.nonzero(hit)[0]
     if idx.size:
         row, j = idx // p, j0[idx]
         g_lo = np.where(j > 0, g[idx, j - 1], g0[row])   # g at rho[j], the origin for j = 0
         dist[idx] = itp_crossings(f_values, origins[row], flat_dirs[idx], rho[j], rho[j + 1],
-                                  g_lo, g[idx, j], sd.bisect_tol, orient=signs[row])
+                                  g_lo, g[idx, j], BISECT_TOL, orient=signs[row])
     return dist.reshape(n, p), hit.reshape(n, p)
 
 
 def signed_distance_values(
-    sd: SignedDistanceOracle,
+    inst: ProblemInstance,
     Y: np.ndarray,
     cfg: NumericConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch signed distances; returns (values, saturated_flags).
+    """Batch signed distances to the set of inst; returns (values, saturated_flags).
 
-    A flagged row found no sign change within search_radius along any probe
-    (thin or empty far side); its value is the signed search radius.
+    A flagged row found no sign change within SEARCH_RADIUS along any of
+    round 0's directions (thin or empty far side); its value is the signed
+    search radius.
     """
-    space = sd.base.space
-    f = sd.base.f
+    space, f = inst.space, inst.f
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    n = Y.shape[0]
     f0 = f.values(Y)
     codes = band_codes(f0, cfg)
-    vals = np.zeros(n)
-    flags = np.zeros(n, dtype=bool)
+    vals = np.zeros(len(Y))
+    flags = np.zeros(len(Y), dtype=bool)
     active = np.nonzero(codes != 0)[0]
     if active.size == 0:
         return vals, flags
     s = codes[active].astype(float)
     g0 = s * f0[active]
     Ya = Y[active]
+    # round 0 marches the fixed directions and decides saturation: a row
+    # with no crossing keeps the signed search radius and its flag
+    dirs = _directions(space)
+    dist, hit = _ray_crossings(f.values, s, g0, Ya,
+                               np.broadcast_to(dirs, (active.size, *dirs.shape)), SEARCH_RADIUS)
+    crossed = hit.any(axis=1)
+    flags[active] = ~crossed
+    vals[active] = s * SEARCH_RADIUS
+    if not crossed.any():
+        return vals, flags
+    # each later round refines only the rows that crossed, with a shrinking
+    # cone of proposals around the best direction so far
+    active, s, g0, Ya, dist = (v[crossed] for v in (active, s, g0, Ya, dist))
     rows = np.arange(active.size)
-    # round 0 marches the fixed directions, each later round a shrinking cone
-    # of proposals around the best direction so far
-    best, best_dir, any_hit = sd.search_radius, sd.directions[0], False
-    sigma = sd.refine_step
-    for t in range(1 + sd.refine_rounds):
-        if t == 0:
-            props = np.broadcast_to(sd.directions, (active.size, *sd.directions.shape))
-        else:
-            props = best_dir[:, None, :] + sigma * sd.refine_noise[t - 1][None, :, :]
-            props = props / np.maximum(space.norm(props), 1e-300)[..., None]
-            sigma *= sd.refine_shrink
+    best, best_dir = np.min(dist, axis=1), dirs[np.argmin(dist, axis=1)]
+    sigma = REFINE_STEP
+    for noise in _refine_noise(space.dim):
+        props = best_dir[:, None, :] + sigma * noise[None, :, :]
+        props = props / np.maximum(space.norm(props), 1e-300)[..., None]
+        sigma *= REFINE_SHRINK
         # a ray's crossing counts only below its row's best, so no row needs
-        # the grid past the largest best: round 0 marches it whole
-        dist, hit = _ray_crossings(sd, s, g0, Ya, props, float(np.max(best)))
+        # the grid past the largest best
+        dist, hit = _ray_crossings(f.values, s, g0, Ya, props, float(np.max(best)))
         cand = np.min(dist, axis=1)
         improved = hit.any(axis=1) & (cand < best)
         best = np.where(improved, cand, best)
         best_dir = np.where(improved[:, None], props[rows, np.argmin(dist, axis=1)], best_dir)
-        any_hit = any_hit | hit.any(axis=1)
-
     vals[active] = s * best
-    flags[active] = ~any_hit
     return vals, flags
 
 
@@ -238,14 +235,14 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     resolution so verification tolerances account for it, and every stage,
     the verifier's included, samples it at ``SD_SCALES``.  Its sign query
     returns the base membership codes, which are the signed distance's own,
-    so membership codes and lambda's root finding march no rays.
+    so membership codes and lambda's root finding march no rays.  The
+    probe directions and refinement cones are fixed per space, and round 0
+    decides saturation, so cfg's seed reaches no value.
     """
-    sd = SignedDistanceOracle(base=inst, seed=cfg.rng_seed)
-
     def evaluate(P: np.ndarray) -> np.ndarray:
-        return signed_distance_values(sd, P, cfg)[0]
+        return signed_distance_values(inst, P, cfg)[0]
 
-    step = max(1e-3 * sd.search_radius, 20.0 * sd.probe_resolution)
+    step = max(1e-3 * SEARCH_RADIUS, 20.0 * PROBE_RESOLUTION)
 
     def gradient(P: np.ndarray) -> np.ndarray:
         return finite_difference_gradients(evaluate, P, step)
@@ -256,7 +253,7 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
             eval=evaluate,
             grad=gradient,
             descriptor=f"(signed-distance {inst.f.descriptor})",
-            value_noise=sd.probe_resolution,
+            value_noise=PROBE_RESOLUTION,
             scales=SD_SCALES,
             sign=lambda P: membership_codes(inst.f, P, cfg),
         ),
@@ -266,24 +263,25 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
 
 
 def sd_lipschitz_check(
-    sd: SignedDistanceOracle,
+    inst: ProblemInstance,
     center: np.ndarray,
     radius: float,
     cfg: NumericConfig,
 ) -> dict:
-    """Sampled check of the modulus-one property with additive probe slack:
+    """Sampled check of the modulus-one property of inst's signed distance
+    D, with additive probe slack:
 
-    |D(p) - D(q)| <= 1.02 |p - q| + 2 * probe_resolution on all pairs.
+    |D(p) - D(q)| <= 1.02 |p - q| + 2 * PROBE_RESOLUTION on all pairs.
     """
-    space = sd.base.space
+    space = inst.space
     n_pairs = 500
-    rng = cfg.rng("sd-lipschitz", sd.base.f.descriptor)
+    rng = cfg.rng("sd-lipschitz", inst.f.descriptor)
     P = sample_ball(space, center, radius, n_pairs, rng)
     Q = sample_ball(space, center, radius, n_pairs, rng)
-    vp, _ = signed_distance_values(sd, P, cfg)
-    vq, _ = signed_distance_values(sd, Q, cfg)
+    vp, _ = signed_distance_values(inst, P, cfg)
+    vq, _ = signed_distance_values(inst, Q, cfg)
     sep = np.asarray(space.norm(P - Q), dtype=float)
-    allowed = 1.02 * sep + 2.0 * sd.probe_resolution
+    allowed = 1.02 * sep + 2.0 * PROBE_RESOLUTION
     excess = np.abs(vp - vq) - allowed
     worst = float(np.max(excess))
     return {"ok": bool(worst <= 0.0), "max_excess": worst, "pairs": n_pairs}

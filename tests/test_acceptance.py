@@ -28,7 +28,7 @@ from epicert.epirep import (
     sample_cylinder,
     to_graph_coordinates,
 )
-from epicert.signed_distance import SignedDistanceOracle, check_theorem2, sd_lipschitz_check
+from epicert.signed_distance import check_theorem2, sd_lipschitz_check
 from epicert.verify import run_suite
 
 from conftest import CERTIFIABLE_IDS
@@ -143,8 +143,8 @@ def test_acceptance_6_signed_distance_nondegeneracy(cfg42):
                 res = check_theorem2(entry.instance, np.asarray(pt), cfg42)
                 assert res.nondegenerate, (cid, pt, res.note)
                 assert res.alpha is not None and res.alpha >= 0.2, (cid, pt, res.alpha)
-            sd = SignedDistanceOracle(base=entry.instance)
-            chk = sd_lipschitz_check(sd, np.asarray(entry.certifiable_at[0]), 1.0, cfg42)
+            chk = sd_lipschitz_check(entry.instance, np.asarray(entry.certifiable_at[0]), 1.0,
+                                     cfg42)
             assert chk["ok"], (cid, chk)
         res = check_theorem2(load("singleton_sq").instance, np.zeros(2), cfg42)
         assert not res.nondegenerate

@@ -273,7 +273,7 @@ def test_verify_refuses_mismatched_certificate_exit_1(capsys, tmp_path, catalog_
 
 def test_verify_promoted_certificate(capsys, tmp_path):
     # verify checks a theorem2 --promote certificate against the signed
-    # distance it certified, built at the certificate's seed
+    # distance of f, the function it certified
     code, out, _ = run(capsys, "theorem2", "--catalog", "halfspace", "--promote", "--seed", "42")
     assert code == 0
     data = json.loads(out)["certificate"]

@@ -33,7 +33,9 @@ from epicert.epirep import (
 from epicert.expressions import compile_expression
 from epicert.instancefile import parse_instance
 from epicert.signed_distance import (
-    SignedDistanceOracle,
+    PROBE_RESOLUTION,
+    RESOLUTION,
+    SEARCH_RADIUS,
     check_theorem2,
     promote_to_certificate,
     sd_instance,
@@ -48,55 +50,55 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def ball_sd():
-    return SignedDistanceOracle(base=load("unit_ball_euclid").instance)
+def ball():
+    return load("unit_ball_euclid").instance
 
 
 @pytest.fixture(scope="module")
-def half_sd():
-    return SignedDistanceOracle(base=load("halfspace").instance)
+def half():
+    return load("halfspace").instance
 
 
-def test_ball_center_distance(ball_sd, cfg):
+def test_ball_center_distance(ball, cfg):
     # distance from the origin to the complement of the unit ball is 1
-    d = signed_distance_values(ball_sd, np.zeros((1, 2)), cfg)[0][0]
+    d = signed_distance_values(ball, np.zeros((1, 2)), cfg)[0][0]
     assert d == pytest.approx(-1.0, abs=1e-6)
     # interior means negative here, magnitude may only overestimate
-    assert d <= -1.0 + ball_sd.probe_resolution
+    assert d <= -1.0 + PROBE_RESOLUTION
 
 
-def test_halfspace_axis_values(half_sd, cfg):
+def test_halfspace_axis_values(half, cfg):
     # for {y1 <= 0} the signed distance is exactly y1 along the axis
     pts = np.array([[0.3, 0.0], [-0.4, 0.0], [1.2, 0.5], [-1.0, -0.7]])
-    vals, flags = signed_distance_values(half_sd, pts, cfg)
-    np.testing.assert_allclose(vals, pts[:, 0], atol=2 * half_sd.probe_resolution)
+    vals, flags = signed_distance_values(half, pts, cfg)
+    np.testing.assert_allclose(vals, pts[:, 0], atol=2 * PROBE_RESOLUTION)
     assert not flags.any()
 
 
-def test_sign_semantics_and_band(half_sd, cfg):
+def test_sign_semantics_and_band(half, cfg):
     vals, _ = signed_distance_values(
-        half_sd, np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.0]]), cfg
+        half, np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.0]]), cfg
     )
     assert vals[0] > 0 and vals[1] < 0
     assert vals[2] == 0.0  # membership band pins the value
 
 
-def test_batch_purity(half_sd, cfg):
+def test_batch_purity(half, cfg):
     # each point's value may not depend on its batch neighbours
     rng = np.random.default_rng(10)
     pts = rng.uniform(-1, 1, (12, 2))
-    full, _ = signed_distance_values(half_sd, pts, cfg)
-    singles = np.array([signed_distance_values(half_sd, p[None, :], cfg)[0][0] for p in pts])
+    full, _ = signed_distance_values(half, pts, cfg)
+    singles = np.array([signed_distance_values(half, p[None, :], cfg)[0][0] for p in pts])
     np.testing.assert_array_equal(full, singles)
     perm = rng.permutation(12)
-    shuffled, _ = signed_distance_values(half_sd, pts[perm], cfg)
+    shuffled, _ = signed_distance_values(half, pts[perm], cfg)
     np.testing.assert_array_equal(shuffled, full[perm])
 
 
-def test_determinism(ball_sd, cfg):
+def test_determinism(ball, cfg):
     pts = np.array([[0.2, 0.1], [1.4, -0.3]])
-    a, _ = signed_distance_values(ball_sd, pts, cfg)
-    b, _ = signed_distance_values(ball_sd, pts, cfg)
+    a, _ = signed_distance_values(ball, pts, cfg)
+    b, _ = signed_distance_values(ball, pts, cfg)
     np.testing.assert_array_equal(a, b)
 
 
@@ -108,28 +110,28 @@ def test_ray_march_cutoff_keeps_every_crossing_below_it(data, cfg):
     # reports dist >= cutoff
     cid = data.draw(st.sampled_from(["halfspace", "unit_ball_euclid", "max_two_planes",
                                      "union_balls", "singleton_sq"]))
-    sd = SignedDistanceOracle(base=load(cid).instance)
+    f = load(cid).instance.f
     n, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 16))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     origins = rng.uniform(-1.5, 1.5, (n, 2))
-    f0 = sd.base.f.values(origins)
+    f0 = f.values(origins)
     signs = band_codes(f0, cfg).astype(float)
     assume(np.all(signs != 0.0))
     dirs = rng.standard_normal((n, p, 2))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    rho = np.linspace(0.0, sd.search_radius, sd.resolution + 1)
+    rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
     cutoff = data.draw(st.one_of(st.sampled_from(rho[1:].tolist()),
-                                 st.floats(1e-6, sd.search_radius)))
-    args = (sd, signs, signs * f0, origins, dirs)
-    full_dist, full_hit = sd_module._ray_crossings(*args, sd.search_radius)
+                                 st.floats(1e-6, SEARCH_RADIUS)))
+    args = (f.values, signs, signs * f0, origins, dirs)
+    full_dist, full_hit = sd_module._ray_crossings(*args, SEARCH_RADIUS)
     dist, hit = sd_module._ray_crossings(*args, cutoff)
     # the full march finds the first crossing cell of a plain whole-grid march
     grid = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[:, :, None, :]
-    crossed = signs[:, None, None] * sd.base.f.values(grid.reshape(-1, 2)).reshape(n, p, -1) <= 0
+    crossed = signs[:, None, None] * f.values(grid.reshape(-1, 2)).reshape(n, p, -1) <= 0
     j = np.argmax(crossed, axis=2)
     np.testing.assert_array_equal(full_hit, crossed.any(axis=2))
     assert np.all(np.where(full_hit, (rho[j] <= full_dist) & (full_dist <= rho[j + 1]),
-                           full_dist == sd.search_radius))
+                           full_dist == SEARCH_RADIUS))
     below = full_dist < cutoff
     np.testing.assert_array_equal(dist[below], full_dist[below])
     np.testing.assert_array_equal(hit[below], full_hit[below])
@@ -138,33 +140,60 @@ def test_ray_march_cutoff_keeps_every_crossing_below_it(data, cfg):
 
 
 def test_singleton_far_side_saturates(cfg):
-    sd = SignedDistanceOracle(base=load("singleton_sq").instance)
-    vals, flags = signed_distance_values(sd, np.array([[0.7, 0.0]]), cfg)
-    assert flags[0]
-    assert vals[0] == sd.search_radius  # outside, no inside found on any ray
+    # outside, no inside found on any ray; round 0 decides that, so the
+    # oracle sees f(Y) and round 0's march of the whole grid, nothing more
+    inst = load("singleton_sq").instance
+    seen = []
+
+    def counted(P):
+        seen.append(len(P))
+        return inst.f.eval(P)
+
+    n = 3
+    Y = np.tile([0.7, 0.0], (n, 1))
+    vals, flags = signed_distance_values(replace(inst, f=replace(inst.f, eval=counted)), Y, cfg)
+    assert flags.all()
+    assert np.all(vals == SEARCH_RADIUS)
+    assert sum(seen) == n + n * len(sd_module._directions(inst.space)) * RESOLUTION
 
 
-def test_overestimation_is_one_sided(ball_sd, cfg):
+def test_signed_distance_ignores_the_run_seed():
+    # the signed distance is a function of M alone
+    rng = np.random.default_rng(11)
+    for cid in ("halfspace", "unit_ball_euclid"):
+        inst = load(cid).instance
+        pts = rng.uniform(-1.3, 1.3, (16, 2))
+        one, two = (sd_instance(inst, NumericConfig(rng_seed=seed)).f.values(pts)
+                    for seed in (1, 2))
+        np.testing.assert_array_equal(one, two, err_msg=cid)
+
+
+def test_probe_resolution_keeps_its_bits():
+    # theorem2 prints it and the signed distance declares it as value_noise
+    assert repr(PROBE_RESOLUTION) == "0.00015144574286089478"
+
+
+def test_overestimation_is_one_sided(ball, cfg):
     # |D| can exceed the true distance but never undershoot by more than
     # the bisection tolerance
     rng = np.random.default_rng(4)
     pts = rng.uniform(-0.6, 0.6, (20, 2))
     true = np.linalg.norm(pts, axis=1) - 1.0
-    vals, _ = signed_distance_values(ball_sd, pts, cfg)
+    vals, _ = signed_distance_values(ball, pts, cfg)
     assert np.all(vals <= true + 1e-9)
-    assert np.all(vals >= true - ball_sd.probe_resolution)
+    assert np.all(vals >= true - PROBE_RESOLUTION)
 
 
-def test_lipschitz_check_passes(half_sd, ball_sd, cfg):
-    for sd in (half_sd, ball_sd):
-        res = sd_lipschitz_check(sd, np.zeros(2), 1.0, cfg)
+def test_lipschitz_check_passes(half, ball, cfg):
+    for inst in (half, ball):
+        res = sd_lipschitz_check(inst, np.zeros(2), 1.0, cfg)
         assert res["ok"], res
         assert res["pairs"] == 500
 
 
-def test_as_function_oracle_contract(half_sd, cfg):
-    f = sd_instance(half_sd.base, cfg).f
-    assert f.value_noise == half_sd.probe_resolution
+def test_as_function_oracle_contract(half, cfg):
+    f = sd_instance(half, cfg).f
+    assert f.value_noise == PROBE_RESOLUTION
     assert "signed-distance" in f.descriptor
     g = f.gradients(np.array([[0.4, 0.2]]))
     np.testing.assert_allclose(g[0], [1.0, 0.0], atol=0.05)
@@ -191,11 +220,12 @@ def test_check_theorem2_singleton(cfg):
 def test_directions_cover_every_orthant(dim, norm):
     space = NormedSpace(dim, norm)
     inst = ProblemInstance(space=space, f=compile_expression("x1", dim))
-    D = SignedDistanceOracle(base=inst, seed=3).directions
+    D = sd_module._directions(inst.space)
     assert D.shape == (max(16, 2 * dim + 2**dim), dim)
     np.testing.assert_allclose(space.norm(D), 1.0, rtol=1e-12)
     np.testing.assert_array_equal(D[: 2 * dim], signed_axes(dim))
-    # every open orthant holds a probe direction, whatever the random draws
+    # every open orthant holds a probe direction, not just by luck of the
+    # fixed unit-vector fill
     hit = {tuple(np.sign(row)) for row in D if np.all(row != 0.0)}
     assert hit == set(itertools.product((1.0, -1.0), repeat=dim))
 
@@ -203,7 +233,7 @@ def test_directions_cover_every_orthant(dim, norm):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_directions_have_no_duplicate_rows(dim):
     inst = ProblemInstance(space=NormedSpace(dim, "euclidean"), f=compile_expression("x1", dim))
-    D = SignedDistanceOracle(base=inst, seed=3).directions
+    D = sd_module._directions(inst.space)
     assert len(np.unique(D, axis=0)) == len(D)
 
 
@@ -220,8 +250,9 @@ ONE_NORM_D4 = {
                                         (ONE_NORM_D4, 5)],
                          ids=["max_two_planes", "one-norm-d4"])
 def test_check_theorem2_answers_true_at_kinks(spec, seed):
-    # at these seeds the random probe directions alone missed the open
-    # orthant where M lies, and the signed distance read far too large
+    # the probe directions are fixed per space and cover every open orthant,
+    # so the seed picks only the witness search; at these seeds random
+    # probe directions alone once missed the orthant where M lies
     inst, _ = parse_instance(spec)
     cfg = NumericConfig(rng_seed=seed)
     res = check_theorem2(inst, inst.boundary_points[0], cfg)
@@ -248,8 +279,7 @@ def test_sign_query_agrees_with_signed_distance(cid, cfg):
     pts = np.vstack([rng.uniform(-1.5, 1.5, (24, 2)), edge, band])
     codes = membership_codes(inst.f, pts, cfg)
     assert (codes == 0).sum() >= 12 and (codes > 0).any() and (codes < 0).any()
-    sd_vals, _ = signed_distance_values(SignedDistanceOracle(base=inst, seed=cfg.rng_seed),
-                                        pts, cfg)
+    sd_vals, _ = signed_distance_values(inst, pts, cfg)
     signs = sd_instance(inst, cfg).f.signs(pts)
     for got in (codes, signs):
         np.testing.assert_array_equal(got > 0, sd_vals > 0)
@@ -291,7 +321,7 @@ def test_sd_bracket_violation_reports_values_not_codes(cfg):
     assert messages[0] == messages[1]
     lo, hi = inst.f.value(w.x - 2.5 * v), inst.f.value(w.x + 2.5 * v)
     assert f"f(-r/4)={lo:.6g}, f(+r/4)={hi:.6g}" in messages[0]
-    assert lo == SignedDistanceOracle.search_radius and hi == pytest.approx(0.5, abs=1e-3)
+    assert lo == SEARCH_RADIUS and hi == pytest.approx(0.5, abs=1e-3)
 
 
 def test_promote_halfspace_certifies(cfg):
