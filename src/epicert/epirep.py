@@ -52,6 +52,8 @@ __all__ = [
     "find_descent_radius",
     "to_graph_coordinates",
     "from_graph_coordinates",
+    "lambda_bases",
+    "lambda_roots",
     "lambda_values",
     "sample_cylinder",
     "measured_cylinder_lipschitz",
@@ -81,6 +83,15 @@ class BracketViolation(RuntimeError):
     of x.  Observing otherwise means (r, k, epsilon) were mis-certified and
     the certificate must be revoked.
     """
+
+    @classmethod
+    def at_base(cls, f: FunctionOracle, witness: "DescentWitness",
+                base: np.ndarray) -> "BracketViolation":
+        """The violation at a failing ray base, with f's values at its
+        bracket ends (a sign query may answer with codes)."""
+        w, v = witness.r / 4.0, witness.v
+        return cls(f"sign bracket failed at base {base.tolist()}: "
+                   f"f(-r/4)={f.value(base - w * v):.6g}, f(+r/4)={f.value(base + w * v):.6g}")
 
 
 class CylinderError(ValueError):
@@ -191,29 +202,25 @@ def from_graph_coordinates(v: np.ndarray, xi: np.ndarray, t: np.ndarray) -> np.n
     return np.asarray(xi, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), v)
 
 
-def lambda_values(
+def lambda_bases(
     space: NormedSpace,
-    f: FunctionOracle,
     witness: DescentWitness,
     phi: np.ndarray,
     Y: np.ndarray,
-    cfg: NumericConfig,
-) -> np.ndarray:
-    """Ray infimum lambda(y) = inf{t : y + t v in M} for a batch of points.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric step of lambda_values: the ray base of each point of Y and
+    the shift along v that carries the point to it.
 
     A point qualifies either through the cylinder (its ker-phi part within
     epsilon of x's) or by lying in B(x, epsilon) outright; the second case
     matters for sup/one norms, where the projection can expand.  Cylinder
-    points are first translated along v to x's phi-level, which keeps the
-    ray's base inside B(x, epsilon) no matter how far along v the query
-    sits.  The proof-level sign guarantees at +-r/4 are asserted; violations
-    raise rather than degrade.  The bracket check and the root finder ask
-    only f.signs, and core.itp_crossings starts from the bracket check's
-    values: 5-9 passes per call on the 2-D catalog, never more than
-    bisection's 33.
+    points are translated along v to x's phi-level, which keeps the ray's
+    base inside B(x, epsilon) no matter how far along v the query sits;
+    direct-path points stay put.  CylinderError names the first point that
+    qualifies neither way.  No oracle call.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    x, v, r, eps = witness.x, witness.v, witness.r, witness.epsilon
+    x, v, eps = witness.x, witness.v, witness.epsilon
     piY, phiY = to_graph_coordinates(phi, v, Y)
     pix, phix = to_graph_coordinates(phi, v, x)
     dF = np.asarray(space.norm(piY - pix[None, :]), dtype=float)
@@ -228,23 +235,65 @@ def lambda_values(
             f"point {Y[i].tolist()} outside cylinder (dF={dF[i]:.3g}) "
             f"and outside B(x, {eps:.3g})"
         )
-
-    # translate cylinder points to x's level; direct-path points stay put
     shift = np.where(in_cyl, float(phix) - phiY, 0.0)
-    bases = Y + shift[:, None] * v[None, :]
+    return Y + shift[:, None] * v[None, :], shift
 
-    w = r / 4.0
+
+def lambda_roots(
+    f: FunctionOracle,
+    witness: DescentWitness,
+    bases: np.ndarray,
+    sizes: list[int],
+    cfg: NumericConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve step of lambda_values: the crossing t of each base's ray
+    b + t v on [-r/4, r/4], and whether its sign bracket holds.
+
+    bases stacks consecutive batches of the given sizes.  The proof-level
+    bracket (f > 0 at -r/4, f < 0 at +r/4) is checked on every row; one
+    core.itp_crossings call then solves the rows of every batch whose
+    brackets all hold, and the rows of the other batches stay NaN.  Both
+    steps ask only f.signs, and the root finder starts from the bracket
+    check's values.  Rows never mix, so a row's crossing does not depend on
+    the batches joined with it.
+    """
+    v, w = witness.v, witness.r / 4.0
     s_lo = f.signs(bases - w * v[None, :])
     s_hi = f.signs(bases + w * v[None, :])
-    if not (np.all(s_lo > 0.0) and np.all(s_hi < 0.0)):
-        # a sign query may answer with codes; report f's values at the failing base
-        b = bases[int(np.argmax(~((s_lo > 0.0) & (s_hi < 0.0))))]
-        raise BracketViolation(
-            f"sign bracket failed at base {b.tolist()}: "
-            f"f(-r/4)={f.value(b - w * v):.6g}, f(+r/4)={f.value(b + w * v):.6g}"
-        )
-    roots = itp_crossings(f.signs, bases, v[None, :], np.full(len(bases), -w),
-                          np.full(len(bases), w), s_lo, s_hi, cfg.tol_bisect)
+    ok = (s_lo > 0.0) & (s_hi < 0.0)
+    solve = np.repeat([bool(rows.all()) for rows in np.split(ok, np.cumsum(sizes)[:-1])],
+                      sizes)
+    roots = np.full(len(bases), np.nan)
+    n = int(np.count_nonzero(solve))
+    if n:
+        rows = slice(None) if n == len(bases) else solve   # copy only on a failure
+        roots[rows] = itp_crossings(f.signs, bases[rows], v[None, :], np.full(n, -w),
+                                    np.full(n, w), s_lo[rows], s_hi[rows], cfg.tol_bisect)
+    return roots, ok
+
+
+def lambda_values(
+    space: NormedSpace,
+    f: FunctionOracle,
+    witness: DescentWitness,
+    phi: np.ndarray,
+    Y: np.ndarray,
+    cfg: NumericConfig,
+) -> np.ndarray:
+    """Ray infimum lambda(y) = inf{t : y + t v in M} for a batch of points.
+
+    The composition of lambda_bases (geometry; CylinderError) and
+    lambda_roots (bracket check and root finding) on one batch.  The
+    proof-level sign guarantees at +-r/4 are asserted; a violation raises
+    BracketViolation at the first failing base rather than degrade.
+    core.itp_crossings takes 5-9 passes per call on the 2-D catalog, never
+    more than bisection's 33.  run_suite calls the two steps itself, so that
+    one root-finder call serves five lemmas.
+    """
+    bases, shift = lambda_bases(space, witness, phi, Y)
+    roots, ok = lambda_roots(f, witness, bases, [len(bases)], cfg)
+    if not ok.all():
+        raise BracketViolation.at_base(f, witness, bases[int(np.argmin(ok))])
     return roots + shift
 
 

@@ -32,7 +32,9 @@ from .epirep import (
     EpigraphCertificate,
     epsilon_formula,
     from_graph_coordinates,
-    lambda_values,
+    lambda_bases,
+    lambda_roots,
+    lambda_values,  # not called here; bench/tracer.py patches this binding
     measured_cylinder_lipschitz,
     sample_cylinder,
     to_graph_coordinates,
@@ -172,7 +174,18 @@ def run_suite(
     cert: EpigraphCertificate,
     cfg: NumericConfig,
 ) -> VerificationReport:
-    """Evaluate all lemma checks against fresh samples drawn from cfg's seed."""
+    """Evaluate all lemma checks against fresh samples drawn from cfg's seed.
+
+    The suite draws first and then solves once.  Each lemma draws its query
+    points from its own rng stream and turns them into lambda's ray bases at
+    once (lambda_bases, which raises CylinderError for that lemma alone).
+    One lambda_roots call then solves the bases of L1, L2 (both sides), L3,
+    L5 and L6 together, and each lemma is judged from its own slice.  A
+    lemma whose rows break the sign bracket is not solved and fails with the
+    BracketViolation that lambda_values gives at its first bad base, so each
+    note and margin is what a call per lemma would give.  L4 measures
+    through measured_cylinder_lipschitz.
+    """
     if cfg.rng_seed == cert.seed:
         raise SeedReuseError(
             f"verification seed {cfg.rng_seed} equals the certificate build seed; "
@@ -185,72 +198,104 @@ def run_suite(
     x, v, r, eps, k = w.x, w.v, w.r, w.epsilon, w.k
     counts = CHECK_SAMPLE_COUNTS
     measured = None  # set by l4, handed back on the report
+    no_rows = np.empty((0, space.dim))
 
-    # each check returns (passed, margin, samples, note)
+    # each draw returns (ray bases, judge); judge takes the bases' roots and
+    # returns (passed, margin, samples, note).  A judge keeps only what it
+    # needs of the draw, so the raw points are dropped before the solve.
     def l1():
         problems = _structural_problems(inst, cert, cfg)
         if problems:
-            return False, -1.0, 0, "structural: " + "; ".join(problems)
+            return no_rows, lambda _: (False, -1.0, 0, "structural: " + "; ".join(problems))
         Y = sample_ball(space, x, eps, counts["L1"], cfg.rng("verify", "L1"))
-        lam = lambda_values(space, f, w, phi, Y, cfg)
-        bound = r / 4.0 + cfg.tol_bisect
-        worst = float(np.max(np.abs(lam)))
-        return worst <= bound, bound - worst, counts["L1"], ""
+        bases, shift = lambda_bases(space, w, phi, Y)
+
+        def judge(roots):
+            lam = roots + shift
+            bound = r / 4.0 + cfg.tol_bisect
+            worst = float(np.max(np.abs(lam)))
+            return worst <= bound, bound - worst, counts["L1"], ""
+        return bases, judge
 
     def l2():
         n = counts["L2"]
         rng = cfg.rng("verify", "L2")
         pts = sample_cylinder(space, w, phi, n, rng, tau_halfwidth=r / 8.0)
         s = rng.uniform(-r / 4.0, r / 4.0, n)
-        lamA = lambda_values(space, f, w, phi, pts, cfg)
-        lamB = lambda_values(space, f, w, phi, pts + s[:, None] * v[None, :], cfg)
-        err = float(np.max(np.abs(lamB - (lamA - s))))
-        bound = 2.0 * cfg.tol_bisect
-        return err <= bound, bound - err, n, ""
+        basesA, shiftA = lambda_bases(space, w, phi, pts)
+        try:
+            basesB, shiftB = lambda_bases(space, w, phi, pts + s[:, None] * v[None, :])
+        except CylinderError as exc:
+            deferred = exc   # raised only once the first side's bracket holds
+
+            def fail(_):
+                raise deferred
+            return basesA, fail
+
+        def judge(roots):
+            lamA = roots[:n] + shiftA
+            lamB = roots[n:] + shiftB
+            err = float(np.max(np.abs(lamB - (lamA - s))))
+            bound = 2.0 * cfg.tol_bisect
+            return err <= bound, bound - err, n, ""
+        return np.concatenate([basesA, basesB]), judge
 
     def l3():
         pts = sample_cylinder(space, w, phi, counts["L3"], cfg.rng("verify", "L3"),
                               tau_halfwidth=r / 8.0)
-        lam = lambda_values(space, f, w, phi, pts, cfg)
-        crossings = pts + lam[:, None] * v[None, :]
-        dist_slack = (r / 2.0 + cfg.tol_bisect) - float(np.max(space.norm(crossings - x)))
-        value_cap = k * cfg.tol_bisect + 2.0 * f.value_noise
-        value_slack = value_cap - float(np.max(np.abs(f.values(crossings))))
-        margin = min(dist_slack, value_slack)
-        return (margin >= 0.0, margin, counts["L3"],
-                f"distance slack {dist_slack:.3g}, residual slack {value_slack:.3g}")
+        bases, shift = lambda_bases(space, w, phi, pts)
+
+        def judge(roots):
+            lam = roots + shift
+            crossings = pts + lam[:, None] * v[None, :]
+            dist_slack = (r / 2.0 + cfg.tol_bisect) - float(np.max(space.norm(crossings - x)))
+            value_cap = k * cfg.tol_bisect + 2.0 * f.value_noise
+            value_slack = value_cap - float(np.max(np.abs(f.values(crossings))))
+            margin = min(dist_slack, value_slack)
+            return (margin >= 0.0, margin, counts["L3"],
+                    f"distance slack {dist_slack:.3g}, residual slack {value_slack:.3g}")
+        return bases, judge
 
     def l4():
-        nonlocal measured
-        measured = measured_cylinder_lipschitz(space, f, w, phi, cfg)
-        bound = 1.01 * cert.lipschitz_bound
-        return measured <= bound, bound - measured, counts["L4"], ""
+        def judge(_):
+            nonlocal measured
+            measured = measured_cylinder_lipschitz(space, f, w, phi, cfg)
+            bound = 1.01 * cert.lipschitz_bound
+            return measured <= bound, bound - measured, counts["L4"], ""
+        return no_rows, judge
 
     def l5():
         Y = sample_ball(space, x, eps, counts["L5"], cfg.rng("verify", "L5"))
         codes = membership_codes(f, Y, cfg)
         keep = codes != 0
-        lam = lambda_values(space, f, w, phi, Y[keep], cfg)
+        bases, shift = lambda_bases(space, w, phi, Y[keep])
         inside = codes[keep] < 0
-        passed, margin, note = _agreement(inside == (lam <= 0.0), lam)
-        return passed, margin, int(np.sum(keep)), note
+
+        def judge(roots):
+            lam = roots + shift
+            passed, margin, note = _agreement(inside == (lam <= 0.0), lam)
+            return passed, margin, len(inside), note
+        return bases, judge
 
     def l6():
         Y = sample_ball(space, x, eps / 2.0, counts["L6"], cfg.rng("verify", "L6"))
         codes = membership_codes(f, Y, cfg)
         keep = codes != 0
         xiY, phiY = to_graph_coordinates(phi, v, Y)
-        lam_pi = lambda_values(space, f, w, phi, xiY[keep], cfg)
-        gap = phiY[keep] - lam_pi          # >= 0 iff the split puts y above the graph
-        inside = codes[keep] < 0
-        passed, margin, note = _agreement(inside == (gap >= 0.0), gap)
-        Z = sample_ball(space, x, r / 2.0, 100, cfg.rng("verify", "L6-invert"))
-        xiZ, tZ = to_graph_coordinates(phi, v, Z)
-        inv_err = float(np.max(space.norm(from_graph_coordinates(v, xiZ, tZ) - Z)))
-        if passed and not (inv_err <= 1e-12):
-            passed, margin = False, -inv_err
-        return (passed, margin, int(np.sum(keep)),
-                f"{note}; split-map round trip max error {inv_err:.2e}")
+        bases, shift = lambda_bases(space, w, phi, xiY[keep])
+        heights, inside = phiY[keep], codes[keep] < 0
+
+        def judge(roots):
+            gap = heights - (roots + shift)   # >= 0 iff the split puts y above the graph
+            passed, margin, note = _agreement(inside == (gap >= 0.0), gap)
+            Z = sample_ball(space, x, r / 2.0, 100, cfg.rng("verify", "L6-invert"))
+            xiZ, tZ = to_graph_coordinates(phi, v, Z)
+            inv_err = float(np.max(space.norm(from_graph_coordinates(v, xiZ, tZ) - Z)))
+            if passed and not (inv_err <= 1e-12):
+                passed, margin = False, -inv_err
+            return (passed, margin, len(inside),
+                    f"{note}; split-map round trip max error {inv_err:.2e}")
+        return bases, judge
 
     lemmas = (
         ("L1", l1, cfg.tol_bisect),
@@ -260,10 +305,34 @@ def run_suite(
         ("L5", l5, cfg.tol_value),
         ("L6", l6, cfg.tol_value),
     )
-    checks: dict[str, LemmaCheck] = {}
-    for lemma_id, check, tolerance in lemmas:
+    # draw: a lemma that cannot draw keeps its error and adds no rows
+    judges, errors, batches = {}, {}, []
+    for lemma_id, draw, _ in lemmas:
         try:
-            passed, margin, samples, note = check()
+            bases, judges[lemma_id] = draw()
+        except CylinderError as exc:
+            errors[lemma_id], bases = exc, no_rows
+        batches.append(bases)
+    sizes = [len(b) for b in batches]
+    bases = np.concatenate(batches)
+    del batches
+    # solve once; a lemma with a broken bracket keeps its first bad base
+    roots, ok = lambda_roots(f, w, bases, sizes, cfg)
+    ends = np.cumsum(sizes)
+    rows = {lemma_id: slice(end - size, end)
+            for (lemma_id, _, _), end, size in zip(lemmas, ends, sizes)}
+    for lemma_id, sl in rows.items():
+        if not ok[sl].all():
+            errors[lemma_id] = BracketViolation.at_base(
+                f, w, bases[sl][int(np.argmin(ok[sl]))])
+    del bases
+    # judge
+    checks: dict[str, LemmaCheck] = {}
+    for lemma_id, _, tolerance in lemmas:
+        try:
+            if lemma_id in errors:
+                raise errors[lemma_id]
+            passed, margin, samples, note = judges[lemma_id](roots[rows[lemma_id]])
         except (BracketViolation, CylinderError) as exc:
             passed, margin, samples, note = False, -1.0, counts[lemma_id], str(exc)
         checks[lemma_id] = LemmaCheck(passed, margin, samples, tolerance, note)

@@ -22,6 +22,8 @@ from epicert.epirep import (
     epsilon_formula,
     find_descent_radius,
     from_graph_coordinates,
+    lambda_bases,
+    lambda_roots,
     lambda_values,
     measured_cylinder_lipschitz,
     norming_functional,
@@ -176,6 +178,23 @@ def test_bracket_violation_surfaces_not_degrades(cfg42):
     phi = norming_functional(sp, w.v)
     with pytest.raises(BracketViolation):
         lambda_values(sp, entry.instance.f, w, phi, w.x[None, :], cfg42)
+
+
+def test_lambda_roots_solves_only_batches_whose_brackets_hold(catalog_certs, cfg42):
+    entry, cert = catalog_certs[("unit_ball_euclid", 0)]
+    sp, f, w = cert.space, entry.instance.f, cert.witness
+    pts = sample_cylinder(sp, w, cert.phi, 40, stream_rng(0, "roots"), tau_halfwidth=w.r / 8.0)
+    bases, shift = lambda_bases(sp, w, cert.phi, pts)
+    # a base r/2 along v: both ends of its bracket lie inside M
+    bad = (w.x + 0.5 * w.r * w.v)[None, :]
+    joined = np.concatenate([bases[:20], bad, bases[20:]])   # batches of 20, 5 and 16
+    roots, ok = lambda_roots(f, w, joined, [20, 5, 16], cfg42)
+    assert ok.tolist() == [True] * 20 + [False] + [True] * 20
+    assert np.isnan(roots[20:25]).all()
+    # the solved rows carry lambda_values' bits, whatever they were joined with
+    solved = np.concatenate([roots[:20], roots[25:]]) + np.delete(shift, range(20, 24))
+    alone = lambda_values(sp, f, w, cert.phi, np.delete(pts, range(20, 24), axis=0), cfg42)
+    assert solved.tobytes() == alone.tobytes()
 
 
 def test_sample_cylinder_respects_bounds(halfspace_cert):

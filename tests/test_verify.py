@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from epicert import epirep, verify
 from epicert.clarke import GradientHull
-from epicert.core import canonical_json
-from epicert.epirep import certificate_from_json
+from epicert.core import canonical_json, membership_codes, sample_ball
+from epicert.epirep import BracketViolation, certificate_from_json, lambda_values
 from epicert.verify import (
     CHECK_SAMPLE_COUNTS,
     SeedReuseError,
@@ -139,3 +140,88 @@ def test_all_catalog_reports_green(catalog_certs):
         assert cert.report.overall, (cid, i)
         for lid in ("L1", "L2", "L3", "L4", "L5", "L6"):
             assert cert.report.per_lemma[lid].passed, (cid, i, lid)
+
+
+def test_suite_asks_the_root_finder_three_times(halfspace_cert, cfg42, monkeypatch):
+    # one joined call for L1, L2, L3, L5 and L6, and one per side of L4's pairs
+    entry, cert = halfspace_cert
+    calls = []
+    real = epirep.itp_crossings
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(epirep, "itp_crossings", counted)
+    rep = run_suite(entry.instance, cert, replace(cfg42, rng_seed=7))
+    assert rep.overall
+    assert len(calls) == 3
+
+
+def _flipped(cert):
+    """The certificate with v and phi both negated: phi(v) = 1 still holds,
+    but every ray now runs the wrong way through the boundary."""
+    data = cert.to_json_dict()
+    data["v"] = [-a for a in data["v"]]
+    data["phi_weights"] = [-a for a in data["phi_weights"]]
+    return certificate_from_json(data)
+
+
+def test_flipped_witness_fails_each_lemma_at_its_own_base(halfspace_cert, cfg42):
+    entry, cert = halfspace_cert
+    flipped = _flipped(cert)
+    cfg = replace(cfg42, rng_seed=7)
+    rep = run_suite(entry.instance, flipped, cfg)
+    for lid, count in CHECK_SAMPLE_COUNTS.items():
+        check = rep.per_lemma[lid]
+        assert (check.passed, check.margin, check.samples) == (False, -1.0, count), lid
+        assert check.note.startswith("sign bracket failed at base "), lid
+    # L5's note is what lambda_values says on L5's own kept draw
+    space, f, w = flipped.space, entry.instance.f, flipped.witness
+    Y = sample_ball(space, w.x, w.epsilon, CHECK_SAMPLE_COUNTS["L5"], cfg.rng("verify", "L5"))
+    keep = membership_codes(f, Y, cfg) != 0
+    with pytest.raises(BracketViolation) as exc:
+        lambda_values(space, f, w, flipped.phi, Y[keep], cfg)
+    assert rep.per_lemma["L5"].note == str(exc.value)
+    assert str(exc.value).startswith("sign bracket failed at base [0.0, 0.0642")
+
+
+@pytest.mark.parametrize("broken", ["L1", "L2", "L3", "L5", "L6"])
+def test_one_broken_bracket_leaves_the_other_lemmas_alone(halfspace_cert, cfg42,
+                                                          monkeypatch, broken):
+    entry, cert = halfspace_cert
+    cfg = replace(cfg42, rng_seed=7)
+    joined = []
+    real = verify.lambda_roots
+
+    def spy(f, witness, bases, sizes, cfg):
+        joined.append((bases.copy(), list(sizes)))
+        return real(f, witness, bases, sizes, cfg)
+
+    monkeypatch.setattr(verify, "lambda_roots", spy)
+    clean = run_suite(entry.instance, cert, cfg)
+    [(bases, sizes)] = joined
+    # the broken lemma's last base (its first is x itself, shared by all
+    # cylinder draws), found in no other lemma's rows, and the low end of
+    # that base's sign bracket
+    i = list(CHECK_SAMPLE_COUNTS).index(broken)
+    start, end = sum(sizes[:i]), sum(sizes[: i + 1])
+    base = bases[end - 1]
+    [hits] = np.nonzero(np.all(bases == base, axis=1))
+    assert start <= hits.min() and hits.max() < end
+    low = base - cert.witness.r / 4.0 * cert.witness.v
+    f = entry.instance.f
+
+    def eval_(P):
+        out = np.array(f.eval(P), dtype=float)
+        out[np.all(P == low, axis=1)] = -1.0
+        return out
+
+    rep = run_suite(replace(entry.instance, f=replace(f, eval=eval_)), cert, cfg)
+    check = rep.per_lemma[broken]
+    assert not check.passed and check.margin == -1.0
+    assert check.note.startswith(f"sign bracket failed at base {base.tolist()}: f(-r/4)=-1,")
+    for lid in rep.per_lemma:
+        if lid != broken:
+            assert clean.per_lemma[lid].passed, lid
+            assert rep.per_lemma[lid] == clean.per_lemma[lid], lid
