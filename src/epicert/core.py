@@ -350,6 +350,8 @@ class NumericConfig:
             raise ValueError("shrink_factor must be in (0, 1)")
         if not (self.sample_budget >= 16):
             raise ValueError("sample_budget too small")
+        if self.sample_budget > np.iinfo(np.int64).max:   # past what numpy can index
+            raise ValueError("sample_budget too large")
 
     def rng(self, *labels: Any) -> np.random.Generator:
         return stream_rng(self.rng_seed, *labels)

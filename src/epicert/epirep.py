@@ -52,8 +52,7 @@ __all__ = [
     "find_descent_radius",
     "to_graph_coordinates",
     "from_graph_coordinates",
-    "lambda_bases",
-    "lambda_roots",
+    "lambda_batches",
     "lambda_values",
     "sample_cylinder",
     "measured_cylinder_lipschitz",
@@ -83,15 +82,6 @@ class BracketViolation(RuntimeError):
     of x.  Observing otherwise means (r, k, epsilon) were mis-certified and
     the certificate must be revoked.
     """
-
-    @classmethod
-    def at_base(cls, f: FunctionOracle, witness: "DescentWitness",
-                base: np.ndarray) -> "BracketViolation":
-        """The violation at a failing ray base, with f's values at its
-        bracket ends (a sign query may answer with codes)."""
-        w, v = witness.r / 4.0, witness.v
-        return cls(f"sign bracket failed at base {base.tolist()}: "
-                   f"f(-r/4)={f.value(base - w * v):.6g}, f(+r/4)={f.value(base + w * v):.6g}")
 
 
 class CylinderError(ValueError):
@@ -202,24 +192,14 @@ def from_graph_coordinates(v: np.ndarray, xi: np.ndarray, t: np.ndarray) -> np.n
     return np.asarray(xi, dtype=float) + np.multiply.outer(np.asarray(t, dtype=float), v)
 
 
-def lambda_bases(
+def _base_shift(
     space: NormedSpace,
     witness: DescentWitness,
     phi: np.ndarray,
     Y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric step of lambda_values: the ray base of each point of Y and
-    the shift along v that carries the point to it.
-
-    A point qualifies either through the cylinder (its ker-phi part within
-    epsilon of x's) or by lying in B(x, epsilon) outright; the second case
-    matters for sup/one norms, where the projection can expand.  Cylinder
-    points are translated along v to x's phi-level, which keeps the ray's
-    base inside B(x, epsilon) no matter how far along v the query sits;
-    direct-path points stay put.  CylinderError names the first point that
-    qualifies neither way.  No oracle call.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+) -> np.ndarray:
+    """The shift along v that carries each point of Y to its ray base, or
+    CylinderError naming the first point that has none."""
     x, v, eps = witness.x, witness.v, witness.epsilon
     piY, phiY = to_graph_coordinates(phi, v, Y)
     pix, phix = to_graph_coordinates(phi, v, x)
@@ -235,41 +215,81 @@ def lambda_bases(
             f"point {Y[i].tolist()} outside cylinder (dF={dF[i]:.3g}) "
             f"and outside B(x, {eps:.3g})"
         )
-    shift = np.where(in_cyl, float(phix) - phiY, 0.0)
-    return Y + shift[:, None] * v[None, :], shift
+    return np.where(in_cyl, float(phix) - phiY, 0.0)
 
 
-def lambda_roots(
+def lambda_batches(
+    space: NormedSpace,
     f: FunctionOracle,
     witness: DescentWitness,
-    bases: np.ndarray,
-    sizes: list[int],
+    phi: np.ndarray,
+    batches: list[np.ndarray],
     cfg: NumericConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve step of lambda_values: the crossing t of each base's ray
-    b + t v on [-r/4, r/4], and whether its sign bracket holds.
+) -> list[np.ndarray | BracketViolation | CylinderError]:
+    """Ray infimum lambda(y) = inf{t : y + t v in M} for each of a list of
+    (n, dim) point batches: per batch, its values or the error that stops it.
 
-    bases stacks consecutive batches of the given sizes.  The proof-level
-    bracket (f > 0 at -r/4, f < 0 at +r/4) is checked on every row; one
-    core.itp_crossings call then solves the rows of every batch whose
-    brackets all hold, and the rows of the other batches stay NaN.  Both
-    steps ask only f.signs, and the root finder starts from the bracket
-    check's values.  Rows never mix, so a row's crossing does not depend on
-    the batches joined with it.
+    A point qualifies either through the cylinder (its ker-phi part within
+    epsilon of x's) or by lying in B(x, epsilon) outright; the second case
+    matters for sup/one norms, where the projection can expand.  Cylinder
+    points are translated along v to x's phi-level, which keeps the ray's
+    base inside B(x, epsilon) no matter how far along v the query sits;
+    direct-path points stay put.  A batch with a point that qualifies
+    neither way gets the CylinderError naming its first such point.
+
+    The proof-level sign bracket (f > 0 at -r/4, f < 0 at +r/4) is checked
+    on every base, and a batch where it fails gets the BracketViolation at
+    its first bad base rather than degrade.  One core.itp_crossings call
+    then solves the rays of every other batch.  Both steps ask only
+    f.signs, and the root finder starts from the bracket check's values.
+    Rows never mix, so a batch's values do not depend on the batches solved
+    with it.  Each entry of batches is set to None once its points are
+    copied, so points the caller keeps nowhere else are freed before the solve.
     """
     v, w = witness.v, witness.r / 4.0
+    bases = np.empty((sum(len(Y) for Y in batches), space.dim))
+    shift = np.empty(len(bases))
+    spans: list[slice | CylinderError] = []
+    m = 0
+    for i in range(len(batches)):
+        try:
+            rows = slice(m, m + len(batches[i]))
+            shift[rows] = _base_shift(space, witness, phi, batches[i])
+            np.add(batches[i], shift[rows, None] * v[None, :], out=bases[rows])
+            spans.append(rows)
+            m = rows.stop
+        except CylinderError as exc:
+            spans.append(exc)
+        batches[i] = None
+    bases, shift = bases[:m], shift[:m]
+
     s_lo = f.signs(bases - w * v[None, :])
     s_hi = f.signs(bases + w * v[None, :])
     ok = (s_lo > 0.0) & (s_hi < 0.0)
-    solve = np.repeat([bool(rows.all()) for rows in np.split(ok, np.cumsum(sizes)[:-1])],
-                      sizes)
-    roots = np.full(len(bases), np.nan)
+    solve = np.zeros(m, dtype=bool)
+    for rows in spans:
+        if isinstance(rows, slice):
+            solve[rows] = ok[rows].all()
+    roots = np.full(m, np.nan)
     n = int(np.count_nonzero(solve))
     if n:
-        rows = slice(None) if n == len(bases) else solve   # copy only on a failure
-        roots[rows] = itp_crossings(f.signs, bases[rows], v[None, :], np.full(n, -w),
-                                    np.full(n, w), s_lo[rows], s_hi[rows], cfg.tol_bisect)
-    return roots, ok
+        solved = slice(None) if n == m else solve   # copy only on a failure
+        roots[solved] = itp_crossings(f.signs, bases[solved], v[None, :], np.full(n, -w),
+                                      np.full(n, w), s_lo[solved], s_hi[solved], cfg.tol_bisect)
+    roots += shift
+
+    out: list[np.ndarray | BracketViolation | CylinderError] = []
+    for rows in spans:
+        if not isinstance(rows, slice):
+            out.append(rows)
+        elif ok[rows].all():
+            out.append(roots[rows])
+        else:
+            base = bases[rows][int(np.argmin(ok[rows]))]
+            out.append(BracketViolation(
+                f"sign bracket failed at base {base.tolist()}: "
+                f"f(-r/4)={f.value(base - w * v):.6g}, f(+r/4)={f.value(base + w * v):.6g}"))
+    return out
 
 
 def lambda_values(
@@ -280,21 +300,15 @@ def lambda_values(
     Y: np.ndarray,
     cfg: NumericConfig,
 ) -> np.ndarray:
-    """Ray infimum lambda(y) = inf{t : y + t v in M} for a batch of points.
-
-    The composition of lambda_bases (geometry; CylinderError) and
-    lambda_roots (bracket check and root finding) on one batch.  The
-    proof-level sign guarantees at +-r/4 are asserted; a violation raises
-    BracketViolation at the first failing base rather than degrade.
-    core.itp_crossings takes 5-9 passes per call on the 2-D catalog, never
-    more than bisection's 33.  run_suite calls the two steps itself, so that
-    one root-finder call serves five lemmas.
+    """lambda_batches on the one batch Y, raising its CylinderError or
+    BracketViolation.  core.itp_crossings takes 5-9 passes per call on the
+    2-D catalog, never more than bisection's 33.
     """
-    bases, shift = lambda_bases(space, witness, phi, Y)
-    roots, ok = lambda_roots(f, witness, bases, [len(bases)], cfg)
-    if not ok.all():
-        raise BracketViolation.at_base(f, witness, bases[int(np.argmin(ok))])
-    return roots + shift
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    [lam] = lambda_batches(space, f, witness, phi, [Y], cfg)
+    if isinstance(lam, Exception):
+        raise lam
+    return lam
 
 
 def sample_cylinder(

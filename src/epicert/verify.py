@@ -9,6 +9,11 @@ along without gating.
 
 The suite refuses to run on the seed the certificate was built with; reusing
 build samples would let an overfitted certificate check itself.
+
+On cylinder draws both sides of L2, y and y + s v, land on the same ray base
+up to one ulp, since lambda moves each cylinder point along v to x's
+phi-level.  So L2 checks only the shift arithmetic, which leans on
+phi(v) = 1, and that one base gives one root.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from .epirep import (
     EpigraphCertificate,
     epsilon_formula,
     from_graph_coordinates,
-    lambda_bases,
-    lambda_roots,
+    lambda_batches,
     lambda_values,  # not called here; bench/tracer.py patches this binding
     measured_cylinder_lipschitz,
     sample_cylinder,
@@ -176,15 +180,13 @@ def run_suite(
 ) -> VerificationReport:
     """Evaluate all lemma checks against fresh samples drawn from cfg's seed.
 
-    The suite draws first and then solves once.  Each lemma draws its query
-    points from its own rng stream and turns them into lambda's ray bases at
-    once (lambda_bases, which raises CylinderError for that lemma alone).
-    One lambda_roots call then solves the bases of L1, L2 (both sides), L3,
-    L5 and L6 together, and each lemma is judged from its own slice.  A
-    lemma whose rows break the sign bracket is not solved and fails with the
-    BracketViolation that lambda_values gives at its first bad base, so each
-    note and margin is what a call per lemma would give.  L4 measures
-    through measured_cylinder_lipschitz.
+    The suite draws first and then solves once.  Each lemma draws its point
+    batches from its own rng stream, and one lambda_batches call gives the
+    lambda values of every batch of L1, L2 (both sides), L3, L5 and L6.  A
+    lemma fails with the first error among its own batches, in order (the
+    CylinderError or BracketViolation that lambda_values would raise on that
+    batch), so L2's first side wins over its second; else its judge decides
+    from the values.  L4 measures through measured_cylinder_lipschitz.
     """
     if cfg.rng_seed == cert.seed:
         raise SeedReuseError(
@@ -198,55 +200,39 @@ def run_suite(
     x, v, r, eps, k = w.x, w.v, w.r, w.epsilon, w.k
     counts = CHECK_SAMPLE_COUNTS
     measured = None  # set by l4, handed back on the report
-    no_rows = np.empty((0, space.dim))
 
-    # each draw returns (ray bases, judge); judge takes the bases' roots and
-    # returns (passed, margin, samples, note).  A judge keeps only what it
-    # needs of the draw, so the raw points are dropped before the solve.
+    # each draw returns (point batches, judge); judge takes one lambda array
+    # per batch and returns (passed, margin, samples, note).  A judge keeps
+    # only what it needs of the draw, so lambda_batches frees the points
+    # once it has copied them.
     def l1():
         problems = _structural_problems(inst, cert, cfg)
         if problems:
-            return no_rows, lambda _: (False, -1.0, 0, "structural: " + "; ".join(problems))
-        Y = sample_ball(space, x, eps, counts["L1"], cfg.rng("verify", "L1"))
-        bases, shift = lambda_bases(space, w, phi, Y)
+            return [], lambda: (False, -1.0, 0, "structural: " + "; ".join(problems))
 
-        def judge(roots):
-            lam = roots + shift
+        def judge(lam):
             bound = r / 4.0 + cfg.tol_bisect
             worst = float(np.max(np.abs(lam)))
             return worst <= bound, bound - worst, counts["L1"], ""
-        return bases, judge
+        return [sample_ball(space, x, eps, counts["L1"], cfg.rng("verify", "L1"))], judge
 
     def l2():
         n = counts["L2"]
         rng = cfg.rng("verify", "L2")
         pts = sample_cylinder(space, w, phi, n, rng, tau_halfwidth=r / 8.0)
         s = rng.uniform(-r / 4.0, r / 4.0, n)
-        basesA, shiftA = lambda_bases(space, w, phi, pts)
-        try:
-            basesB, shiftB = lambda_bases(space, w, phi, pts + s[:, None] * v[None, :])
-        except CylinderError as exc:
-            deferred = exc   # raised only once the first side's bracket holds
 
-            def fail(_):
-                raise deferred
-            return basesA, fail
-
-        def judge(roots):
-            lamA = roots[:n] + shiftA
-            lamB = roots[n:] + shiftB
+        def judge(lamA, lamB):
             err = float(np.max(np.abs(lamB - (lamA - s))))
             bound = 2.0 * cfg.tol_bisect
             return err <= bound, bound - err, n, ""
-        return np.concatenate([basesA, basesB]), judge
+        return [pts, pts + s[:, None] * v[None, :]], judge
 
     def l3():
         pts = sample_cylinder(space, w, phi, counts["L3"], cfg.rng("verify", "L3"),
                               tau_halfwidth=r / 8.0)
-        bases, shift = lambda_bases(space, w, phi, pts)
 
-        def judge(roots):
-            lam = roots + shift
+        def judge(lam):
             crossings = pts + lam[:, None] * v[None, :]
             dist_slack = (r / 2.0 + cfg.tol_bisect) - float(np.max(space.norm(crossings - x)))
             value_cap = k * cfg.tol_bisect + 2.0 * f.value_noise
@@ -254,39 +240,36 @@ def run_suite(
             margin = min(dist_slack, value_slack)
             return (margin >= 0.0, margin, counts["L3"],
                     f"distance slack {dist_slack:.3g}, residual slack {value_slack:.3g}")
-        return bases, judge
+        return [pts], judge
 
     def l4():
-        def judge(_):
+        def judge():
             nonlocal measured
             measured = measured_cylinder_lipschitz(space, f, w, phi, cfg)
             bound = 1.01 * cert.lipschitz_bound
             return measured <= bound, bound - measured, counts["L4"], ""
-        return no_rows, judge
+        return [], judge
 
     def l5():
         Y = sample_ball(space, x, eps, counts["L5"], cfg.rng("verify", "L5"))
         codes = membership_codes(f, Y, cfg)
         keep = codes != 0
-        bases, shift = lambda_bases(space, w, phi, Y[keep])
         inside = codes[keep] < 0
 
-        def judge(roots):
-            lam = roots + shift
+        def judge(lam):
             passed, margin, note = _agreement(inside == (lam <= 0.0), lam)
             return passed, margin, len(inside), note
-        return bases, judge
+        return [Y[keep]], judge
 
     def l6():
         Y = sample_ball(space, x, eps / 2.0, counts["L6"], cfg.rng("verify", "L6"))
         codes = membership_codes(f, Y, cfg)
         keep = codes != 0
         xiY, phiY = to_graph_coordinates(phi, v, Y)
-        bases, shift = lambda_bases(space, w, phi, xiY[keep])
         heights, inside = phiY[keep], codes[keep] < 0
 
-        def judge(roots):
-            gap = heights - (roots + shift)   # >= 0 iff the split puts y above the graph
+        def judge(lam):
+            gap = heights - lam   # >= 0 iff the split puts y above the graph
             passed, margin, note = _agreement(inside == (gap >= 0.0), gap)
             Z = sample_ball(space, x, r / 2.0, 100, cfg.rng("verify", "L6-invert"))
             xiZ, tZ = to_graph_coordinates(phi, v, Z)
@@ -295,7 +278,7 @@ def run_suite(
                 passed, margin = False, -inv_err
             return (passed, margin, len(inside),
                     f"{note}; split-map round trip max error {inv_err:.2e}")
-        return bases, judge
+        return [xiY[keep]], judge
 
     lemmas = (
         ("L1", l1, cfg.tol_bisect),
@@ -305,34 +288,29 @@ def run_suite(
         ("L5", l5, cfg.tol_value),
         ("L6", l6, cfg.tol_value),
     )
-    # draw: a lemma that cannot draw keeps its error and adds no rows
-    judges, errors, batches = {}, {}, []
+    # draw: a lemma whose draw raises CylinderError keeps that error as its
+    # one result and adds no batch
+    judges, results, owners, batches = {}, {}, [], []
     for lemma_id, draw, _ in lemmas:
+        results[lemma_id] = []
         try:
-            bases, judges[lemma_id] = draw()
+            points, judges[lemma_id] = draw()
         except CylinderError as exc:
-            errors[lemma_id], bases = exc, no_rows
-        batches.append(bases)
-    sizes = [len(b) for b in batches]
-    bases = np.concatenate(batches)
-    del batches
-    # solve once; a lemma with a broken bracket keeps its first bad base
-    roots, ok = lambda_roots(f, w, bases, sizes, cfg)
-    ends = np.cumsum(sizes)
-    rows = {lemma_id: slice(end - size, end)
-            for (lemma_id, _, _), end, size in zip(lemmas, ends, sizes)}
-    for lemma_id, sl in rows.items():
-        if not ok[sl].all():
-            errors[lemma_id] = BracketViolation.at_base(
-                f, w, bases[sl][int(np.argmin(ok[sl]))])
-    del bases
-    # judge
+            points, results[lemma_id] = [], [exc]
+        owners += [lemma_id] * len(points)
+        batches += points
+    del points   # the last draw's list would keep its points alive
+    # solve once
+    for lemma_id, lam in zip(owners, lambda_batches(space, f, w, phi, batches, cfg)):
+        results[lemma_id].append(lam)
+    # judge: a lemma fails with the first error among its batches
     checks: dict[str, LemmaCheck] = {}
     for lemma_id, _, tolerance in lemmas:
         try:
-            if lemma_id in errors:
-                raise errors[lemma_id]
-            passed, margin, samples, note = judges[lemma_id](roots[rows[lemma_id]])
+            for lam in results[lemma_id]:
+                if isinstance(lam, Exception):
+                    raise lam
+            passed, margin, samples, note = judges[lemma_id](*results[lemma_id])
         except (BracketViolation, CylinderError) as exc:
             passed, margin, samples, note = False, -1.0, counts[lemma_id], str(exc)
         checks[lemma_id] = LemmaCheck(passed, margin, samples, tolerance, note)

@@ -446,10 +446,11 @@ def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("config", ['{"tol_value": NaN}', '{"sample_budget": 1000.0}',
+                                    '{"sample_budget": 100000000000000000000}',
                                     '{"rng_seed": 1.5}', '{"rng_seed": true}',
                                     '{"tol_bisect": true}'],
-                         ids=["nan-tol-value", "float-budget", "fractional-seed", "bool-seed",
-                              "bool-tol-bisect"])
+                         ids=["nan-tol-value", "float-budget", "huge-budget", "fractional-seed",
+                              "bool-seed", "bool-tol-bisect"])
 def test_non_finite_config_in_file_exit_1(capsys, tmp_path, config):
     inst = tmp_path / "inst.json"
     inst.write_text('{"space": {"dim": 2}, "function": {"expression": "x1"}, '

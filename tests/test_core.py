@@ -232,6 +232,8 @@ def test_membership_scales_with_f():
         {"tol_value": math.inf},
         {"tol_bisect": math.nan},
         {"tol_bisect": 10**400},    # an int past the float range
+        {"sample_budget": 2**63},   # past what numpy can index
+        {"sample_budget": 10**20},
     ],
 )
 def test_numeric_config_validation(kwargs):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epicert as ec
+from epicert import epirep
 from epicert.catalog import load
 from epicert.core import NormedSpace, NumericConfig, canonical_json, internal_verify_seed, stream_rng
 from epicert.epirep import (
@@ -22,8 +23,7 @@ from epicert.epirep import (
     epsilon_formula,
     find_descent_radius,
     from_graph_coordinates,
-    lambda_bases,
-    lambda_roots,
+    lambda_batches,
     lambda_values,
     measured_cylinder_lipschitz,
     norming_functional,
@@ -180,21 +180,42 @@ def test_bracket_violation_surfaces_not_degrades(cfg42):
         lambda_values(sp, entry.instance.f, w, phi, w.x[None, :], cfg42)
 
 
-def test_lambda_roots_solves_only_batches_whose_brackets_hold(catalog_certs, cfg42):
-    entry, cert = catalog_certs[("unit_ball_euclid", 0)]
-    sp, f, w = cert.space, entry.instance.f, cert.witness
-    pts = sample_cylinder(sp, w, cert.phi, 40, stream_rng(0, "roots"), tau_halfwidth=w.r / 8.0)
-    bases, shift = lambda_bases(sp, w, cert.phi, pts)
-    # a base r/2 along v: both ends of its bracket lie inside M
-    bad = (w.x + 0.5 * w.r * w.v)[None, :]
-    joined = np.concatenate([bases[:20], bad, bases[20:]])   # batches of 20, 5 and 16
-    roots, ok = lambda_roots(f, w, joined, [20, 5, 16], cfg42)
-    assert ok.tolist() == [True] * 20 + [False] + [True] * 20
-    assert np.isnan(roots[20:25]).all()
-    # the solved rows carry lambda_values' bits, whatever they were joined with
-    solved = np.concatenate([roots[:20], roots[25:]]) + np.delete(shift, range(20, 24))
-    alone = lambda_values(sp, f, w, cert.phi, np.delete(pts, range(20, 24), axis=0), cfg42)
-    assert solved.tobytes() == alone.tobytes()
+def test_lambda_batches_gives_each_batch_its_values_or_its_error(halfspace_cert, cfg42,
+                                                                 monkeypatch):
+    entry, cert = halfspace_cert
+    sp, w, phi = cert.space, cert.witness, cert.phi
+    pts = sample_cylinder(sp, w, phi, 40, stream_rng(0, "batches"), tau_halfwidth=w.r / 8.0)
+    # far lies 2 epsilon from x across v, outside the cylinder and the ball;
+    # base sits on x's phi-level, so it is its own ray base, and the oracle
+    # is wrong at that base's +r/4 end
+    far, base = w.x + np.array([0.0, 2.0 * w.epsilon]), w.x + np.array([0.0, 0.06])
+    high = base + w.r / 4.0 * w.v
+    real_f = entry.instance.f
+
+    def eval_(P):
+        out = np.array(real_f.eval(P), dtype=float)
+        out[np.all(P == high, axis=1)] = 1.0
+        return out
+
+    f = replace(real_f, eval=eval_)
+    rows, real_itp = [], epirep.itp_crossings
+
+    def counted(values, origins, *args):
+        rows.append(len(origins))
+        return real_itp(values, origins, *args)
+
+    monkeypatch.setattr(epirep, "itp_crossings", counted)
+    batches = [np.vstack([pts[:10], far, pts[10:20]]), np.vstack([pts[20:25], base]), pts[25:]]
+    cylinder, bracket, clean = lambda_batches(sp, f, w, phi, batches, cfg42)
+    assert batches == [None, None, None]
+    assert rows == [15]   # one root-finder call, on the clean batch alone
+    assert isinstance(cylinder, CylinderError)
+    assert str(cylinder).startswith(f"point {far.tolist()} outside cylinder (dF=0.25)")
+    assert isinstance(bracket, BracketViolation)
+    assert str(bracket) == f"sign bracket failed at base {base.tolist()}: f(-r/4)=0.25, f(+r/4)=1"
+    # the clean batch carries lambda_values' bits, whatever it was solved with
+    alone = lambda_values(sp, f, w, phi, pts[25:], cfg42)
+    assert clean.tobytes() == alone.tobytes()
 
 
 def test_sample_cylinder_respects_bounds(halfspace_cert):

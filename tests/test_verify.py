@@ -8,7 +8,13 @@ import pytest
 from epicert import epirep, verify
 from epicert.clarke import GradientHull
 from epicert.core import canonical_json, membership_codes, sample_ball
-from epicert.epirep import BracketViolation, certificate_from_json, lambda_values
+from epicert.epirep import (
+    BracketViolation,
+    CylinderError,
+    certificate_from_json,
+    lambda_values,
+    sample_cylinder,
+)
 from epicert.verify import (
     CHECK_SAMPLE_COUNTS,
     SeedReuseError,
@@ -191,21 +197,30 @@ def test_one_broken_bracket_leaves_the_other_lemmas_alone(halfspace_cert, cfg42,
                                                           monkeypatch, broken):
     entry, cert = halfspace_cert
     cfg = replace(cfg42, rng_seed=7)
-    joined = []
-    real = verify.lambda_roots
+    sizes, solved = [], []
+    real_batches, real_itp = verify.lambda_batches, epirep.itp_crossings
 
-    def spy(f, witness, bases, sizes, cfg):
-        joined.append((bases.copy(), list(sizes)))
-        return real(f, witness, bases, sizes, cfg)
+    def spy(space, f, witness, phi, batches, cfg):
+        sizes.append([len(b) for b in batches])
+        return real_batches(space, f, witness, phi, batches, cfg)
 
-    monkeypatch.setattr(verify, "lambda_roots", spy)
+    def itp(values, origins, *args):
+        solved.append(origins.copy())
+        return real_itp(values, origins, *args)
+
+    monkeypatch.setattr(verify, "lambda_batches", spy)
+    monkeypatch.setattr(epirep, "itp_crossings", itp)
     clean = run_suite(entry.instance, cert, cfg)
-    [(bases, sizes)] = joined
+    # every batch solves in the clean run, so the first root-finder call
+    # holds all the bases, batch after batch (L4's calls come after)
+    [sizes], bases = sizes, solved[0]
     # the broken lemma's last base (its first is x itself, shared by all
     # cylinder draws), found in no other lemma's rows, and the low end of
     # that base's sign bracket
-    i = list(CHECK_SAMPLE_COUNTS).index(broken)
-    start, end = sum(sizes[:i]), sum(sizes[: i + 1])
+    n_batches = {"L1": 1, "L2": 2, "L3": 1, "L4": 0, "L5": 1, "L6": 1}   # in suite order
+    ids = list(n_batches)
+    first = sum(n_batches[lid] for lid in ids[: ids.index(broken)])
+    start, end = sum(sizes[:first]), sum(sizes[: first + n_batches[broken]])
     base = bases[end - 1]
     [hits] = np.nonzero(np.all(bases == base, axis=1))
     assert start <= hits.min() and hits.max() < end
@@ -225,3 +240,33 @@ def test_one_broken_bracket_leaves_the_other_lemmas_alone(halfspace_cert, cfg42,
         if lid != broken:
             assert clean.per_lemma[lid].passed, lid
             assert rep.per_lemma[lid] == clean.per_lemma[lid], lid
+
+
+@pytest.mark.parametrize("first_side_fails", [False, True])
+def test_l2_fails_with_its_first_failing_side(halfspace_cert, cfg42, first_side_fails):
+    # phi scaled by 1.3 makes phi(v) != 1, which moves L2's shifted side off
+    # the cylinder while its first side stays in it
+    entry, cert = halfspace_cert
+    data = cert.to_json_dict()
+    data["phi_weights"] = [1.3 * a for a in data["phi_weights"]]
+    tampered = certificate_from_json(data)
+    space, w, phi = tampered.space, tampered.witness, tampered.phi
+    cfg = replace(cfg42, rng_seed=7)
+    f = entry.instance.f
+    if first_side_fails:   # a negated oracle breaks every sign bracket
+        f = replace(f, eval=lambda P: -np.asarray(entry.instance.f.eval(P), dtype=float))
+    # L2's two sides, drawn as the suite draws them
+    rng = cfg.rng("verify", "L2")
+    pts = sample_cylinder(space, w, phi, CHECK_SAMPLE_COUNTS["L2"], rng, tau_halfwidth=w.r / 8.0)
+    s = rng.uniform(-w.r / 4.0, w.r / 4.0, len(pts))
+    with pytest.raises(CylinderError) as second:
+        lambda_values(space, f, w, phi, pts + s[:, None] * w.v[None, :], cfg)
+    check = run_suite(replace(entry.instance, f=f), tampered, cfg).per_lemma["L2"]
+    assert (check.passed, check.margin) == (False, -1.0)
+    if first_side_fails:
+        with pytest.raises(BracketViolation) as first:
+            lambda_values(space, f, w, phi, pts, cfg)
+        assert check.note == str(first.value)
+    else:
+        lambda_values(space, f, w, phi, pts, cfg)   # the first side solves
+        assert check.note == str(second.value)
