@@ -419,7 +419,7 @@ def local_lipschitz_constant(
             pair_quotients(space, f.values, base + h * U[live], base - h * U[live], min_sep)
         )
         U[~live] = space.unit(rng.standard_normal((int(np.sum(~live)), d)))
-        # one call for both sides: f is a row-wise point function
+        # one call for both sides (FunctionOracle is row-wise)
         G_pm = f.gradients(np.concatenate([P + hv_step * U, P - hv_step * U]))
         HV = (G_pm[:len(P)] - G_pm[len(P):]) / (2.0 * hv_step)
         HV = np.where((np.einsum("ij,ij->i", HV, prev) < 0.0)[:, None], -HV, HV)

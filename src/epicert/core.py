@@ -262,6 +262,10 @@ class FunctionOracle:
     exactly eval's signs (0 in the band); membership_codes and lambda's root
     finding ask it instead of eval; on +-1 codes the regula falsi point of
     itp_crossings is the midpoint.
+
+    f is a row-wise point function: each row's value depends on that row
+    alone, bit for bit, never on the rest of its batch, so a caller may
+    split a batch or join batches and get the same values.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

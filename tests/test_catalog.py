@@ -6,7 +6,7 @@ import pytest
 import epicert as ec
 from epicert.catalog import FIXED_IDS, list_catalog, load, rockafellar_truncation
 from epicert.clarke import directional_derivative, estimate_gradient_hull, min_norm_point
-from epicert.core import NumericConfig
+from epicert.core import NumericConfig, sample_ball
 from epicert.epirep import epsilon_formula
 
 from conftest import CERTIFIABLE_IDS
@@ -47,6 +47,24 @@ def test_declared_points_sit_on_the_boundary():
             assert abs(val) <= 1e-12, (cid, pt, val)
     entry = load("rockafellar_5")
     assert abs(entry.instance.f.value(entry.certifiable_at[0])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "cid", FIXED_IDS + ("rockafellar_16", "rockafellar_64", "rockafellar_128", "rockafellar_256")
+)
+def test_oracle_values_are_row_wise(cid):
+    # find_descent_radius evaluates a round in two pieces; that gives the
+    # whole round's answer only if each row's value is its own, bit for bit
+    entry = load(cid)
+    inst = entry.instance
+    x = (entry.certifiable_at + entry.degenerate_at)[0]
+    n = max(256, NumericConfig().sample_budget // 2)
+    P = sample_ball(inst.space, x, 2.0, n, np.random.default_rng(3))
+    full = inst.f.values(P)
+    for k in (1, n // 32, n // 2):
+        np.testing.assert_array_equal(
+            np.concatenate([inst.f.values(P[:k]), inst.f.values(P[k:])]), full
+        )
 
 
 def test_lambda_closed_forms_match_bisection(catalog_certs):

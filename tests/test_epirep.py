@@ -1,6 +1,7 @@
 """Witness epsilon and L1 notes, norming functionals, the graph split, and lambda."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 import epicert as ec
 from epicert import epirep
 from epicert.catalog import load
-from epicert.core import NormedSpace, NumericConfig, canonical_json, internal_verify_seed, stream_rng
+from epicert.clarke import is_nondegenerate
+from epicert.core import (
+    NonFiniteValue,
+    NormedSpace,
+    NumericConfig,
+    canonical_json,
+    internal_verify_seed,
+    sample_ball,
+    stream_rng,
+)
 from epicert.epirep import (
     BracketViolation,
     CertificationFailure,
@@ -31,7 +41,10 @@ from epicert.epirep import (
     to_graph_coordinates,
 )
 from epicert.expressions import compile_expression
+from epicert.signed_distance import sd_instance
 from epicert.verify import run_suite
+
+from conftest import CERTIFIABLE_IDS
 
 
 def test_epsilon_formula_branches():
@@ -115,6 +128,106 @@ def test_find_descent_radius_underflow_on_impossible_alpha():
     cfg = NumericConfig(rng_seed=42)
     with pytest.raises(RadiusUnderflow):
         find_descent_radius(sp, f, np.zeros(2), np.array([-1.0, 0.0]), 1.5, cfg)
+
+
+def _radius_rounds(space, f, x, v, cfg):
+    """(r, ys, ts, shifted) for each round, drawn as find_descent_radius
+    draws them, so tests can plant oracle values at known rows."""
+    x = np.asarray(x, dtype=float)
+    u = space.unit(v)
+    rng = cfg.rng("radius", f.descriptor, *np.round(x, 12).tolist())
+    n = max(256, cfg.sample_budget // 2)
+    t_min_fraction = f.scales.t_min_fraction
+    r = 1.0
+    while r >= 1e-8:
+        ys = sample_ball(space, x, 2.0 * r, n, rng)
+        n_log = n // 4
+        mag = np.empty(n)
+        mag[: n - n_log] = rng.uniform(t_min_fraction, 1.0, n - n_log)
+        mag[n - n_log :] = np.exp(rng.uniform(math.log(t_min_fraction), 0.0, n_log))
+        ts = 2.0 * r * mag * rng.choice([-1.0, 1.0], n)
+        yield r, ys, ts, ys + ts[:, None] * u[None, :]
+        r *= cfg.shrink_factor
+
+
+def one_shot_radius(space, f, x, v, alpha, cfg):
+    """Reference search: every row of a round in one pair of oracle calls."""
+    for r, ys, ts, shifted in _radius_rounds(space, f, x, v, cfg):
+        if np.all((f.values(shifted) - f.values(ys)) / ts < -alpha):
+            return r
+    raise RadiusUnderflow("descent radius fell below 1e-08")
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+def test_staged_radius_search_returns_the_one_shot_radius(seed):
+    cfg = NumericConfig(rng_seed=seed)
+    cases = [(e.instance, x) for e in map(load, CERTIFIABLE_IDS) for x in e.certifiable_at]
+    half = load("halfspace")
+    cases.append((sd_instance(half.instance, cfg), half.certifiable_at[0]))
+    radii = []
+    for inst, x in cases:
+        nd = is_nondegenerate(inst, x, cfg)
+        args = (inst.space, inst.f, x, nd.witness, float(nd.alpha), cfg)
+        radii.append(find_descent_radius(*args))
+        assert radii[-1] == one_shot_radius(*args)
+    assert min(radii) < 1.0   # some round was rejected
+
+
+def _rigged(f, planted):
+    """f with the values planted at exact points, and the rows of each call."""
+    rows = []
+
+    def evaluate(P):
+        rows.append(len(P))
+        out = np.array(f.eval(P), dtype=float)
+        for point, value in planted:
+            out[np.all(P == point, axis=1)] = value
+        return out
+
+    return replace(f, eval=evaluate), rows
+
+
+@pytest.fixture()
+def slope_one():
+    """f = x1 at the origin, descending along -e1 at slope 1 everywhere,
+    and the rows of its r = 1 round."""
+    sp, f, cfg = NormedSpace(2, "euclidean"), compile_expression("x1", 2), NumericConfig(rng_seed=42)
+    x, v = np.zeros(2), np.array([-1.0, 0.0])
+    _, ys, _, shifted = next(_radius_rounds(sp, f, x, v, cfg))
+    return sp, f, x, v, cfg, ys, shifted
+
+
+def test_violation_in_the_first_rows_costs_the_round_only_those_rows(slope_one):
+    sp, f, x, v, cfg, ys, shifted = slope_one
+    n = len(ys)
+    head = n // 32
+    # f(y_0 + t_0 v) reads as f(y_0): a zero quotient at row 0
+    g, rows = _rigged(f, [(shifted[0], f.value(ys[0]))])
+    assert find_descent_radius(sp, g, x, v, 0.5, cfg) == cfg.shrink_factor
+    assert rows == [head, head, head, head, n - head, n - head]
+
+
+def test_violation_past_the_first_rows_still_rejects_r(slope_one):
+    sp, f, x, v, cfg, ys, shifted = slope_one
+    n = len(ys)
+    head = n // 32
+    g, rows = _rigged(f, [(shifted[head], f.value(ys[head]))])
+    assert find_descent_radius(sp, g, x, v, 0.5, cfg) == cfg.shrink_factor
+    assert rows == [head, head, n - head, n - head] * 2
+    assert one_shot_radius(sp, g, x, v, 0.5, cfg) == cfg.shrink_factor
+
+
+def test_non_finite_value_only_in_rows_a_rejected_round_skips_is_not_seen(slope_one):
+    sp, f, x, v, cfg, ys, shifted = slope_one
+    n = len(ys)
+    g, _ = _rigged(f, [(shifted[0], f.value(ys[0])), (shifted[n - 1], np.nan)])
+    assert find_descent_radius(sp, g, x, v, 0.5, cfg) == cfg.shrink_factor
+    with pytest.raises(NonFiniteValue):
+        one_shot_radius(sp, g, x, v, 0.5, cfg)   # the whole round sees it
+    # in a row that is evaluated it still raises
+    g, _ = _rigged(f, [(shifted[1], np.nan)])
+    with pytest.raises(NonFiniteValue):
+        find_descent_radius(sp, g, x, v, 0.5, cfg)
 
 
 @settings(max_examples=40, deadline=None)

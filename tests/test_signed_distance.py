@@ -16,6 +16,7 @@ from epicert.core import (
     ProblemInstance,
     band_codes,
     membership_codes,
+    sample_ball,
     signed_axes,
     stream_rng,
 )
@@ -93,6 +94,14 @@ def test_batch_purity(half, cfg):
     perm = rng.permutation(12)
     shuffled, _ = signed_distance_values(half, pts[perm], cfg)
     np.testing.assert_array_equal(shuffled, full[perm])
+    # a curved set, split where find_descent_radius splits a round
+    union = load("union_balls").instance
+    n = max(256, cfg.sample_budget // 2)
+    pts = sample_ball(union.space, np.array([0.5, 0.0]), 2.0, n, rng)
+    full, _ = signed_distance_values(union, pts, cfg)
+    head, _ = signed_distance_values(union, pts[: n // 32], cfg)
+    rest, _ = signed_distance_values(union, pts[n // 32 :], cfg)
+    np.testing.assert_array_equal(np.concatenate([head, rest]), full)
 
 
 def test_determinism(ball, cfg):
