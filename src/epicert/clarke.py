@@ -385,11 +385,7 @@ def local_lipschitz_constant(
     h = chord_fraction * radius
     n_chord = 128
     bases = sample_ball(space, center, radius * (1.0 - 2.0 * chord_fraction), n_chord, rng)
-    if space.norm_kind == "euclidean":
-        U = rng.standard_normal((n_chord, d))
-    else:
-        U = rng.uniform(-1.0, 1.0, (n_chord, d))
-    U /= np.maximum(space.norm(U)[:, None], 1e-300)
+    U = space.chord_directions(n_chord, rng)
     # chords along the steepest direction each local gradient allows
     grads = f.gradients(bases)
     live = np.linalg.norm(grads, axis=1) > 1e-12

@@ -115,7 +115,7 @@ def _resolve_instance(args) -> tuple[ProblemInstance, NumericConfig]:
 
 
 def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
-    if getattr(args, "point", None):
+    if args.point is not None:   # an empty --point is a bad point, not "none given"
         try:
             coords = [float(t) for t in args.point.split(",")]
             return require_vector(coords, inst.space.dim, "the point")

@@ -4,7 +4,9 @@ Everything downstream works against the small vocabulary defined here.  A
 function oracle is batch-first (an (n, dim) array of points maps to (n,)
 values) because the certification pipeline lives or dies on vectorised
 evaluation.  Scalar convenience wrappers are provided but the batch form is
-the contract.
+the contract.  ``NormedSpace`` owns every per-norm rule: the norm, the dual
+space, the norming direction, the uniform ball draw and the chord draw; no
+other module branches on the norm kind.
 """
 
 from __future__ import annotations
@@ -97,15 +99,22 @@ class NormedSpace:
         # kill -0.0 so serialised directions are reproducible byte for byte
         return np.where(u == 0.0, 0.0, u)
 
+    @property
+    def dual(self) -> NormedSpace:
+        """The dual space: the same dim under the dual norm."""
+        return NormedSpace(self.dim, DUAL_KIND[self.norm_kind])
+
     def dual_norm(self, w: np.ndarray) -> np.ndarray:
-        return NormedSpace(self.dim, DUAL_KIND[self.norm_kind]).norm(w)
+        return self.dual.norm(w)
 
     def dual_norming_direction(self, g: np.ndarray) -> np.ndarray:
         """A unit vector u (this space's norm) with <g, u> = dual_norm(g), for
         a point (dim,) or each row of a batch (n, dim).
 
-        Used to aim chord probes along the steepest direction a gradient
-        allows.  Ties in the sup/one cases resolve to +1 and the lowest index.
+        Aims chord probes along the steepest direction a gradient allows,
+        and, asked of the dual space, gives a certificate's phi: for a unit v,
+        phi = dual.dual_norming_direction(v) has phi(v) = 1 and dual norm 1.
+        Ties in the sup/one cases resolve to +1 and the lowest index.
         """
         g = np.asarray(g, dtype=float)
         if self.norm_kind == "euclidean":
@@ -117,6 +126,31 @@ class NormedSpace:
         j = np.argmax(np.abs(g), axis=-1)[..., None]
         s = np.where(np.take_along_axis(g, j, axis=-1) >= 0.0, 1.0, -1.0)
         return np.where(np.arange(self.dim) == j, s, 0.0)
+
+    def uniform_ball(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m points (m, dim) drawn uniformly from the unit ball."""
+        d = self.dim
+        if self.norm_kind == "sup":
+            return rng.uniform(-1.0, 1.0, (m, d))
+        if self.norm_kind == "euclidean":
+            g = rng.standard_normal((m, d))
+        else:
+            # one-norm ball: the exponential trick gives a uniform direction
+            # on the cross-polytope, then a radial factor
+            g = rng.exponential(1.0, (m, d)) * rng.choice([-1.0, 1.0], (m, d))
+        g /= np.maximum(self.norm(g)[:, None], 1e-300)
+        radii = rng.uniform(0.0, 1.0, m) ** (1.0 / d)
+        return g * radii[:, None]
+
+    def chord_directions(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m unit directions (m, dim): gaussian rows under the euclidean norm,
+        rows of the cube [-1, 1]^dim otherwise, each rescaled to norm 1."""
+        if self.norm_kind == "euclidean":
+            U = rng.standard_normal((m, self.dim))
+        else:
+            U = rng.uniform(-1.0, 1.0, (m, self.dim))
+        U /= np.maximum(self.norm(U)[:, None], 1e-300)
+        return U
 
 
 def signed_axes(d: int) -> np.ndarray:
@@ -451,20 +485,7 @@ def sample_ball(
     if n == 1:
         return out
     m = n - 1
-    if space.norm_kind == "euclidean":
-        g = rng.standard_normal((m, d))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        radii = rng.uniform(0.0, 1.0, m) ** (1.0 / d)
-        pts = g * radii[:, None]
-    elif space.norm_kind == "sup":
-        pts = rng.uniform(-1.0, 1.0, (m, d))
-    else:
-        # one-norm ball: exponential trick gives uniform direction on the
-        # cross-polytope, then a radial factor
-        g = rng.exponential(1.0, (m, d)) * rng.choice([-1.0, 1.0], (m, d))
-        g /= np.maximum(np.sum(np.abs(g), axis=1, keepdims=True), 1e-300)
-        radii = rng.uniform(0.0, 1.0, m) ** (1.0 / d)
-        pts = g * radii[:, None]
+    pts = space.uniform_ball(m, rng)
     pts *= 0.999  # keep strictly interior
     k = max(1, math.ceil(n / 8))
     k = min(k, m)

@@ -3,8 +3,10 @@
 Given a boundary point x of M = {f <= 0} and a descent witness (v, alpha),
 this module extracts the remaining data: a radius r on which the descent
 inequality survives sampling, a Lipschitz constant k for f near x, the
-neighbourhood size epsilon, a norming functional phi (phi(v)=1, dual norm 1),
-the split y = pi(y) + phi(y) v, and the ray-crossing function lambda.  The
+neighbourhood size epsilon, a norming functional phi (phi(v)=1, dual norm 1:
+the dual space's norming direction of v, from ``NormedSpace``, which owns
+every per-norm rule), the split y = pi(y) + phi(y) v, and the ray-crossing
+function lambda.  The
 product is a certificate stating that near x, membership in M is equivalent
 to lying on one side of the graph of a Lipschitz function over ker phi.
 
@@ -48,7 +50,6 @@ __all__ = [
     "CylinderError",
     "epsilon_formula",
     "DescentWitness",
-    "norming_functional",
     "find_descent_radius",
     "to_graph_coordinates",
     "from_graph_coordinates",
@@ -113,28 +114,6 @@ class DescentWitness:
     def lipschitz_bound(self) -> float:
         """Modulus 1 + 2k/alpha of the graph function."""
         return 1.0 + 2.0 * self.k / self.alpha
-
-
-def norming_functional(space: NormedSpace, v: np.ndarray) -> np.ndarray:
-    """Weights of an explicit dual-norming functional phi(y) = <phi, y> for
-    the supported norms.
-
-    euclidean: phi = <v, .> (self-dual).  sup norm: phi picks the maximal
-    coordinate of v (lowest index on ties), signed.  one norm: phi is the
-    componentwise sign vector of v.  For a unit v, in each case phi(v) = |v| = 1
-    and the dual norm of the weights is 1, which is what the splitting needs;
-    verification (L1) checks both.
-    """
-    v = np.asarray(v, dtype=float)
-    if space.norm_kind == "euclidean":
-        w = v.copy()
-    elif space.norm_kind == "sup":
-        j = int(np.argmax(np.abs(v)))
-        w = np.zeros(space.dim)
-        w[j] = 1.0 if v[j] >= 0 else -1.0
-    else:
-        w = np.sign(v)
-    return w
 
 
 def find_descent_radius(
@@ -560,7 +539,7 @@ def certify(
     lip = local_lipschitz_constant(space, inst.f, x, r, cfg)
     witness = DescentWitness(x=x, v=v, alpha=alpha, r=r, k=lip.value,
                              epsilon=epsilon_formula(alpha, r, lip.value))
-    phi = norming_functional(space, v)
+    phi = space.dual.dual_norming_direction(v)
 
     # stored graph samples: keep the height slab thin so every stored value
     # obeys the |lambda| <= r/4 certificate invariant with slack

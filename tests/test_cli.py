@@ -84,6 +84,8 @@ def test_certify_degenerate_exit_2(capsys):
         ("certify", "--seed", "abc"),                       # bad flag value
         ("certify", "--frob"),                              # unknown flag
         ("sweep-rockafellar",),                             # missing required flag
+        ("certify", "--catalog", "halfspace", "--point", ""),
+        ("theorem2", "--catalog", "unit_ball_euclid", "--point", ""),
     ],
 )
 def test_input_errors_exit_1(capsys, argv):

@@ -193,6 +193,27 @@ def test_sample_ball_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", NORM_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_uniform_ball_radial_law_and_unit_chords(kind, d):
+    space = ec.NormedSpace(d, kind)
+    rng = stream_rng(11, "ball-law", kind, d)
+    norms = space.norm(space.uniform_ball(4000, rng))
+    assert np.all(norms < 1.0)
+    # uniform in the ball: the share within radius s is the volume ratio s**d
+    for s in (0.5, 0.8):
+        assert abs(float(np.mean(norms <= s)) - s**d) <= 0.03, s
+    chords = space.chord_directions(4000, rng)
+    assert chords.shape == (4000, d)
+    np.testing.assert_allclose(space.norm(chords), 1.0, rtol=1e-12)
+
+
+def test_dual_space_is_an_involution():
+    for kind in NORM_KINDS:
+        assert ec.NormedSpace(3, kind).dual.dual == ec.NormedSpace(3, kind)
+    assert ec.NormedSpace(2, "sup").dual == ec.NormedSpace(2, "one")
+
+
 def test_membership_band_thresholds():
     space = ec.NormedSpace(1, "euclidean")
     f = ec.compile_expression("x1", 1)

@@ -17,6 +17,7 @@ from epicert.core import (
     NonFiniteValue,
     NormedSpace,
     NumericConfig,
+    ProblemInstance,
     canonical_json,
     internal_verify_seed,
     sample_ball,
@@ -36,7 +37,6 @@ from epicert.epirep import (
     lambda_batches,
     lambda_values,
     measured_cylinder_lipschitz,
-    norming_functional,
     sample_cylinder,
     to_graph_coordinates,
 )
@@ -75,25 +75,25 @@ def test_broken_witness_is_an_l1_note(halfspace_cert, cfg42):
 def test_norming_functional_euclidean_is_self():
     sp = NormedSpace(3, "euclidean")
     v = sp.unit(np.array([1.0, 2.0, -2.0]))
-    phi = norming_functional(sp, v)
+    phi = sp.dual.dual_norming_direction(v)
     np.testing.assert_allclose(phi, v)
     assert float(v @ phi) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norming_functional_sup_picks_max_coordinate():
     sp = NormedSpace(2, "sup")
-    phi = norming_functional(sp, np.array([1.0, 0.2]))
+    phi = sp.dual.dual_norming_direction(np.array([1.0, 0.2]))
     np.testing.assert_array_equal(phi, [1.0, 0.0])
-    phi = norming_functional(sp, np.array([0.2, -1.0]))
+    phi = sp.dual.dual_norming_direction(np.array([0.2, -1.0]))
     np.testing.assert_array_equal(phi, [0.0, -1.0])
     # tie resolves to the lowest index
-    phi = norming_functional(sp, np.array([1.0, 1.0]))
+    phi = sp.dual.dual_norming_direction(np.array([1.0, 1.0]))
     np.testing.assert_array_equal(phi, [1.0, 0.0])
 
 
 def test_norming_functional_one_norm_is_sign_vector():
     sp = NormedSpace(2, "one")
-    phi = norming_functional(sp, np.array([0.5, -0.5]))
+    phi = sp.dual.dual_norming_direction(np.array([0.5, -0.5]))
     np.testing.assert_array_equal(phi, [1.0, -1.0])
     assert sp.dual_norm(phi) == 1.0
 
@@ -109,9 +109,23 @@ def test_norming_functional_contract_all_norms(kind, raw):
         v = v + 1.0
     sp = NormedSpace(len(raw), kind)
     u = sp.unit(v)
-    phi = norming_functional(sp, u)
+    phi = sp.dual.dual_norming_direction(u)
     assert float(u @ phi) == pytest.approx(1.0, abs=1e-12)
     assert float(sp.dual_norm(phi)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_one_norm_phi_is_plus_one_at_a_zero_coordinate_of_v():
+    # x1 under the one norm: v = (-1, 0), and the sup space's norming rule
+    # sends the zero coordinate to +1, a norming functional all the same
+    sp = NormedSpace(2, "one")
+    inst = ProblemInstance(sp, compile_expression("x1", 2), (np.zeros(2),))
+    cert = certify(inst, np.zeros(2), NumericConfig(rng_seed=42))
+    assert not isinstance(cert, CertificationFailure), cert
+    np.testing.assert_array_equal(cert.witness.v, [-1.0, 0.0])
+    np.testing.assert_array_equal(cert.phi, [-1.0, 1.0])
+    assert float(cert.witness.v @ cert.phi) == 1.0
+    assert float(sp.dual_norm(cert.phi)) == 1.0
+    assert run_suite(inst, cert, NumericConfig(rng_seed=2024)).overall
 
 
 def test_find_descent_radius_halfspace_keeps_r0():
@@ -239,7 +253,7 @@ def test_graph_coordinates_round_trip(kind, seed):
     sp = NormedSpace(3, kind)
     rng = stream_rng(seed, "graph-test")
     v = sp.unit(rng.standard_normal(3))
-    phi = norming_functional(sp, v)
+    phi = sp.dual.dual_norming_direction(v)
     Y = rng.uniform(-2, 2, (8, 3))
     xi, t = to_graph_coordinates(phi, v, Y)
     back = from_graph_coordinates(v, xi, t)
@@ -288,7 +302,7 @@ def test_bracket_violation_surfaces_not_degrades(cfg42):
     sp = entry.instance.space
     w = DescentWitness(x=np.array([1.0, 0.0]), v=np.array([-1.0, 0.0]), alpha=0.5,
                        r=12.0, k=1.0, epsilon=epsilon_formula(0.5, 12.0, 1.0))
-    phi = norming_functional(sp, w.v)
+    phi = sp.dual.dual_norming_direction(w.v)
     with pytest.raises(BracketViolation):
         lambda_values(sp, entry.instance.f, w, phi, w.x[None, :], cfg42)
 

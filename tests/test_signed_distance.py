@@ -28,7 +28,6 @@ from epicert.epirep import (
     certify,
     epsilon_formula,
     lambda_values,
-    norming_functional,
     sample_cylinder,
 )
 from epicert.expressions import compile_expression
@@ -305,7 +304,7 @@ def _halfspace_sd_witness(r):
 def test_lambda_values_same_bits_with_and_without_sign_query(cfg):
     inst = sd_instance(load("halfspace").instance, cfg)
     w = _halfspace_sd_witness(0.4)
-    phi = norming_functional(inst.space, w.v)
+    phi = inst.space.dual.dual_norming_direction(w.v)
     Y = sample_cylinder(inst.space, w, phi, 8, stream_rng(0, "sd-sign"), tau_halfwidth=w.r / 16.0)
     fast = lambda_values(inst.space, inst.f, w, phi, Y, cfg)
     full = lambda_values(inst.space, replace(inst.f, sign=None), w, phi, Y, cfg)
@@ -321,7 +320,7 @@ def test_sd_bracket_violation_reports_values_not_codes(cfg):
     v = np.array([-1.0, 0.0])
     w = DescentWitness(x=np.array([1.0, 0.0]), v=v, alpha=0.5, r=10.0, k=1.0,
                        epsilon=epsilon_formula(0.5, 10.0, 1.0))
-    phi = norming_functional(inst.space, v)
+    phi = inst.space.dual.dual_norming_direction(v)
     messages = []
     for f in (inst.f, replace(inst.f, sign=None)):
         with pytest.raises(BracketViolation) as exc:
