@@ -115,13 +115,15 @@ def _resolve_instance(args) -> tuple[ProblemInstance, NumericConfig]:
 
 
 def _resolve_point(inst: ProblemInstance, args) -> np.ndarray:
+    if args.point is not None and args.point_index is not None:
+        raise InstanceSpecError("give either --point or --point-index, not both")
     if args.point is not None:   # an empty --point is a bad point, not "none given"
         try:
             coords = [float(t) for t in args.point.split(",")]
             return require_vector(coords, inst.space.dim, "the point")
         except ValueError as exc:
             raise InstanceSpecError(f"bad --point {args.point!r}: {exc}") from None
-    idx = getattr(args, "point_index", 0) or 0
+    idx = 0 if args.point_index is None else args.point_index
     if not inst.boundary_points:
         raise InstanceSpecError("instance declares no boundary points; use --point")
     if not (0 <= idx < len(inst.boundary_points)):
@@ -288,8 +290,9 @@ def _add_instance_flags(p: argparse.ArgumentParser, with_point: bool = True) -> 
     p.add_argument("--catalog", help="built-in catalog id")
     if with_point:
         p.add_argument("--point", help='coordinates "x1,x2,..."')
-        p.add_argument("--point-index", type=int, default=0,
-                       help="index into the instance's declared boundary points")
+        p.add_argument("--point-index", type=int, default=None,
+                       help="index into the instance's declared boundary points "
+                            "(default 0)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="also write the primary output to this path")
 

@@ -382,6 +382,7 @@ class EpigraphCertificate:
     lambda_samples: tuple[tuple[np.ndarray, float], ...]
     lipschitz_bound: float                 # 1 + 2k/alpha
     measured_lipschitz: float
+    tol_bisect: float                      # root-finder tolerance of lambda_samples
     report: "VerificationReport | None"
     confidence: str
     seed: int
@@ -407,6 +408,7 @@ class EpigraphCertificate:
             "phi_weights": self.phi.tolist(),
             "lipschitz_bound": self.lipschitz_bound,
             "measured_lipschitz": self.measured_lipschitz,
+            "tol_bisect": self.tol_bisect,
             "lambda_samples": [
                 {"point": p.tolist(), "value": val} for p, val in self.lambda_samples
             ],
@@ -426,7 +428,8 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
     is the place where a tampered field turns into a reported failure rather
     than a parse error.  Only the types and shapes are checked: ``dim`` and
     ``seed`` must be integers, every other scalar a finite number and every
-    vector a list of ``dim`` finite numbers, else ValueError.
+    vector a list of ``dim`` finite numbers, else ValueError.  A certificate
+    written before ``tol_bisect`` was stored reads as the then-default 1e-10.
     """
     info = data["instance"]
     space = NormedSpace(require_integer(info["dim"], "dim"), str(info["norm"]))
@@ -451,6 +454,7 @@ def certificate_from_json(data: dict) -> EpigraphCertificate:
         lambda_samples=samples,
         lipschitz_bound=require_number(data["lipschitz_bound"], "lipschitz_bound"),
         measured_lipschitz=require_number(data["measured_lipschitz"], "measured_lipschitz"),
+        tol_bisect=require_number(data.get("tol_bisect", 1e-10), "tol_bisect"),
         report=None,
         confidence=str(data["confidence"]),
         seed=require_integer(data["seed"], "seed"),
@@ -560,6 +564,7 @@ def certify(
         lambda_samples=tuple((p, float(l)) for p, l in zip(pts, lam)),
         lipschitz_bound=witness.lipschitz_bound,
         measured_lipschitz=0.0,  # the suite's L4 measures it
+        tol_bisect=cfg.tol_bisect,
         report=None,
         confidence="sampling_probabilistic",
         seed=cfg.rng_seed,

@@ -4,8 +4,8 @@ Re-derives every certified claim on fresh samples: the ray-value bound (L1),
 the translation identity (L2), boundary containment of ray crossings (L3),
 the cylinder Lipschitz bound (L4), the sublevel characterisation on the
 epsilon-ball (L5), and the graph/membership equivalence on the half-size
-ball plus split-map invertibility (L6).  A pointedness diagnostic rides
-along without gating.
+ball plus split-map invertibility (L6).  L1 also recomputes the stored
+lambda samples.  Every check gates.
 
 The suite refuses to run on the seed the certificate was built with; reusing
 build samples would let an overfitted certificate check itself.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clarke import GradientHull, estimate_gradient_hull
+from .clarke import estimate_gradient_hull  # not called here; bench/tracer.py patches this binding
 from .core import (
     NumericConfig,
     ProblemInstance,
@@ -48,7 +48,6 @@ __all__ = [
     "SeedReuseError",
     "LemmaCheck",
     "VerificationReport",
-    "pointedness_margin",
     "run_suite",
 ]
 
@@ -83,8 +82,8 @@ class VerificationReport:
 
     @property
     def overall(self) -> bool:
-        """Every gating lemma L1-L6 passed; the pointedness diagnostic never gates."""
-        return all(self.per_lemma[lid].passed for lid in CHECK_SAMPLE_COUNTS)
+        """Every lemma check L1-L6 passed."""
+        return all(c.passed for c in self.per_lemma.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,25 +103,6 @@ class VerificationReport:
             )
         rows.append(f"overall: {'pass' if self.overall else 'FAIL'}")
         return "\n".join(rows)
-
-
-def pointedness_margin(hull: GradientHull) -> float:
-    """min over generator pairs (g, h) of |g/|g| + h/|h||, euclidean.
-
-    Near-zero means the generated cone contains a line.  Degenerate (near
-    zero-norm) generators collapse the margin to 0 outright.  Diagnostic
-    only; never gates a certificate.
-    """
-    gens = np.atleast_2d(np.asarray(hull.generators, dtype=float))
-    norms = np.linalg.norm(gens, axis=1)
-    if np.any(norms <= 1e-14):
-        return 0.0
-    unit = gens / norms[:, None]
-    best = np.inf
-    for i in range(unit.shape[0]):
-        sums = unit[i : i + 1] + unit[i:]
-        best = min(best, float(np.min(np.linalg.norm(sums, axis=1))))
-    return best
 
 
 def _agreement(agree: np.ndarray, gap: np.ndarray) -> tuple[bool, float, str]:
@@ -158,6 +138,8 @@ def _structural_problems(inst: ProblemInstance, cert: EpigraphCertificate,
     if w.alpha != 0 and not np.isclose(cert.lipschitz_bound, w.lipschitz_bound,
                                        rtol=1e-12, atol=0.0):
         problems.append("lipschitz_bound != 1 + 2k/alpha")
+    if not cert.tol_bisect > 0:
+        problems.append(f"tol_bisect {cert.tol_bisect!r} is not positive")
     if not 0.0 <= cert.measured_lipschitz <= cert.lipschitz_bound * 1.01:
         problems.append("measured_lipschitz outside [0, bound * 1.01]")
     if len(cert.lambda_samples) != N_LAMBDA_SAMPLES:
@@ -182,11 +164,12 @@ def run_suite(
 
     The suite draws first and then solves once.  Each lemma draws its point
     batches from its own rng stream, and one lambda_batches call gives the
-    lambda values of every batch of L1, L2 (both sides), L3, L5 and L6.  A
-    lemma fails with the first error among its own batches, in order (the
-    CylinderError or BracketViolation that lambda_values would raise on that
-    batch), so L2's first side wins over its second; else its judge decides
-    from the values.  L4 measures through measured_cylinder_lipschitz.
+    lambda values of every batch of L1 (a fresh draw and the stored sample
+    points), L2 (both sides), L3, L5 and L6.  A lemma fails with the first
+    error among its own batches, in order (the CylinderError or
+    BracketViolation that lambda_values would raise on that batch), so L2's
+    first side wins over its second; else its judge decides from the values.
+    L4 measures through measured_cylinder_lipschitz.
     """
     if cfg.rng_seed == cert.seed:
         raise SeedReuseError(
@@ -209,12 +192,18 @@ def run_suite(
         problems = _structural_problems(inst, cert, cfg)
         if problems:
             return [], lambda: (False, -1.0, 0, "structural: " + "; ".join(problems))
+        stored = np.array([val for _, val in cert.lambda_samples])
 
-        def judge(lam):
+        def judge(lam, recomputed):
+            off = float(np.max(np.abs(recomputed - stored)))
+            slack = cert.tol_bisect + cfg.tol_bisect   # each side's root-finder error
+            if not off <= slack:
+                return False, slack - off, counts["L1"], f"stored lambda samples off by {off:.3g}"
             bound = r / 4.0 + cfg.tol_bisect
             worst = float(np.max(np.abs(lam)))
             return worst <= bound, bound - worst, counts["L1"], ""
-        return [sample_ball(space, x, eps, counts["L1"], cfg.rng("verify", "L1"))], judge
+        return [sample_ball(space, x, eps, counts["L1"], cfg.rng("verify", "L1")),
+                np.stack([p for p, _ in cert.lambda_samples])], judge
 
     def l2():
         n = counts["L2"]
@@ -314,10 +303,4 @@ def run_suite(
         except (BracketViolation, CylinderError) as exc:
             passed, margin, samples, note = False, -1.0, counts[lemma_id], str(exc)
         checks[lemma_id] = LemmaCheck(passed, margin, samples, tolerance, note)
-
-    hull = estimate_gradient_hull(space, f, x, cfg)
-    checks["pointedness"] = LemmaCheck(
-        True, pointedness_margin(hull), hull.generators.shape[0], 0.0,
-        note="diagnostic only; near 0 suggests the generated cone is not pointed",
-    )
     return VerificationReport(per_lemma=checks, seed=cfg.rng_seed, measured_lipschitz=measured)

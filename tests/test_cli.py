@@ -22,11 +22,12 @@ def test_certify_json_stdout(capsys):
     assert code == 0
     cert = json.loads(out)
     for key in ("instance", "x", "v", "alpha", "r", "k", "epsilon", "phi_weights",
-                "lipschitz_bound", "measured_lipschitz", "lambda_samples",
+                "lipschitz_bound", "measured_lipschitz", "tol_bisect", "lambda_samples",
                 "lemma_report", "overall", "confidence", "seed"):
         assert key in cert, key
     assert cert["overall"] is True
     assert cert["seed"] == 42
+    assert cert["tol_bisect"] == 1e-10
     assert cert["instance"]["label"] == "halfspace"
     for lid in ("L1", "L2", "L3", "L4", "L5", "L6"):
         assert cert["lemma_report"][lid]["pass"] is True
@@ -86,6 +87,8 @@ def test_certify_degenerate_exit_2(capsys):
         ("sweep-rockafellar",),                             # missing required flag
         ("certify", "--catalog", "halfspace", "--point", ""),
         ("theorem2", "--catalog", "unit_ball_euclid", "--point", ""),
+        ("certify", "--catalog", "halfspace", "--point", "0,0", "--point-index", "5"),
+        ("theorem2", "--catalog", "halfspace", "--point", "0,0", "--point-index", "0"),
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
@@ -229,9 +232,12 @@ def test_verify_seed_reuse_exit_4(capsys, tmp_path):
                                                  ("measured_lipschitz", -1.0,
                                                   "measured_lipschitz"),
                                                  ("v", 2.0, "witness direction not unit"),
-                                                 ("phi_weights", 2.0, "phi(v) != 1")],
+                                                 ("phi_weights", 2.0, "phi(v) != 1"),
+                                                 ("tol_bisect", 0.0,
+                                                  "tol_bisect 0.0 is not positive")],
                          ids=["epsilon-x2", "k-0", "alpha-0", "r-1e308", "r-negative",
-                              "epsilon-negative", "measured-negative", "v-x2", "phi-x2"])
+                              "epsilon-negative", "measured-negative", "v-x2", "phi-x2",
+                              "tol_bisect-0"])
 def test_verify_tampered_certificate_exit_3(capsys, tmp_path, field, factor, note):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "--catalog", "halfspace", "--seed", "42",
@@ -246,6 +252,39 @@ def test_verify_tampered_certificate_exit_3(capsys, tmp_path, field, factor, not
     assert rep["overall"] is False
     assert rep["per_lemma"]["L1"]["pass"] is False
     assert note in rep["per_lemma"]["L1"]["note"]
+
+
+def test_verify_recomputes_stored_lambda_samples_exit_3(capsys, tmp_path):
+    # a shifted stored value stays within the r/4 band, so only the
+    # recomputation can see it
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--catalog", "halfspace", "--seed", "42", "--out", str(cert))
+    data = json.loads(cert.read_text())
+    data["lambda_samples"][0]["value"] += 0.05
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--catalog", "halfspace", "--certificate", str(cert))
+    assert code == 3
+    rep = json.loads(out)["per_lemma"]
+    l1 = rep["L1"]
+    assert l1["pass"] is False
+    assert l1["note"].startswith("stored lambda samples off by 0.05")
+    assert l1["margin"] == pytest.approx(-0.05, abs=1e-9)
+    assert all(rep[lid]["pass"] for lid in ("L2", "L3", "L4", "L5", "L6"))
+
+
+def test_verify_certificate_without_tol_bisect(capsys, tmp_path):
+    # a certificate written before the field existed reads as 1e-10
+    cert, old = tmp_path / "cert.json", tmp_path / "old.json"
+    run(capsys, "certify", "--catalog", "halfspace", "--seed", "42", "--out", str(cert))
+    data = json.loads(cert.read_text())
+    del data["tol_bisect"]
+    old.write_text(json.dumps(data))
+    outs = []
+    for path in (cert, old):
+        code, out, _ = run(capsys, "verify", "--catalog", "halfspace", "--certificate", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(

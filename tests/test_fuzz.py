@@ -59,7 +59,7 @@ config_values = (st.floats(0.0, 1.0) | st.integers(0, 10**5) | st.integers(2**10
 configs = st.dictionaries(st.sampled_from(CONFIG_FIELDS), config_values).filter(affordable)
 
 CERTIFICATE_FIELDS = ("instance", "x", "v", "alpha", "r", "k", "epsilon", "phi_weights",
-                      "lipschitz_bound", "measured_lipschitz", "lambda_samples",
+                      "lipschitz_bound", "measured_lipschitz", "tol_bisect", "lambda_samples",
                       "lemma_report", "overall", "confidence", "seed")
 
 
