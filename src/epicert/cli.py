@@ -32,6 +32,7 @@ from .epirep import (
     CertificationFailure,
     EpigraphCertificate,
     bisection_tolerance_failure,
+    boundary_band_failure,
     certificate_from_json,
     certify,
 )
@@ -214,7 +215,11 @@ def cmd_verify(args) -> int:
 def cmd_theorem2(args) -> int:
     inst, cfg = _resolve_instance(args)
     x = _resolve_point(inst, args)
-    t2 = check_theorem2(inst, x, cfg)
+    # promote bisects, so before the witness search it refuses what certify
+    # refuses: a point off the band, then a tol_bisect finer than the floats
+    refused = args.promote and (boundary_band_failure(inst, x, cfg)
+                                or bisection_tolerance_failure(x, cfg))
+    t2 = refused or check_theorem2(inst, x, cfg)
     if isinstance(t2, CertificationFailure):
         return _failure(t2)
     payload = {

@@ -4,23 +4,24 @@ The value at y is the distance to M for outside points and minus the
 distance to the complement for inside points; zero inside the membership
 band.  It depends on the instance alone, never on a run seed or on batch
 position, so splitting or reordering a batch cannot change any value.
-Distances are found by marching a radial grid along each direction until the
-signed oracle value flips, then solving for the crossing inside that grid
-cell with core.itp_crossings, started from the grid values at the cell's
-ends.  Round 0 marches a fixed table of directions per space (the signed
-axes, one diagonal per open orthant for dim <= 4, unit vectors from a fixed
-stream) and decides saturation: a row with no crossing keeps the signed
-search radius.  Later rounds refine only the rows that crossed, with a
-shrinking cone of proposals, fixed per dimension, around the best direction
-so far.  The march stops where no value can change: a round only keeps a
-crossing that beats its row's best distance so far, so it marches only the
-grid cells that start below the largest best of the batch, and past the
-first few cells only the rays with no crossing yet.  The oracle's values
-only place each probe; its sign, which membership gives exactly, decides
-which end the probe replaces.  A ray never takes more passes than bisection
-down to BISECT_TOL (36), and most calls end after 8-11.  The sign is
-therefore exact; the magnitude overestimates the true distance by at most
-roughly PROBE_RESOLUTION, because only finitely many directions are tried.
+Round 0 marches the whole radial grid of a fixed table of directions per
+space (the signed axes, one diagonal per open orthant for dim <= 4, unit
+vectors from a fixed stream) in one oracle call, then solves each ray's
+first crossing cell with core.itp_crossings, started from the grid values
+at the cell's ends.  It decides saturation: a row with no crossing keeps
+the signed search radius.  Later rounds refine only the rows that crossed,
+with a shrinking cone of proposals, fixed per dimension, around the best
+direction so far.  A proposal can beat its row's best only if its sign has
+flipped there, so each round probes each proposal once, at its row's best,
+and solves [0, best] only where the sign flipped; it drops the rest, also
+a ray that leaves and re-enters M before the best, and may solve to a later
+crossing than the first on a ray that crosses more often.  Either way the
+value is a crossing distance.  The oracle's values only place each solver
+probe; its sign, which membership gives exactly, decides which end the
+probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) passes:
+36 on a grid cell, 41 on a refinement bracket.  The sign is therefore
+exact; the magnitude overestimates the true distance by at most roughly
+PROBE_RESOLUTION, because only finitely many directions are tried.
 Membership codes of the signed distance are the base ones, and march no
 rays.  ``check_theorem2`` returns certify's precondition failure off the
 boundary band, else the ``clarke.NondegeneracyResult`` of the witness search
@@ -65,7 +66,6 @@ __all__ = [
 
 SEARCH_RADIUS = 1.5
 RESOLUTION = 24            # radial grid points per direction
-HEAD_COLUMNS = 4           # grid points marched on every ray; the rest only until a crossing
 N_DIRECTIONS = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
 DIAGONAL_MAX_DIM = 4       # up to this dim every orthant gets a diagonal
 REFINE_ROUNDS = 9
@@ -73,6 +73,7 @@ REFINE_STEP = 0.6
 REFINE_SHRINK = 0.55
 REFINE_PROPOSALS = 4
 BISECT_TOL = 1e-12
+THEOREM2_BUDGET = 768      # check_theorem2's cap on cfg.sample_budget
 
 # Conservative bound on magnitude overestimation.  Direction search ends
 # with proposal cones of angular scale REFINE_STEP *
@@ -125,52 +126,32 @@ def _ray_crossings(
     signs: np.ndarray,      # (n,) +-1, makes f positive at each origin
     g0: np.ndarray,         # (n,) signs * f at each origin, > 0
     origins: np.ndarray,    # (n, dim)
-    dirs: np.ndarray,       # (n, p, dim) unit directions per row
-    cutoff: float,          # in (0, SEARCH_RADIUS]: only crossings below it matter
+    dirs: np.ndarray,       # (p, dim) unit directions, shared by every row
 ) -> tuple[np.ndarray, np.ndarray]:
     """First sign crossing along each ray on the radial grid; (dist, hit) of shape (n, p).
 
-    Only the grid cells that start below cutoff are marched: the first
-    ``HEAD_COLUMNS`` for every ray, the rest only for rays with no crossing
-    in those.  A ray whose first crossing lies below cutoff gets the same
-    (dist, hit) as a march of the whole grid; every other ray reports
-    dist >= cutoff.
+    Every ray is marched over the whole grid in one oracle call; one
+    ``itp_crossings`` call then solves each ray's first crossing cell,
+    started from the grid values at the cell's ends, in at most 36 passes.
+    A ray with no crossing reports SEARCH_RADIUS.
     """
-    n, p, d = dirs.shape
+    (n, d), p = origins.shape, len(dirs)
     rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
-    m = int(np.sum(rho[:-1] < cutoff))   # columns of rho[1:] whose cell starts below cutoff
-    head = min(HEAD_COLUMNS, m)
-    flat_dirs = dirs.reshape(n * p, d)
-
-    def march(rays: np.ndarray, cols: slice) -> np.ndarray:
-        # signs * f at the grid points rho[1:][cols] of the given rays; the
-        # grid points are the largest array here: add in place, and let them
-        # go before the product
-        row = rays // p
-        probes = rho[1:][cols, None] * flat_dirs[rays, None, :]
-        probes += origins[row, None, :]
-        vals = f_values(probes.reshape(-1, d)).reshape(rays.size, -1)
-        del probes
-        return signs[row, None] * vals
-
-    # a column a ray skips reads as no crossing; a ray skips columns only
-    # after a crossing in the head, which argmax finds first
-    g = np.full((n * p, m), np.inf)
-    g[:, :head] = march(np.arange(n * p), slice(0, head))
-    late = np.nonzero(~(g[:, :head] <= 0.0).any(axis=1))[0]
-    if m > head and late.size:
-        g[late, head:] = march(late, slice(head, m))
+    # the grid points are the largest array here: one of them, gone before
+    # the solver runs
+    probes = origins[:, None, None, :] + rho[1:, None] * dirs[:, None, :]
+    g = signs[:, None, None] * f_values(probes.reshape(-1, d)).reshape(n, p, RESOLUTION)
+    del probes
     neg = g <= 0.0
-    hit = neg.any(axis=1)
-    j0 = np.argmax(neg, axis=1)   # index into rho[1:], first crossing
-    dist = np.full(n * p, SEARCH_RADIUS)
-    idx = np.nonzero(hit)[0]
-    if idx.size:
-        row, j = idx // p, j0[idx]
-        g_lo = np.where(j > 0, g[idx, j - 1], g0[row])   # g at rho[j], the origin for j = 0
-        dist[idx] = itp_crossings(f_values, origins[row], flat_dirs[idx], rho[j], rho[j + 1],
-                                  g_lo, g[idx, j], BISECT_TOL, orient=signs[row])
-    return dist.reshape(n, p), hit.reshape(n, p)
+    hit = neg.any(axis=2)
+    dist = np.full((n, p), SEARCH_RADIUS)
+    row, col = np.nonzero(hit)
+    if row.size:
+        j = np.argmax(neg[row, col], axis=1)   # index into rho[1:], first crossing
+        g_lo = np.where(j > 0, g[row, col, j - 1], g0[row])   # g at rho[j], the origin for j = 0
+        dist[row, col] = itp_crossings(f_values, origins[row], dirs[col], rho[j], rho[j + 1],
+                                       g_lo, g[row, col, j], BISECT_TOL, orient=signs[row])
+    return dist, hit
 
 
 def signed_distance_values(
@@ -199,8 +180,7 @@ def signed_distance_values(
     # round 0 marches the fixed directions and decides saturation: a row
     # with no crossing keeps the signed search radius and its flag
     dirs = _directions(space)
-    dist, hit = _ray_crossings(f.values, s, g0, Ya,
-                               np.broadcast_to(dirs, (active.size, *dirs.shape)), SEARCH_RADIUS)
+    dist, hit = _ray_crossings(f.values, s, g0, Ya, dirs)
     crossed = hit.any(axis=1)
     flags[active] = ~crossed
     vals[active] = s * SEARCH_RADIUS
@@ -216,13 +196,21 @@ def signed_distance_values(
         props = best_dir[:, None, :] + sigma * noise[None, :, :]
         props = props / np.maximum(space.norm(props), 1e-300)[..., None]
         sigma *= REFINE_SHRINK
-        # a ray's crossing counts only below its row's best, so no row needs
-        # the grid past the largest best
-        dist, hit = _ray_crossings(f.values, s, g0, Ya, props, float(np.max(best)))
-        cand = np.min(dist, axis=1)
-        improved = hit.any(axis=1) & (cand < best)
-        best = np.where(improved, cand, best)
-        best_dir = np.where(improved[:, None], props[rows, np.argmin(dist, axis=1)], best_dir)
+        # a proposal can beat its row's best only if its sign has flipped
+        # there; then [0, best] brackets a crossing
+        at_best = props * best[:, None, None]
+        at_best += Ya[:, None, :]
+        g = s[:, None] * f.values(at_best.reshape(-1, space.dim)).reshape(props.shape[:2])
+        row, col = np.nonzero(g <= 0.0)
+        if not row.size:
+            continue
+        dist = np.full(g.shape, np.inf)
+        dist[row, col] = itp_crossings(f.values, Ya[row], props[row, col], np.zeros(row.size),
+                                       best[row], g0[row], g[row, col], BISECT_TOL, orient=s[row])
+        k = np.argmin(dist, axis=1)
+        cand = dist[rows, k]
+        best_dir = np.where((cand < best)[:, None], props[rows, k], best_dir)
+        best = np.minimum(cand, best)
     vals[active] = s * best
     return vals, flags
 
@@ -301,7 +289,7 @@ def check_theorem2(
     gradients are taken at wide offsets.
     """
     x = np.asarray(x, dtype=float)
-    budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, 768))
+    budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, THEOREM2_BUDGET))
     return (boundary_band_failure(inst, x, cfg)
             or is_nondegenerate(sd_instance(inst, cfg), x, budget_cfg))
 

@@ -22,7 +22,7 @@ from epicert.clarke import (
 )
 from epicert.core import FunctionOracle, NormedSpace, NumericConfig
 from epicert.expressions import compile_expression
-from epicert.signed_distance import sd_instance
+from epicert.signed_distance import THEOREM2_BUDGET, sd_instance
 
 
 @pytest.fixture
@@ -198,7 +198,7 @@ def test_is_nondegenerate_shares_one_ladder_base(route, monkeypatch):
     cfg = NumericConfig(rng_seed=42)
     inst = entry.instance
     if route == "signed-distance":
-        inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=768)
+        inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=THEOREM2_BUDGET)
     x = entry.degenerate_at[0]
     batches = []
 

@@ -620,14 +620,25 @@ def _far_instance(tmp_path, name, **config):
 @pytest.mark.parametrize("argv", [("certify",), ("theorem2", "--promote")],
                          ids=["certify", "theorem2-promote"])
 def test_tol_bisect_below_float_spacing_exit_1(capsys, tmp_path, argv):
-    code, _, err = run(capsys, *argv, "--instance", _far_instance(tmp_path, "inst.json"))
+    code, out, err = run(capsys, *argv, "--instance", _far_instance(tmp_path, "inst.json"))
     assert code == 1
+    assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["failure"] == "precondition"
     assert payload["error"].endswith(
         f"the smallest usable value is {float(np.spacing(1e7 + 1.0))!r}")
+
+
+@pytest.mark.parametrize("argv", [("certify",), ("theorem2", "--promote")],
+                         ids=["certify", "theorem2-promote"])
+def test_off_band_point_is_refused_before_the_tolerance(capsys, tmp_path, argv):
+    # both checks fail at x1 = 1e7 + 1; the band check comes first
+    code, out, err = run(capsys, *argv, "--instance", _far_instance(tmp_path, "inst.json"),
+                         "--point", "10000001,0")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"].startswith("x is outside, not in the boundary band")
 
 
 def test_tol_bisect_at_float_spacing_certifies_and_verifies(capsys, tmp_path):

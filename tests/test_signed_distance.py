@@ -112,10 +112,9 @@ def test_determinism(ball, cfg):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_ray_march_cutoff_keeps_every_crossing_below_it(data, cfg):
-    # the march stops at cutoff: every ray whose crossing on the whole grid
-    # lies below it keeps its (dist, hit) bit for bit, every other one
-    # reports dist >= cutoff
+def test_ray_march_finds_each_rays_first_crossing_cell(data, cfg):
+    # every ray reports a crossing inside the first cell where a plain march
+    # of the whole grid changes sign, and the search radius if none does
     cid = data.draw(st.sampled_from(["halfspace", "unit_ball_euclid", "max_two_planes",
                                      "union_balls", "singleton_sq"]))
     f = load(cid).instance.f
@@ -125,26 +124,87 @@ def test_ray_march_cutoff_keeps_every_crossing_below_it(data, cfg):
     f0 = f.values(origins)
     signs = band_codes(f0, cfg).astype(float)
     assume(np.all(signs != 0.0))
-    dirs = rng.standard_normal((n, p, 2))
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    dirs = rng.standard_normal((p, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
-    cutoff = data.draw(st.one_of(st.sampled_from(rho[1:].tolist()),
-                                 st.floats(1e-6, SEARCH_RADIUS)))
-    args = (f.values, signs, signs * f0, origins, dirs)
-    full_dist, full_hit = sd_module._ray_crossings(*args, SEARCH_RADIUS)
-    dist, hit = sd_module._ray_crossings(*args, cutoff)
-    # the full march finds the first crossing cell of a plain whole-grid march
-    grid = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[:, :, None, :]
+    dist, hit = sd_module._ray_crossings(f.values, signs, signs * f0, origins, dirs)
+    grid = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[None, :, None, :]
     crossed = signs[:, None, None] * f.values(grid.reshape(-1, 2)).reshape(n, p, -1) <= 0
     j = np.argmax(crossed, axis=2)
-    np.testing.assert_array_equal(full_hit, crossed.any(axis=2))
-    assert np.all(np.where(full_hit, (rho[j] <= full_dist) & (full_dist <= rho[j + 1]),
-                           full_dist == SEARCH_RADIUS))
-    below = full_dist < cutoff
-    np.testing.assert_array_equal(dist[below], full_dist[below])
-    np.testing.assert_array_equal(hit[below], full_hit[below])
-    assert np.all(full_hit[below])
-    assert np.all(dist[~below] >= cutoff)
+    np.testing.assert_array_equal(hit, crossed.any(axis=2))
+    assert np.all(np.where(hit, (rho[j] <= dist) & (dist <= rho[j + 1]), dist == SEARCH_RADIUS))
+
+
+def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half, cfg):
+    # after round 0, each round asks the base oracle for one point per
+    # proposal of every crossed row, then solves only the proposals whose
+    # sign flipped there
+    rng = np.random.default_rng(5)
+    n = 7
+    Y = np.column_stack([rng.uniform(0.1, 1.2, n), rng.uniform(-1.0, 1.0, n)])   # all outside
+    calls = []
+
+    def counted(P):
+        out = half.f.eval(P)
+        calls.append(("eval", len(P), out))
+        return out
+
+    real_itp = sd_module.itp_crossings
+
+    def itp(*args, **kwargs):
+        calls.append(("itp", len(args[3]), None))
+        out = real_itp(*args, **kwargs)
+        calls.append(("end", 0, None))
+        return out
+
+    monkeypatch.setattr(sd_module, "itp_crossings", itp)
+    inst = replace(half, f=replace(half.f, eval=counted))
+    _, flags = signed_distance_values(inst, Y, cfg)
+    assert not flags.any()
+    # set the solver's own passes aside, each within its call's rows
+    outer, solving = [], 0
+    for kind, size, out in calls:
+        if kind == "end":
+            solving = 0
+        elif solving:
+            assert kind == "eval" and size <= solving
+        else:
+            outer.append((kind, size, out))
+            solving = size if kind == "itp" else 0
+    n_grid = n * len(sd_module._directions(half.space)) * RESOLUTION
+    assert [c[:2] for c in outer[:2]] == [("eval", n), ("eval", n_grid)]
+    assert outer[2][0] == "itp"
+    rounds = outer[3:]
+    for _ in range(sd_module.REFINE_ROUNDS):
+        kind, size, out = rounds.pop(0)
+        assert (kind, size) == ("eval", n * sd_module.REFINE_PROPOSALS)
+        flipped = int(np.sum(out <= 0.0))   # every row is outside: its sign is +1
+        if flipped:
+            assert rounds.pop(0)[:2] == ("itp", flipped)
+    assert rounds == []
+
+
+def test_proposal_crossing_a_thin_slab_twice_keeps_an_upper_bound(cfg):
+    # M is {x1 <= 0} plus a slab far thinner than one grid cell; where round
+    # 0 misses the slab its best is the halfspace, so a proposal ray that
+    # reaches past the slab crosses it twice before its row's best and is
+    # dropped; the value stays a crossing distance, above the true one
+    lo, hi = 0.5245, 0.5255
+    f = compile_expression(["min", "x1", ["-", ["abs", ["-", "x1", 0.5 * (lo + hi)]],
+                                                0.5 * (hi - lo)]], 2)
+    inst = ProblemInstance(space=NormedSpace(2, "euclidean"), f=f)
+    rng = np.random.default_rng(9)
+    Y = np.vstack([np.column_stack([rng.uniform(0.8, 1.2, 12), rng.uniform(-1.0, 1.0, 12)]),
+                   np.column_stack([rng.uniform(-0.5, -0.05, 6), rng.uniform(-1.0, 1.0, 6)])])
+    x1 = Y[:, 0]
+    true = np.where(x1 > hi, x1 - hi, x1)
+    dist0, _ = sd_module._ray_crossings(f.values, np.sign(true), np.abs(f.values(Y)), Y,
+                                         sd_module._directions(inst.space))
+    assert np.sum(dist0[:12].min(axis=1) > x1[:12] - 1e-9) >= 10   # round 0 misses the slab
+    vals, flags = signed_distance_values(inst, Y, cfg)
+    assert not flags.any()
+    np.testing.assert_array_equal(np.sign(vals), np.sign(true))
+    assert np.all(np.abs(vals) >= np.abs(true) - 1e-12)
 
 
 def test_singleton_far_side_saturates(cfg):
