@@ -4,12 +4,13 @@ The value at y is the distance to M for outside points and minus the
 distance to the complement for inside points; zero inside the membership
 band.  It depends on the instance alone, never on a run seed or on batch
 position, so splitting or reordering a batch cannot change any value.
-Round 0 marches the whole radial grid of a fixed table of directions per
-space (the signed axes, one diagonal per open orthant for dim <= 4, unit
-vectors from a fixed stream) in one oracle call, then solves each ray's
-first crossing cell with core.itp_crossings, started from the grid values
-at the cell's ends.  It decides saturation: a row with no crossing keeps
-the signed search radius.  Later rounds refine only the rows that crossed,
+Round 0 marches the radial grid of a fixed table of directions per space
+(the signed axes, one diagonal per open orthant for dim <= 4, unit vectors
+from a fixed stream) in doubling column blocks, one oracle call each over
+the rows with no crossing yet; core.itp_crossings solves only the rays that
+cross first in a row's earliest crossing column, since a later ray crosses
+farther out.  It decides saturation: a row with no crossing keeps the
+signed search radius.  Later rounds refine only the rows that crossed,
 with a shrinking cone of proposals, fixed per dimension, around the best
 direction so far.  A proposal can beat its row's best only if its sign has
 flipped there, so each round probes each proposal once, at its row's best,
@@ -127,31 +128,47 @@ def _ray_crossings(
     g0: np.ndarray,         # (n,) signs * f at each origin, > 0
     origins: np.ndarray,    # (n, dim)
     dirs: np.ndarray,       # (p, dim) unit directions, shared by every row
-) -> tuple[np.ndarray, np.ndarray]:
-    """First sign crossing along each ray on the radial grid; (dist, hit) of shape (n, p).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's least crossing on the radial grid; (best, best_dir, crossed).
 
-    Every ray is marched over the whole grid in one oracle call; one
-    ``itp_crossings`` call then solves each ray's first crossing cell,
-    started from the grid values at the cell's ends, in at most 36 passes.
-    A ray with no crossing reports SEARCH_RADIUS.
+    Column blocks [0, 1), [1, 2), [2, 4), ... take one oracle call each over
+    the rows with no crossing yet.  Only the rays that cross first in a
+    row's earliest crossing column j* are solved, by one ``itp_crossings``
+    call from the grid values at the cell's ends; a later ray crosses past
+    rho[j* + 1].  A row with no crossing marches the whole grid and reports
+    SEARCH_RADIUS.
     """
     (n, d), p = origins.shape, len(dirs)
     rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
-    # the grid points are the largest array here: one of them, gone before
-    # the solver runs
-    probes = origins[:, None, None, :] + rho[1:, None] * dirs[:, None, :]
-    g = signs[:, None, None] * f_values(probes.reshape(-1, d)).reshape(n, p, RESOLUTION)
-    del probes
-    neg = g <= 0.0
-    hit = neg.any(axis=2)
+    steps = rho[1:, None] * dirs[:, None, :]   # (p, RESOLUTION, dim)
+    # the open rows' index, origin, sign and g at the column before the block
+    idx, O, S, g_prev = np.arange(n), origins, signs, np.broadcast_to(g0[:, None], (n, p))
+    cells, a = [], 0
+    while idx.size and a < RESOLUTION:
+        b = min(max(2 * a, 1), RESOLUTION)
+        probes = O[:, None, None, :] + steps[:, a:b]
+        g = S[:, None, None] * f_values(probes.reshape(-1, d)).reshape(idx.size, p, b - a)
+        neg = g <= 0.0
+        done = neg.any(axis=(1, 2))
+        if done.any():
+            # no ray of a done row crossed before its column jl, so the
+            # rays that cross there cross there first
+            jl = np.argmax(neg.any(axis=1), axis=1)
+            r, c = np.nonzero(neg[np.arange(idx.size), :, jl] & done[:, None])
+            jr = jl[r]
+            g_lo = np.where(jr > 0, g[r, c, jr - 1], g_prev[r, c])
+            cells.append((idx[r], c, a + jr, g_lo, g[r, c, jr]))
+            idx, O, S, g = idx[~done], O[~done], S[~done], g[~done]
+        g_prev, a = g[:, :, -1], b
     dist = np.full((n, p), SEARCH_RADIUS)
-    row, col = np.nonzero(hit)
-    if row.size:
-        j = np.argmax(neg[row, col], axis=1)   # index into rho[1:], first crossing
-        g_lo = np.where(j > 0, g[row, col, j - 1], g0[row])   # g at rho[j], the origin for j = 0
+    if cells:
+        row, col, j, g_lo, g_hi = (np.concatenate(v) for v in zip(*cells))
         dist[row, col] = itp_crossings(f_values, origins[row], dirs[col], rho[j], rho[j + 1],
-                                       g_lo, g[row, col, j], BISECT_TOL, orient=signs[row])
-    return dist, hit
+                                       g_lo, g_hi, BISECT_TOL, orient=signs[row])
+    crossed = np.ones(n, dtype=bool)
+    crossed[idx] = False   # the rows still open never crossed
+    k = np.argmin(dist, axis=1)
+    return dist[np.arange(n), k], dirs[k], crossed
 
 
 def signed_distance_values(
@@ -179,18 +196,15 @@ def signed_distance_values(
     Ya = Y[active]
     # round 0 marches the fixed directions and decides saturation: a row
     # with no crossing keeps the signed search radius and its flag
-    dirs = _directions(space)
-    dist, hit = _ray_crossings(f.values, s, g0, Ya, dirs)
-    crossed = hit.any(axis=1)
+    best, best_dir, crossed = _ray_crossings(f.values, s, g0, Ya, _directions(space))
     flags[active] = ~crossed
     vals[active] = s * SEARCH_RADIUS
     if not crossed.any():
         return vals, flags
     # each later round refines only the rows that crossed, with a shrinking
     # cone of proposals around the best direction so far
-    active, s, g0, Ya, dist = (v[crossed] for v in (active, s, g0, Ya, dist))
+    active, s, g0, Ya, best, best_dir = (v[crossed] for v in (active, s, g0, Ya, best, best_dir))
     rows = np.arange(active.size)
-    best, best_dir = np.min(dist, axis=1), dirs[np.argmin(dist, axis=1)]
     sigma = REFINE_STEP
     for noise in _refine_noise(space.dim):
         props = best_dir[:, None, :] + sigma * noise[None, :, :]

@@ -15,6 +15,7 @@ from epicert.core import (
     NumericConfig,
     ProblemInstance,
     band_codes,
+    itp_crossings,
     membership_codes,
     sample_ball,
     signed_axes,
@@ -110,29 +111,51 @@ def test_determinism(ball, cfg):
     np.testing.assert_array_equal(a, b)
 
 
+def _whole_grid_reference(f_values, signs, g0, origins, dirs):
+    # round 0 as one plain march: every ray over the whole grid, every ray
+    # that crosses solved in its first crossing cell, then each row's min
+    (n, d), p = origins.shape, len(dirs)
+    rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
+    grid = origins[:, None, None, :] + rho[1:, None] * dirs[:, None, :]
+    g = signs[:, None, None] * f_values(grid.reshape(-1, d)).reshape(n, p, RESOLUTION)
+    neg = g <= 0.0
+    hit = neg.any(axis=2)
+    dist = np.full((n, p), SEARCH_RADIUS)
+    row, col = np.nonzero(hit)
+    j = np.argmax(neg[row, col], axis=1)
+    g_lo = np.where(j > 0, g[row, col, j - 1], g0[row])
+    dist[row, col] = itp_crossings(f_values, origins[row], dirs[col], rho[j], rho[j + 1], g_lo,
+                                   g[row, col, j], sd_module.BISECT_TOL, orient=signs[row])
+    return np.min(dist, axis=1), dirs[np.argmin(dist, axis=1)], hit.any(axis=1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_ray_march_finds_each_rays_first_crossing_cell(data, cfg):
-    # every ray reports a crossing inside the first cell where a plain march
-    # of the whole grid changes sign, and the search radius if none does
+def test_ray_march_matches_a_whole_grid_reference(data, cfg):
+    # stopping each row after the block of its earliest crossing column
+    # solves only the rays that cross there, yet every row's best
+    # distance, best direction and crossed flag keep their bits
     cid = data.draw(st.sampled_from(["halfspace", "unit_ball_euclid", "max_two_planes",
-                                     "union_balls", "singleton_sq"]))
-    f = load(cid).instance.f
-    n, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 16))
+                                     "union_balls", "singleton_sq", "rockafellar_4"]))
+    inst = load(cid).instance
+    dim = inst.space.dim
+    n = data.draw(st.integers(1, 8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    origins = rng.uniform(-1.5, 1.5, (n, 2))
-    f0 = f.values(origins)
+    scale = rng.choice([0.05, 0.3, 1.5], (n, 1))   # near the boundary and far from it
+    origins = rng.uniform(-1.0, 1.0, (n, dim)) * scale
+    f0 = inst.f.values(origins)
     signs = band_codes(f0, cfg).astype(float)
     assume(np.all(signs != 0.0))
-    dirs = rng.standard_normal((p, 2))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rho = np.linspace(0.0, SEARCH_RADIUS, RESOLUTION + 1)
-    dist, hit = sd_module._ray_crossings(f.values, signs, signs * f0, origins, dirs)
-    grid = origins[:, None, None, :] + rho[None, None, 1:, None] * dirs[None, :, None, :]
-    crossed = signs[:, None, None] * f.values(grid.reshape(-1, 2)).reshape(n, p, -1) <= 0
-    j = np.argmax(crossed, axis=2)
-    np.testing.assert_array_equal(hit, crossed.any(axis=2))
-    assert np.all(np.where(hit, (rho[j] <= dist) & (dist <= rho[j + 1]), dist == SEARCH_RADIUS))
+    if data.draw(st.booleans()):
+        dirs = sd_module._directions(inst.space)
+    else:
+        dirs = rng.standard_normal((data.draw(st.integers(1, 16)), dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    got = sd_module._ray_crossings(inst.f.values, signs, signs * f0, origins, dirs)
+    want = _whole_grid_reference(inst.f.values, signs, signs * f0, origins, dirs)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half, cfg):
@@ -171,10 +194,21 @@ def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half
         else:
             outer.append((kind, size, out))
             solving = size if kind == "itp" else 0
-    n_grid = n * len(sd_module._directions(half.space)) * RESOLUTION
-    assert [c[:2] for c in outer[:2]] == [("eval", n), ("eval", n_grid)]
-    assert outer[2][0] == "itp"
-    rounds = outer[3:]
+    # round 0: one call per column block [0, 1), [1, 2), [2, 4), ...,
+    # over the rows with no crossing yet, then one solver call
+    p = len(sd_module._directions(half.space))
+    assert outer[0][:2] == ("eval", n)
+    blocks, open_rows = 0, n
+    for width in (1, 1, 2, 4, 8, 8):
+        if not open_rows:
+            break
+        kind, size, out = outer[1 + blocks]
+        assert (kind, size) == ("eval", open_rows * p * width)
+        open_rows -= int(np.sum((out.reshape(open_rows, p, width) <= 0.0).any(axis=(1, 2))))
+        blocks += 1
+    assert open_rows == 0 and blocks >= 3   # later blocks asked for fewer rows
+    assert outer[1 + blocks][0] == "itp"
+    rounds = outer[2 + blocks:]
     for _ in range(sd_module.REFINE_ROUNDS):
         kind, size, out = rounds.pop(0)
         assert (kind, size) == ("eval", n * sd_module.REFINE_PROPOSALS)
@@ -198,31 +232,62 @@ def test_proposal_crossing_a_thin_slab_twice_keeps_an_upper_bound(cfg):
                    np.column_stack([rng.uniform(-0.5, -0.05, 6), rng.uniform(-1.0, 1.0, 6)])])
     x1 = Y[:, 0]
     true = np.where(x1 > hi, x1 - hi, x1)
-    dist0, _ = sd_module._ray_crossings(f.values, np.sign(true), np.abs(f.values(Y)), Y,
-                                         sd_module._directions(inst.space))
-    assert np.sum(dist0[:12].min(axis=1) > x1[:12] - 1e-9) >= 10   # round 0 misses the slab
+    best0, _, _ = sd_module._ray_crossings(f.values, np.sign(true), np.abs(f.values(Y)), Y,
+                                            sd_module._directions(inst.space))
+    assert np.sum(best0[:12] > x1[:12] - 1e-9) >= 10   # round 0 misses the slab
     vals, flags = signed_distance_values(inst, Y, cfg)
     assert not flags.any()
     np.testing.assert_array_equal(np.sign(vals), np.sign(true))
     assert np.all(np.abs(vals) >= np.abs(true) - 1e-12)
 
 
-def test_singleton_far_side_saturates(cfg):
-    # outside, no inside found on any ray; round 0 decides that, so the
-    # oracle sees f(Y) and round 0's march of the whole grid, nothing more
-    inst = load("singleton_sq").instance
+def _counting(inst):
     seen = []
 
     def counted(P):
         seen.append(len(P))
         return inst.f.eval(P)
 
-    n = 3
-    Y = np.tile([0.7, 0.0], (n, 1))
-    vals, flags = signed_distance_values(replace(inst, f=replace(inst.f, eval=counted)), Y, cfg)
+    return replace(inst, f=replace(inst.f, eval=counted)), seen
+
+
+def test_singleton_far_side_saturates(cfg):
+    # outside, no inside found on any ray; round 0 decides that, so the
+    # oracle sees f(Y) and one call per column block, each over every row:
+    # the six blocks cover all 24 columns, and no ray is solved
+    inst, seen = _counting(load("singleton_sq").instance)
+    rng = np.random.default_rng(13)
+    n = 5
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    Y = rng.uniform(0.2, 1.4, (n, 1)) * np.column_stack([np.cos(angle), np.sin(angle)])
+    vals, flags = signed_distance_values(inst, Y, cfg)
     assert flags.all()
     assert np.all(vals == SEARCH_RADIUS)
-    assert sum(seen) == n + n * len(sd_module._directions(inst.space)) * RESOLUTION
+    p = len(sd_module._directions(inst.space))
+    assert seen == [n] + [n * p * width for width in (1, 1, 2, 4, 8, 8)]
+
+
+def test_rows_within_one_cell_of_the_boundary_stop_after_the_first_column(monkeypatch, half,
+                                                                          cfg):
+    # an axis ray of every row crosses at rho = 0.0625, so round 0 asks
+    # the first column of each ray and nothing more before it solves
+    rng = np.random.default_rng(12)
+    n, cell = 9, SEARCH_RADIUS / RESOLUTION
+    x1 = rng.uniform(0.01, 0.99, n) * cell * rng.choice([-1.0, 1.0], n)
+    Y = np.column_stack([x1, rng.uniform(-1.0, 1.0, n)])
+    inst, seen = _counting(half)
+    calls = []
+    real_itp = sd_module.itp_crossings
+
+    def itp(*args, **kwargs):
+        calls.append(list(seen))
+        return real_itp(*args, **kwargs)
+
+    monkeypatch.setattr(sd_module, "itp_crossings", itp)
+    vals, flags = signed_distance_values(inst, Y, cfg)
+    assert not flags.any()
+    assert calls[0] == [n, n * len(sd_module._directions(half.space))]
+    np.testing.assert_allclose(vals, x1, atol=2 * PROBE_RESOLUTION)
 
 
 def test_signed_distance_ignores_the_run_seed():
