@@ -52,6 +52,7 @@ __all__ = [
 WITNESS_TOL = 1e-6     # a direction counts as descending only below this
 HULL_ZERO_TOL = 1e-3   # hull min-norm below this reads as 0 in the hull
 SAFETY = 1.25          # inflation applied to raw sampled Lipschitz quotients
+CHORD_FRACTION = 1e-4  # Lipschitz chord half-length, over the radius
 MNP_TOL = 1e-10        # Wolfe optimality tolerance, relative to max(1, |x|^2)
 MNP_MAX_ITER = 10000   # Wolfe major cycles
 
@@ -371,10 +372,14 @@ def local_lipschitz_constant(
     lockstep, so every oracle query here is one batch.  A run whose gradient
     vanishes takes a random unit step direction from this call's rng stream,
     in row order.  The returned value inflates the raw max by a fixed safety
-    factor unless a consistent analytic hint caps it.
+    factor unless a consistent analytic hint caps it.  A constant the route
+    knows by theorem, ``f.scales.lipschitz`` (the signed distance's 1), is
+    returned before any draw or oracle call, with no quotients.
     """
+    if f.scales.lipschitz is not None:
+        return LipschitzEstimate(value=f.scales.lipschitz, raw_max=0.0, n_quotients=0,
+                                 hint_inconsistent=False)
     center = np.asarray(center, dtype=float)
-    chord_fraction = f.scales.chord_fraction
     rng = cfg.rng("lipschitz", f.descriptor, round(radius, 12))
     d = space.dim
     min_sep = 1e-9 * radius
@@ -382,9 +387,9 @@ def local_lipschitz_constant(
     n_pairs = 512
     A = sample_ball(space, center, radius, n_pairs, rng)
     B = sample_ball(space, center, radius, n_pairs, rng)
-    h = chord_fraction * radius
+    h = CHORD_FRACTION * radius
     n_chord = 128
-    bases = sample_ball(space, center, radius * (1.0 - 2.0 * chord_fraction), n_chord, rng)
+    bases = sample_ball(space, center, radius * (1.0 - 2.0 * CHORD_FRACTION), n_chord, rng)
     U = space.chord_directions(n_chord, rng)
     # chords along the steepest direction each local gradient allows
     grads = f.gradients(bases)
@@ -410,7 +415,7 @@ def local_lipschitz_constant(
         live = np.linalg.norm(G, axis=1) > 1e-12
         U = np.empty_like(P)
         U[live] = space.dual_norming_direction(G[live])
-        base = center + (P[live] - center) * (1.0 - 2.0 * chord_fraction)
+        base = center + (P[live] - center) * (1.0 - 2.0 * CHORD_FRACTION)
         quotients.append(
             pair_quotients(space, f.values, base + h * U[live], base - h * U[live], min_sep)
         )

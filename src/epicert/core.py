@@ -262,9 +262,11 @@ class Scales:
     """Sampling scales of the certification pipeline, carried by the oracle.
 
     The plain route and the signed-distance route run the same construction
-    and differ only in these values.  A ``None`` field takes its default
+    and differ only in these values.  A ``None`` scale takes its default
     relative to 1 + |x| at the point under test (``dd_stab_tol``: the
-    config's ``tol_value``).
+    config's ``tol_value``).  ``lipschitz`` is a Lipschitz constant the
+    route knows by theorem, which ``local_lipschitz_constant`` returns
+    without sampling; None samples it.
     """
 
     hull_perturbation: float | None = None  # offset of hull gradient samples
@@ -272,7 +274,7 @@ class Scales:
     dd_delta_floor: float | None = None     # smallest directional-derivative scale
     dd_stab_tol: float | None = None        # agreement that ends the ladder
     t_min_fraction: float = 1e-4            # shortest descent-radius step, over 2r
-    chord_fraction: float = 1e-4            # Lipschitz chord half-length, over r
+    lipschitz: float | None = None          # Lipschitz constant known by theorem
 
 
 PLAIN = Scales()
@@ -287,10 +289,11 @@ class FunctionOracle:
     derivatives at kink points use difference quotients instead.
     lipschitz_hint, when present, is an analytic bound on the local Lipschitz
     constant near the region of interest and is cross-checked rather than
-    believed outright.  value_noise declares how far eval may sit from the
-    ideal function it stands for (0 for closed forms; the probe resolution
-    for estimated oracles); magnitude-sensitive checks add it to their
-    tolerance.  Every pipeline stage samples f at f.scales.  values and
+    believed outright; a constant known by theorem is scales.lipschitz
+    instead, and is not sampled.  value_noise declares how far eval may sit
+    from the ideal function it stands for (0 for closed forms; the probe
+    resolution for estimated oracles); magnitude-sensitive checks add it to
+    their tolerance.  Every pipeline stage samples f at f.scales.  values and
     gradients raise NonFiniteValue on NaN or infinity.  sign, when present,
     is a cheaper (n, dim) -> (n,) query for f's membership codes, with
     exactly eval's signs (0 in the band); membership_codes and lambda's root

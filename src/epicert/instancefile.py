@@ -8,10 +8,12 @@ Layout:
                    "lipschitz_hint": 1.0}            or {"catalog_id": "..."}
       "boundary_points": [[0.0, 0.0]],               optional with catalog_id
       "config": {"rng_seed": 7}                      optional, NumericConfig fields
+      "label": "disc"                                optional, names an expression instance
     }
 
 Catalog references inherit the entry's space, points, and reference data;
-explicit boundary_points replace the entry's list.
+explicit boundary_points replace the entry's list.  Any other key, at the
+top level or in the function section, is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ __all__ = ["InstanceSpecError", "parse_json", "parse_instance", "load_instance_f
 
 class InstanceSpecError(ValueError):
     pass
+
+
+TOP_KEYS = {"space", "function", "boundary_points", "config", "label"}
+# the function section's keys, by the key that picks its form
+FUNCTION_KEYS = {"catalog_id": {"catalog_id"}, "expression": {"expression", "lipschitz_hint"}}
 
 
 def parse_json(text: str):
@@ -72,11 +79,20 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
     """Build (instance, config) from parsed JSON."""
     if not isinstance(data, dict):
         raise InstanceSpecError("instance file must hold a JSON object")
+    unknown = set(data) - TOP_KEYS
+    if unknown:
+        raise InstanceSpecError(f"unknown top-level keys: {sorted(unknown)}")
     fn = data.get("function")
     if not isinstance(fn, dict):
         raise InstanceSpecError("missing function section")
+    form = next((key for key in FUNCTION_KEYS if key in fn), None)
+    if form is None:
+        raise InstanceSpecError("function section needs catalog_id or expression")
+    unknown = set(fn) - FUNCTION_KEYS[form]
+    if unknown:
+        raise InstanceSpecError(f"unknown function keys for {form}: {sorted(unknown)}")
 
-    if "catalog_id" in fn:
+    if form == "catalog_id":
         try:
             inst = catalog.load(str(fn["catalog_id"])).instance
         except KeyError as exc:
@@ -91,7 +107,7 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
         if "boundary_points" in data:
             pts = _parse_points(data["boundary_points"], inst.space.dim)
             inst = dataclasses.replace(inst, boundary_points=pts)
-    elif "expression" in fn:
+    else:
         if "space" not in data:
             raise InstanceSpecError("expression instances need a space section")
         space = _parse_space(data["space"])
@@ -115,8 +131,6 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
             space=space, f=oracle, boundary_points=pts,
             label=str(data.get("label", "instance")),
         )
-    else:
-        raise InstanceSpecError("function section needs catalog_id or expression")
 
     cfg_fields = data.get("config", {})
     if not isinstance(cfg_fields, dict):

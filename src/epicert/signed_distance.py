@@ -109,16 +109,18 @@ def _refine_noise(dim: int) -> np.ndarray:
 
 # Scales of the Theorem 2 route: the signed distance is only known to about
 # PROBE_RESOLUTION, so derivative ladders stop well above that floor, hull
-# gradients are taken at wide offsets, and descent steps and Lipschitz chords
-# stay long.  Written as factors of the search radius, not rounded literals:
-# 6e-3 * 1.5 != 0.009 in binary64, and certificates depend on the exact bits.
+# gradients are taken at wide offsets, and descent steps stay long.  Its
+# Lipschitz constant is 1 in the space's norm by theorem (Hiriart-Urruty
+# 1979), up to the probes' additive 2 * PROBE_RESOLUTION.  Written as factors
+# of the search radius, not rounded literals: 6e-3 * 1.5 != 0.009 in
+# binary64, and certificates depend on the exact bits.
 SD_SCALES = Scales(
     hull_perturbation=5e-3 * SEARCH_RADIUS,
     dd_delta0=0.04 * SEARCH_RADIUS,
     dd_delta_floor=6e-3 * SEARCH_RADIUS,
     dd_stab_tol=1e-3,
     t_min_fraction=0.05,
-    chord_fraction=3e-2,
+    lipschitz=1.0,
 )
 
 
@@ -232,14 +234,15 @@ def signed_distance_values(
 def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     """inst with f replaced by its signed distance, for the witness machinery.
 
-    The gradient uses wide central differences so that probe noise is
-    averaged out instead of amplified; value_noise carries the probe
-    resolution so verification tolerances account for it, and every stage,
-    the verifier's included, samples it at ``SD_SCALES``.  Its sign query
-    returns the base membership codes, which are the signed distance's own,
-    so membership codes and lambda's root finding march no rays.  The
-    probe directions and refinement cones are fixed per space, and round 0
-    decides saturation, so cfg's seed reaches no value.
+    The gradient, which only the gradient hull asks for (the Lipschitz
+    constant is ``SD_SCALES``' theorem 1), uses wide central differences so
+    that probe noise is averaged out instead of amplified; value_noise
+    carries the probe resolution so verification tolerances account for it,
+    and every stage, the verifier's included, samples it at ``SD_SCALES``.
+    Its sign query returns the base membership codes, which are the signed
+    distance's own, so membership codes and lambda's root finding march no
+    rays.  The probe directions and refinement cones are fixed per space,
+    and round 0 decides saturation, so cfg's seed reaches no value.
     """
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(inst, P, cfg)[0]
@@ -274,6 +277,9 @@ def sd_lipschitz_check(
     D, with additive probe slack:
 
     |D(p) - D(q)| <= 1.02 |p - q| + 2 * PROBE_RESOLUTION on all pairs.
+
+    Acceptance test 6 runs it: the numerical evidence for the constant 1
+    that ``SD_SCALES`` hands the pipeline in place of a sampled estimate.
     """
     space = inst.space
     n_pairs = 500

@@ -13,6 +13,7 @@ from epicert.catalog import load
 from epicert.clarke import (
     SAFETY,
     GradientHull,
+    LipschitzEstimate,
     NondegeneracyResult,
     directional_derivative,
     estimate_gradient_hull,
@@ -20,7 +21,7 @@ from epicert.clarke import (
     local_lipschitz_constant,
     min_norm_point,
 )
-from epicert.core import FunctionOracle, NormedSpace, NumericConfig
+from epicert.core import FunctionOracle, NormedSpace, NumericConfig, Scales
 from epicert.expressions import compile_expression
 from epicert.signed_distance import THEOREM2_BUDGET, sd_instance
 
@@ -282,6 +283,17 @@ def test_local_lipschitz_bad_hint_flagged(e2):
     est = local_lipschitz_constant(e2, f, np.zeros(2), 1.0, cfg)
     assert est.hint_inconsistent
     assert est.value == pytest.approx(SAFETY * est.raw_max, rel=1e-12)
+
+
+def test_local_lipschitz_theorem_constant_skips_sampling(e2):
+    # a constant known by theorem is returned before any draw or oracle call
+    def refuse(P):
+        raise AssertionError("oracle called")
+
+    f = FunctionOracle(eval=refuse, grad=refuse, scales=Scales(lipschitz=1.0))
+    est = local_lipschitz_constant(e2, f, np.zeros(2), 1.0, NumericConfig(rng_seed=42))
+    assert est == LipschitzEstimate(value=1.0, raw_max=0.0, n_quotients=0,
+                                    hint_inconsistent=False)
 
 
 @pytest.mark.parametrize("d", [16, 64, 256])

@@ -479,6 +479,16 @@ def test_instance_file_holding_an_array_exit_1(capsys, tmp_path):
     run_input_error(capsys, "certify", "--instance", str(inst))
 
 
+def test_misspelt_instance_key_exit_1(capsys, tmp_path):
+    # read as absent, the misspelt key would leave the catalog's points in place
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"function": {"catalog_id": "halfspace"},
+                                "boundary_point": [[0.0, 0.5]]}))
+    code, out, err = run(capsys, "certify", "--instance", str(inst))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "unknown top-level keys: ['boundary_point']"}
+
+
 def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"space": {"dim": 2}, "function": {"expression": "x1"}, '

@@ -111,6 +111,19 @@ def test_config_overrides():
         *(({"space": {"dim": 2}, "function": {"expression": "x1", "lipschitz_hint": hint},
             "boundary_points": [[0.0, 0.0]]}, "lipschitz_hint")
           for hint in ("abc", [1], True, -1, -0.5, float("nan"))),
+        # keys the parser would ignore are refused, naming them
+        ({"function": {"catalog_id": "halfspace", "lipschitz_hint": 0.1}},
+         r"unknown function keys for catalog_id: \['lipschitz_hint'\]"),
+        ({"function": {"catalog_id": "halfspace", "expression": "x1"}},
+         r"unknown function keys for catalog_id: \['expression'\]"),
+        ({"space": {"dim": 2}, "function": {"expression": "x1", "lipschitz": 1.0},
+          "boundary_points": [[0.0, 0.0]]},
+         r"unknown function keys for expression: \['lipschitz'\]"),
+        ({"function": {"catalog_id": "halfspace"}, "boundary_point": [[0.0, 0.5]]},
+         r"unknown top-level keys: \['boundary_point'\]"),
+        ({"space": {"dim": 2}, "function": {"expression": "x1"},
+          "boundary_points": [[0.0, 0.0]], "scales": {}, "lipschitz": 1.0},
+         r"unknown top-level keys: \['lipschitz', 'scales'\]"),
     ],
 )
 def test_bad_instance_data(data, needle):

@@ -324,10 +324,13 @@ def test_lipschitz_check_passes(half, ball, cfg):
         assert res["pairs"] == 500
 
 
-def test_as_function_oracle_contract(half, cfg):
+def test_sd_instance_contract(half, cfg):
     f = sd_instance(half, cfg).f
     assert f.value_noise == PROBE_RESOLUTION
     assert "signed-distance" in f.descriptor
+    # the theorem's Lipschitz constant rides on the scales, not on the hint
+    assert f.scales.lipschitz == 1.0
+    assert f.lipschitz_hint is None
     g = f.gradients(np.array([[0.4, 0.2]]))
     np.testing.assert_allclose(g[0], [1.0, 0.0], atol=0.05)
 
@@ -463,6 +466,9 @@ def test_promote_halfspace_certifies(cfg):
     cert = promote_to_certificate(entry.instance, x, cfg)
     assert isinstance(cert, EpigraphCertificate), getattr(cert, "message", cert)
     assert cert.report is not None and cert.report.overall
+    # k is the signed distance's theorem constant, not a sampled estimate
+    assert cert.witness.k == 1.0
+    assert cert.witness.epsilon == epsilon_formula(cert.witness.alpha, cert.witness.r, 1.0)
     assert cert.lambda_samples
     pts = np.stack([p for p, _ in cert.lambda_samples])
     stored = np.array([val for _, val in cert.lambda_samples])
