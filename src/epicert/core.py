@@ -5,8 +5,8 @@ function oracle is batch-first (an (n, dim) array of points maps to (n,)
 values) because the certification pipeline lives or dies on vectorised
 evaluation.  Scalar convenience wrappers are provided but the batch form is
 the contract.  ``NormedSpace`` owns every per-norm rule: the norm, the dual
-space, the norming direction, the uniform ball draw and the chord draw; no
-other module branches on the norm kind.
+space, the norming direction, the uniform ball draw, the chord draw and the
+ball draw in ker phi; no other module branches on the norm kind.
 """
 
 from __future__ import annotations
@@ -141,6 +141,31 @@ class NormedSpace:
         g /= np.maximum(self.norm(g)[:, None], 1e-300)
         radii = rng.uniform(0.0, 1.0, m) ** (1.0 / d)
         return g * radii[:, None]
+
+    def kernel_ball(self, phi: np.ndarray, radius: float, n: int,
+                    rng: np.random.Generator) -> np.ndarray | None:
+        """n points (n, dim) of the ball B(0, radius) inside ker phi, zero
+        first, or None where callers must rejection-sample it instead.
+
+        Under the euclidean norm ker phi = phi^perp is a euclidean
+        (dim-1)-ball: ``sample_ball``'s law in R^(dim-1) is drawn there and
+        carried into phi^perp by the Householder reflection that maps e_dim
+        to +-phi/|phi|, its sign chosen so that nothing cancels.  Under the
+        sup and one norms the kernel's unit ball is not a coordinate ball,
+        and a phi without a finite nonzero length has no hyperplane kernel:
+        None for both.
+        """
+        size = math.hypot(*phi)   # scaled, so a finite length never overflows
+        if self.norm_kind != "euclidean" or not 0.0 < size < math.inf:
+            return None
+        d = self.dim
+        out = np.zeros((n, d))
+        if d > 1:
+            out[:, :-1] = sample_ball(NormedSpace(d - 1), np.zeros(d - 1), radius, n, rng)
+        w = phi / (size if phi[-1] >= 0.0 else -size)
+        w[-1] += 1.0   # e_dim + sign(phi_dim) phi/|phi|, so |w|^2 >= 2
+        out -= np.multiply.outer(out @ w * (2.0 / (w @ w)), w)
+        return out
 
     def chord_directions(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m unit directions (m, dim): gaussian rows under the euclidean norm,

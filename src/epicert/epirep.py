@@ -310,26 +310,35 @@ def sample_cylinder(
     tau_halfwidth: float,
 ) -> np.ndarray:
     """n points with ker-phi part within 0.98*epsilon of x and height
-    within tau_halfwidth of x's level.  Rejection-sampled so the cylinder
-    precondition of lambda_values holds with slack.
+    within tau_halfwidth of x's level, so the cylinder precondition of
+    lambda_values holds with slack.  Row 0 is on x's axis.  The ker-phi part
+    is ``NormedSpace.kernel_ball``'s direct draw where the space has one (the
+    euclidean norm), else the ker-phi projections of ``sample_ball`` draws
+    from B(0, epsilon), rejection-sampled in batches of max(2n, 64).
     """
     x, v, eps = witness.x, witness.v, witness.epsilon
     pix, phix = to_graph_coordinates(phi, v, x)
-    zero = np.zeros(space.dim)
-    collected: list[np.ndarray] = []
-    got = 0
-    for _ in range(200):
-        xi, _ = to_graph_coordinates(phi, v, sample_ball(space, zero, eps, max(2 * n, 64), rng))
-        keep = np.asarray(space.norm(xi), dtype=float) < 0.98 * eps
-        xi = xi[keep]
-        if xi.shape[0]:
-            collected.append(xi)
-            got += xi.shape[0]
-        if got >= n:
-            break
-    if got < n or not tau_halfwidth >= 0.0:
-        raise CylinderError(f"cannot sample cylinder: epsilon {eps:.3g}, half-height {tau_halfwidth:.3g}")
-    xis = np.concatenate(collected)[:n]
+    failure = CylinderError(
+        f"cannot sample cylinder: epsilon {eps:.3g}, half-height {tau_halfwidth:.3g}")
+    if not (eps > 0.0 and tau_halfwidth >= 0.0):
+        raise failure
+    xis = space.kernel_ball(phi, 0.98 * eps, n, rng)
+    if xis is None:
+        zero = np.zeros(space.dim)
+        collected: list[np.ndarray] = []
+        got = 0
+        for _ in range(200):
+            xi, _ = to_graph_coordinates(phi, v, sample_ball(space, zero, eps, max(2 * n, 64), rng))
+            keep = np.asarray(space.norm(xi), dtype=float) < 0.98 * eps
+            xi = xi[keep]
+            if xi.shape[0]:
+                collected.append(xi)
+                got += xi.shape[0]
+            if got >= n:
+                break
+        if got < n:
+            raise failure
+        xis = np.concatenate(collected)[:n]
     taus = rng.uniform(-tau_halfwidth, tau_halfwidth, n)
     return pix[None, :] + xis + (float(phix) + taus)[:, None] * v[None, :]
 

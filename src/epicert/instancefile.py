@@ -8,10 +8,11 @@ Layout:
                    "lipschitz_hint": 1.0}            or {"catalog_id": "..."}
       "boundary_points": [[0.0, 0.0]],               optional with catalog_id
       "config": {"rng_seed": 7}                      optional, NumericConfig fields
-      "label": "disc"                                optional, names an expression instance
+      "label": "disc"                                optional with expression only
     }
 
-Catalog references inherit the entry's space, points, and reference data;
+Catalog references inherit the entry's space, points, reference data and
+label (the catalog id, so a label key beside catalog_id is refused);
 explicit boundary_points replace the entry's list.  Any other key, at the
 top level or in the function section, is refused.
 """
@@ -93,6 +94,9 @@ def parse_instance(data: dict) -> tuple[ProblemInstance, NumericConfig]:
         raise InstanceSpecError(f"unknown function keys for {form}: {sorted(unknown)}")
 
     if form == "catalog_id":
+        if "label" in data:
+            raise InstanceSpecError("label is for expression instances; a catalog_id "
+                                    "instance is labelled by its catalog id")
         try:
             inst = catalog.load(str(fn["catalog_id"])).instance
         except KeyError as exc:

@@ -138,8 +138,13 @@ def _structural_problems(inst: ProblemInstance, cert: EpigraphCertificate,
     if w.alpha != 0 and not np.isclose(cert.lipschitz_bound, w.lipschitz_bound,
                                        rtol=1e-12, atol=0.0):
         problems.append("lipschitz_bound != 1 + 2k/alpha")
+    # L1's recomputation slack trusts tol_bisect, so the certificate may not
+    # claim a coarser root finder than the verifier's or certify's default
+    cap = max(cfg.tol_bisect, NumericConfig.tol_bisect)
     if not cert.tol_bisect > 0:
         problems.append(f"tol_bisect {cert.tol_bisect!r} is not positive")
+    elif cert.tol_bisect > cap:
+        problems.append(f"tol_bisect {cert.tol_bisect!r} is coarser than the verifier's {cap!r}")
     if not 0.0 <= cert.measured_lipschitz <= cert.lipschitz_bound * 1.01:
         problems.append("measured_lipschitz outside [0, bound * 1.01]")
     if len(cert.lambda_samples) != N_LAMBDA_SAMPLES:

@@ -22,6 +22,7 @@ from epicert.clarke import (
     min_norm_point,
 )
 from epicert.core import FunctionOracle, NormedSpace, NumericConfig, Scales
+from epicert.epirep import certify
 from epicert.expressions import compile_expression
 from epicert.signed_distance import THEOREM2_BUDGET, sd_instance
 
@@ -305,6 +306,31 @@ def test_local_lipschitz_ascent_reaches_the_sup(d):
     est = local_lipschitz_constant(inst.space, inst.f, entry.certifiable_at[0], 0.05,
                                    NumericConfig(rng_seed=1))
     assert est.raw_max >= 0.99 * inst.reference.lipschitz_on_ball(0.05)
+
+
+@pytest.mark.parametrize("d", [16, 64, 128, 256])
+def test_certify_k_bounds_the_true_lipschitz_constant(d):
+    # the stalled ascent still lands within SAFETY of the sup: k >= the
+    # closed-form Lipschitz constant on B(x, r) at every seed
+    entry = load(f"rockafellar_{d}")
+    inst = entry.instance
+    for seed in (42, 1, 2):
+        cert = certify(inst, entry.certifiable_at[0], NumericConfig(rng_seed=seed))
+        w = cert.witness
+        assert w.k >= inst.reference.lipschitz_on_ball(w.r), seed
+
+
+def test_local_lipschitz_ascent_stops_long_before_its_cap():
+    # the static sources give at most 512 + 2 * 128 quotients and each ascent
+    # step 4; the cap is 2 * dim steps, and the stall rule ends the ascent in
+    # under an eighth of them
+    entry = load("rockafellar_256")
+    inst = entry.instance
+    dim = inst.space.dim
+    est = local_lipschitz_constant(inst.space, inst.f, entry.certifiable_at[0], 1.0,
+                                   NumericConfig(rng_seed=42))
+    assert est.n_quotients <= 512 + 2 * 128 + 4 * (2 * dim // 8)
+    assert est.raw_max >= 0.99 * inst.reference.lipschitz_on_ball(1.0)
 
 
 def test_local_lipschitz_ascent_survives_vanishing_gradients(e2):

@@ -272,6 +272,22 @@ def test_verify_recomputes_stored_lambda_samples_exit_3(capsys, tmp_path):
     assert all(rep[lid]["pass"] for lid in ("L2", "L3", "L4", "L5", "L6"))
 
 
+def test_verify_refuses_a_coarser_tol_bisect_exit_3(capsys, tmp_path):
+    # a tol_bisect of 0.1 would widen L1's recomputation slack past the
+    # shifted stored value; a claim coarser than the verifier's is structural
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", "--catalog", "halfspace", "--seed", "42", "--out", str(cert))
+    data = json.loads(cert.read_text())
+    data["lambda_samples"][0]["value"] += 0.05
+    data["tol_bisect"] = 0.1
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--catalog", "halfspace", "--certificate", str(cert))
+    assert code == 3
+    l1 = json.loads(out)["per_lemma"]["L1"]
+    assert l1["pass"] is False
+    assert l1["note"] == "structural: tol_bisect 0.1 is coarser than the verifier's 1e-10"
+
+
 def test_verify_certificate_without_tol_bisect(capsys, tmp_path):
     # a certificate written before the field existed reads as 1e-10
     cert, old = tmp_path / "cert.json", tmp_path / "old.json"
@@ -487,6 +503,16 @@ def test_misspelt_instance_key_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "certify", "--instance", str(inst))
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "unknown top-level keys: ['boundary_point']"}
+
+
+def test_label_beside_catalog_id_exit_1(capsys, tmp_path):
+    # read as absent, the label would leave the catalog id on the certificate
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"function": {"catalog_id": "halfspace"}, "label": "mine"}))
+    code, out, err = run(capsys, "certify", "--instance", str(inst))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "label is for expression instances; a catalog_id "
+                                        "instance is labelled by its catalog id"}
 
 
 def test_non_finite_boundary_point_in_file_exit_1(capsys, tmp_path):

@@ -208,6 +208,34 @@ def test_uniform_ball_radial_law_and_unit_chords(kind, d):
     np.testing.assert_allclose(space.norm(chords), 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kernel_ball_is_sample_ball_carried_into_ker_phi(d, sign):
+    # both signs of phi's last coordinate take the Householder branch that
+    # does not cancel; the draw keeps sample_ball's norms in dim - 1
+    phi = stream_rng(4, "phi", d).standard_normal(d)
+    phi[-1] = sign * abs(phi[-1])
+    pts = ec.NormedSpace(d).kernel_ball(phi, 0.3, 40, stream_rng(5, "kernel"))
+    assert pts.shape == (40, d)
+    np.testing.assert_array_equal(pts[0], np.zeros(d))
+    assert np.max(np.abs(pts @ phi)) <= 1e-15 * np.linalg.norm(phi)
+    if d > 1:
+        flat = ec.sample_ball(ec.NormedSpace(d - 1), np.zeros(d - 1), 0.3, 40,
+                              stream_rng(5, "kernel"))
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1),
+                                   np.linalg.norm(flat, axis=1), rtol=1e-14)
+
+
+def test_kernel_ball_leaves_sup_one_and_degenerate_phi_to_the_caller():
+    rng = stream_rng(5, "kernel")
+    assert ec.NormedSpace(2, "sup").kernel_ball(np.array([1.0, 0.0]), 1.0, 4, rng) is None
+    assert ec.NormedSpace(2, "one").kernel_ball(np.array([1.0, 0.0]), 1.0, 4, rng) is None
+    assert ec.NormedSpace(2).kernel_ball(np.zeros(2), 1.0, 4, rng) is None
+    assert ec.NormedSpace(2).kernel_ball(np.full(2, np.finfo(float).max), 1.0, 4, rng) is None
+    big = ec.NormedSpace(2).kernel_ball(np.full(2, 1e308), 1.0, 4, rng)
+    np.testing.assert_allclose(big[:, 0], -big[:, 1], rtol=1e-15)
+
+
 def test_dual_space_is_an_involution():
     for kind in NORM_KINDS:
         assert ec.NormedSpace(3, kind).dual.dual == ec.NormedSpace(3, kind)

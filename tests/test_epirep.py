@@ -345,6 +345,54 @@ def test_lambda_batches_gives_each_batch_its_values_or_its_error(halfspace_cert,
     assert clean.tobytes() == alone.tobytes()
 
 
+def test_sample_cylinder_draws_euclidean_points_straight_into_ker_phi(cfg42):
+    # d = 256: a rejection loop's acceptance collapses here, the direct draw
+    # has none to collapse
+    entry = load("rockafellar_256")
+    inst = entry.instance
+    cert = certify(inst, entry.certifiable_at[0], cfg42)
+    sp, w, phi = cert.space, cert.witness, cert.phi
+    n, tau = 500, w.r / 8.0
+    pts = sample_cylinder(sp, w, phi, n, stream_rng(0, "direct"), tau_halfwidth=tau)
+    assert pts.shape == (n, sp.dim)
+    xi, t = to_graph_coordinates(phi, w.v, pts)
+    xix, tx = to_graph_coordinates(phi, w.v, w.x)
+    drawn = xi - xix[None, :]
+    norms = np.linalg.norm(drawn, axis=1)
+    assert np.max(np.abs(drawn @ phi)) <= 1e-12 * w.epsilon
+    assert np.max(norms) < 0.98 * w.epsilon
+    assert np.max(np.abs(t - float(tx))) <= tau
+    assert np.max(np.abs(drawn[0])) <= 1e-15 * (1.0 + tau)   # row 0 is on x's axis
+    # sample_ball's mixture: the last ceil(n/8) rows are pushed to the shell
+    shell = math.ceil(n / 8)
+    band = norms / (0.98 * w.epsilon)
+    assert np.all((band[-shell:] > 0.9) & (band[-shell:] < 0.999))
+    lambda_values(sp, inst.f, w, phi, pts, cfg42)   # no CylinderError
+
+
+def test_sample_cylinder_keeps_the_sup_norm_rejection_draw(catalog_certs):
+    # the rejection loop the sup and one norms keep, as written before the
+    # direct euclidean draw: the same bits from the same stream
+    def rejection(space, w, phi, n, rng, tau):
+        pix, phix = to_graph_coordinates(phi, w.v, w.x)
+        collected, got = [], 0
+        while got < n:
+            ball = sample_ball(space, np.zeros(space.dim), w.epsilon, max(2 * n, 64), rng)
+            xi, _ = to_graph_coordinates(phi, w.v, ball)
+            xi = xi[space.norm(xi) < 0.98 * w.epsilon]
+            collected.append(xi)
+            got += len(xi)
+        taus = rng.uniform(-tau, tau, n)
+        return pix[None, :] + np.concatenate(collected)[:n] + (phix + taus)[:, None] * w.v
+
+    for i in (0, 1):
+        _, cert = catalog_certs[("box_sup", i)]
+        sp, w, phi = cert.space, cert.witness, cert.phi
+        got = sample_cylinder(sp, w, phi, 200, stream_rng(i, "sup"), tau_halfwidth=w.r / 8.0)
+        want = rejection(sp, w, phi, 200, stream_rng(i, "sup"), w.r / 8.0)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sample_cylinder_respects_bounds(halfspace_cert):
     entry, cert = halfspace_cert
     sp, w, phi = cert.space, cert.witness, cert.phi

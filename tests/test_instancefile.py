@@ -124,6 +124,8 @@ def test_config_overrides():
         ({"space": {"dim": 2}, "function": {"expression": "x1"},
           "boundary_points": [[0.0, 0.0]], "scales": {}, "lipschitz": 1.0},
          r"unknown top-level keys: \['lipschitz', 'scales'\]"),
+        ({"function": {"catalog_id": "halfspace"}, "label": "mine"},
+         "label is for expression instances"),
     ],
 )
 def test_bad_instance_data(data, needle):

@@ -219,13 +219,18 @@ def test_one_broken_bracket_leaves_the_other_lemmas_alone(halfspace_cert, cfg42,
 
 @pytest.mark.parametrize("first_side_fails", [False, True])
 def test_l2_fails_with_its_first_failing_side(halfspace_cert, cfg42, first_side_fails):
-    # phi scaled by 1.3 makes phi(v) != 1, which moves L2's shifted side off
-    # the cylinder while its first side stays in it
+    # phi = c v makes phi(v) = c != 1.  A first-side point y = x + xi + tau v
+    # (xi in ker phi = v^perp, |xi| < 0.98 eps, |tau| <= r/8) then sits at
+    # ker-phi distance sqrt(|xi|^2 + ((c - 1) tau)^2) from x's, under eps for
+    # every draw since 0.98^2 + 0.19^2 < 1; the shift s v (|s| <= r/4) moves
+    # that to sqrt(|xi|^2 + ((c - 1) (tau + s))^2), off the cylinder for some
+    c = 1.15
     entry, cert = halfspace_cert
     data = cert.to_json_dict()
-    data["phi_weights"] = [1.3 * a for a in data["phi_weights"]]
+    data["phi_weights"] = [c * a for a in data["phi_weights"]]
     tampered = certificate_from_json(data)
     space, w, phi = tampered.space, tampered.witness, tampered.phi
+    assert (c - 1.0) * w.r / 8.0 <= 0.19 * w.epsilon
     cfg = replace(cfg42, rng_seed=7)
     f = entry.instance.f
     if first_side_fails:   # a negated oracle breaks every sign bracket
