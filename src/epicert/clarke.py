@@ -7,7 +7,10 @@ Three pieces:
   shrinking neighbourhoods.  Positively homogeneous in v by construction
   (the direction is normalised internally and the result rescaled).  The
   ladder's base points depend on x, not on v, so directions probed at one x
-  share them.
+  share them.  Each ladder step is one oracle call: levels 0 and 1 go
+  together, and each later level's base points (if new) go with its step
+  points.  The oracle is row-wise, so these are the points and values one
+  call per batch would give.
 * ``estimate_gradient_hull`` / ``min_norm_point``: a surrogate for the
   generalized gradient, built as the convex hull of gradients sampled at
   nearby points, with Wolfe's algorithm for the minimum-norm point.
@@ -73,10 +76,13 @@ class DirectionalDerivativeEstimate:
 class _LadderBase:
     """The base points of ``directional_derivative``'s ladder at one x.
 
-    Level i holds (ys, ts, f(ys)): base points in B(x, delta_i) and steps in
-    [delta_i/4, delta_i], from an rng keyed by (f, x) only, so every
-    direction probed at x would draw the same ones.  Each level is drawn and
-    evaluated once, on first use.
+    Level i holds (ys, ts): base points in B(x, delta_i) and steps in
+    [delta_i/4, delta_i], drawn in level order from an rng keyed by (f, x)
+    only, so every direction probed at x would draw the same ones.  Drawing
+    a level is apart from evaluating it: ``quotients`` evaluates the levels
+    it is asked for in one f.values call, and f(ys) is kept once known, so
+    each level's base points are evaluated once however many directions
+    reach it.
     """
 
     def __init__(self, space: NormedSpace, f: FunctionOracle, x: np.ndarray,
@@ -84,14 +90,38 @@ class _LadderBase:
         self.space, self.f, self.x = space, f, x
         self.n = max(16, cfg.sample_budget // 32)
         self.rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.draws: list[tuple[np.ndarray, np.ndarray]] = []
+        self.fys: list[np.ndarray] = []   # f(ys) of the levels evaluated so far
 
-    def level(self, i: int, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if i == len(self.levels):
+    def draw(self, i: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        if i == len(self.draws):
             ys = sample_ball(self.space, self.x, delta, self.n, self.rng)
             ts = delta * self.rng.uniform(0.25, 1.0, self.n)
-            self.levels.append((ys, ts, self.f.values(ys)))
-        return self.levels[i]
+            self.draws.append((ys, ts))
+        return self.draws[i]
+
+    def quotients(self, first: int, deltas: list[float], u: np.ndarray) -> list[np.ndarray]:
+        """(f(y + t u) - f(y)) / t at levels first, first + 1, ... of scales deltas.
+
+        One f.values call, whose rows are each level's base points (unless
+        already evaluated) then its step points, in level order: the order
+        in which one call per batch would have met them, so a non-finite
+        value is reported at the same point.
+        """
+        known = len(self.fys)
+        draws = [self.draw(i, delta) for i, delta in enumerate(deltas, first)]
+        blocks = []
+        for i, (ys, ts) in enumerate(draws, first):
+            if i >= known:
+                blocks.append(ys)
+            blocks.append(ys + ts[:, None] * u[None, :])
+        out = iter(np.split(self.f.values(np.concatenate(blocks)), len(blocks)))
+        qs = []
+        for i, (ys, ts) in enumerate(draws, first):
+            if i >= known:
+                self.fys.append(next(out))
+            qs.append((next(out) - self.fys[i]) / ts)
+        return qs
 
 
 def directional_derivative(
@@ -111,6 +141,11 @@ def directional_derivative(
     positive homogeneity holds exactly.  The (y, t, f(y)) of each level come
     from ``base``, the ``_LadderBase`` of (space, f, x, cfg); a caller that
     probes several directions at x passes one, so f(y) is evaluated once.
+    Each step sends one f.values call: the first holds levels 0 and 1
+    whenever the loop would run level 1 (delta0 * shrink >= floor and
+    2n < 8 * sample_budget), else level 0 alone; each later level's base
+    points, if new, and its step points go in one call.  Same points, same
+    values as one call per batch, fewer calls.
     """
     x = np.asarray(x, dtype=float)
     scale = 1.0 + float(space.norm(x))
@@ -126,25 +161,30 @@ def directional_derivative(
         base = _LadderBase(space, f, x, cfg)
 
     delta = float(delta0)
+    shrink, cap = cfg.shrink_factor, cfg.sample_budget * 8
+    # after level 0 there is no previous level to agree with, so level 1
+    # runs exactly when the floor and the sample cap allow it: its points
+    # join level 0's in the first oracle call
+    both = delta * shrink >= delta_floor and 2 * base.n < cap
+    qs = base.quotients(0, [delta, delta * shrink] if both else [delta], u)
     prev = None
     best_overall = -math.inf
     used = 0
     stabilized = False
     level_max = -math.inf
     for level in itertools.count():
-        ys, ts, vals0 = base.level(level, delta)
-        vals1 = f.values(ys + ts[:, None] * u[None, :])
-        quotients = (vals1 - vals0) / ts
-        level_max = float(np.max(quotients))
+        if level == len(qs):
+            qs += base.quotients(level, [delta], u)
+        level_max = float(np.max(qs[level]))
         used += 2 * base.n
         best_overall = max(best_overall, level_max)
         if prev is not None and abs(level_max - prev) <= stab_tol:
             stabilized = True
             break
-        if delta * cfg.shrink_factor < delta_floor or used >= cfg.sample_budget * 8:
+        if delta * shrink < delta_floor or used >= cap:
             break
         prev = level_max
-        delta *= cfg.shrink_factor
+        delta *= shrink
 
     return DirectionalDerivativeEstimate(
         value=level_max * vnorm,
@@ -317,9 +357,11 @@ def is_nondegenerate(
     the hull's min-norm point, the signed coordinate axes, then random unit
     vectors.  The candidates share one ``_LadderBase``: the ladder's base
     points do not depend on the direction, so each level's f(y) is evaluated
-    once however many candidates reach it.  The hull verdict is kept
-    alongside as a consistency check but the witness, when found, is what
-    downstream consumes.
+    once however many candidates reach it.  A candidate whose ladder runs L
+    levels sends max(1, L - 1) oracle calls: levels 0 and 1 share one, and
+    each later level's base points, if new, share its step points' call.
+    The hull verdict is kept alongside as a consistency check but the
+    witness, when found, is what downstream consumes.
     """
     space = inst.space
     x = np.asarray(x, dtype=float)

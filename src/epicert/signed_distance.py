@@ -286,8 +286,8 @@ def sd_lipschitz_check(
     rng = cfg.rng("sd-lipschitz", inst.f.descriptor)
     P = sample_ball(space, center, radius, n_pairs, rng)
     Q = sample_ball(space, center, radius, n_pairs, rng)
-    vp, _ = signed_distance_values(inst, P, cfg)
-    vq, _ = signed_distance_values(inst, Q, cfg)
+    # one call for both ends (the signed distance is row-wise)
+    vp, vq = np.split(signed_distance_values(inst, np.concatenate([P, Q]), cfg)[0], 2)
     sep = np.asarray(space.norm(P - Q), dtype=float)
     allowed = 1.02 * sep + 2.0 * PROBE_RESOLUTION
     excess = np.abs(vp - vq) - allowed

@@ -1,5 +1,7 @@
 """Directional derivative estimator, min-norm point, nondegeneracy, Lipschitz."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ import epicert.clarke as clarke
 from epicert.catalog import load
 from epicert.clarke import (
     SAFETY,
+    DirectionalDerivativeEstimate,
     GradientHull,
     LipschitzEstimate,
     NondegeneracyResult,
@@ -21,7 +24,16 @@ from epicert.clarke import (
     local_lipschitz_constant,
     min_norm_point,
 )
-from epicert.core import FunctionOracle, NormedSpace, NumericConfig, Scales
+from epicert.core import (
+    FunctionOracle,
+    NonFiniteValue,
+    NormedSpace,
+    NumericConfig,
+    Scales,
+    sample_ball,
+    signed_axes,
+    stream_rng,
+)
 from epicert.epirep import certify
 from epicert.expressions import compile_expression
 from epicert.signed_distance import THEOREM2_BUDGET, sd_instance
@@ -191,11 +203,13 @@ def test_is_nondegenerate_abs_wall():
     assert res.hull.min_norm_value <= 1e-3
 
 
-@pytest.mark.parametrize("route", ["plain", "signed-distance"])
-def test_is_nondegenerate_shares_one_ladder_base(route, monkeypatch):
+@pytest.mark.parametrize("route,calls", [("plain", 460), ("signed-distance", 40)],
+                         ids=["plain", "signed-distance"])
+def test_is_nondegenerate_shares_one_ladder_base(route, calls, monkeypatch):
     # every candidate at singleton_sq fails, so all 20 run their ladder; each
     # estimate is the one an independent call gives, and no batch of points
-    # is evaluated twice: each level's base points are evaluated once
+    # is evaluated twice: each level's base points are evaluated once.  A
+    # ladder of L >= 2 levels sends L - 1 calls, levels 0 and 1 sharing one
     entry = load("singleton_sq")
     cfg = NumericConfig(rng_seed=42)
     inst = entry.instance
@@ -224,7 +238,138 @@ def test_is_nondegenerate_shares_one_ladder_base(route, monkeypatch):
         assert real(inst.space, inst.f, x, u, cfg) == est
     n = max(16, cfg.sample_budget // 32)
     levels = [est.samples_used // (2 * n) for _, est in probes]
-    assert len(batches) == len(set(batches)) == max(levels) + sum(levels)
+    assert min(levels) >= 2
+    assert len(batches) == len(set(batches)) == sum(L - 1 for L in levels) == calls
+
+
+class _SequentialLadder:
+    """directional_derivative as it ran with one oracle call per batch.
+
+    Each level's base points are evaluated on first use, in a call of their
+    own, and then its step points in another; directions share the levels.
+    """
+
+    def __init__(self, space, f, x, cfg):
+        self.space, self.f, self.x, self.cfg = space, f, x, cfg
+        self.n = max(16, cfg.sample_budget // 32)
+        self.rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
+        self.levels = []
+
+    def estimate(self, v):
+        space, f, x, cfg = self.space, self.f, self.x, self.cfg
+        scale = 1.0 + float(space.norm(x))
+        s = f.scales
+        delta0 = 0.1 * scale if s.dd_delta0 is None else s.dd_delta0
+        delta_floor = 1e-8 * scale if s.dd_delta_floor is None else s.dd_delta_floor
+        stab_tol = cfg.tol_value if s.dd_stab_tol is None else s.dd_stab_tol
+        vnorm = float(space.norm(v))
+        u = space.unit(v)
+        delta, prev, best, used, stabilized = float(delta0), None, -math.inf, 0, False
+        for level in itertools.count():
+            if level == len(self.levels):
+                ys = sample_ball(space, x, delta, self.n, self.rng)
+                ts = delta * self.rng.uniform(0.25, 1.0, self.n)
+                self.levels.append((ys, ts, f.values(ys)))
+            ys, ts, vals0 = self.levels[level]
+            vals1 = f.values(ys + ts[:, None] * u[None, :])
+            level_max = float(np.max((vals1 - vals0) / ts))
+            used += 2 * self.n
+            best = max(best, level_max)
+            if prev is not None and abs(level_max - prev) <= stab_tol:
+                stabilized = True
+                break
+            if delta * cfg.shrink_factor < delta_floor or used >= cfg.sample_budget * 8:
+                break
+            prev = level_max
+            delta *= cfg.shrink_factor
+        return DirectionalDerivativeEstimate(
+            value=level_max * vnorm, upper_bound_confidence=best * vnorm,
+            samples_used=used, delta_final=delta, stabilized=stabilized)
+
+
+def _recording(f):
+    calls = []
+
+    def evaluate(P):
+        calls.append(np.array(P))
+        return f.eval(P)
+
+    return replace(f, eval=evaluate), calls
+
+
+@pytest.mark.parametrize("seed", [42, 1])
+@pytest.mark.parametrize("cid,point,route", [
+    ("singleton_sq", "degenerate", "plain"),
+    ("singleton_sq", "degenerate", "signed-distance"),
+    ("union_balls", "certifiable", "plain"),
+    ("union_balls", "certifiable", "signed-distance"),
+    ("max_two_planes", "certifiable", "plain"),            # the kink at the origin
+    ("max_two_planes", "certifiable", "signed-distance"),
+    ("rockafellar_64", "certifiable", "plain"),
+])
+def test_fused_ladder_matches_one_call_per_batch(cid, point, route, seed):
+    # levels 0 and 1 in one call, later levels one call each: the same
+    # estimates, bit for bit, and the same oracle rows in the same order as
+    # one call per batch, over directions that share one base
+    entry = load(cid)
+    inst, cfg = entry.instance, NumericConfig(rng_seed=seed)
+    if route == "signed-distance":
+        inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=THEOREM2_BUDGET)
+    x = np.asarray(getattr(entry, f"{point}_at")[0], dtype=float)
+    space = inst.space
+    dirs = [*-signed_axes(space.dim)[:4],
+            *stream_rng(seed, "ladder-dirs").standard_normal((2, space.dim))]
+    fused_f, fused_calls = _recording(inst.f)
+    seq_f, seq_calls = _recording(inst.f)
+    base = clarke._LadderBase(space, fused_f, x, cfg)
+    ref = _SequentialLadder(space, seq_f, x, cfg)
+    for v in dirs:
+        # dataclass equality: every field, bit for bit
+        assert directional_derivative(space, fused_f, x, v, cfg, base) == ref.estimate(v), v
+    np.testing.assert_array_equal(np.concatenate(fused_calls), np.concatenate(seq_calls))
+    assert len(fused_calls) < len(seq_calls)
+
+
+def test_one_level_ladder_evaluates_level_zero_alone(e2):
+    # the floor lies above delta0 * shrink, so the loop stops after level 0:
+    # the one call holds level 0's 2n points and none of level 1
+    f, calls = _recording(replace(compile_expression(["max", "x1", "x2"], 2),
+                                  scales=Scales(dd_delta0=0.1, dd_delta_floor=0.06)))
+    cfg = NumericConfig(rng_seed=42)
+    x, v = np.zeros(2), np.array([-1.0, 0.5])
+    est = directional_derivative(e2, f, x, v, cfg)
+    n = max(16, cfg.sample_budget // 32)
+    assert [len(P) for P in calls] == [2 * n]
+    assert (est.samples_used, est.stabilized) == (2 * n, False)
+    assert est == _SequentialLadder(e2, f, x, cfg).estimate(v)
+
+
+@pytest.mark.parametrize("poisoned", [("base1",), ("base1", "step0")])
+def test_non_finite_value_is_named_in_one_call_per_batch_order(e2, poisoned):
+    # a NaN at a level-1 base point alone is named there; with a NaN at a
+    # level-0 step point too, the step point is named, as one call per batch
+    # meets it first
+    f0 = compile_expression(["+", "x1", "x2"], 2)
+    cfg = NumericConfig(rng_seed=42)
+    x, v = np.zeros(2), np.array([1.0, 0.0])
+    draws = clarke._LadderBase(e2, f0, x, cfg)
+    ys0, ts0 = draws.draw(0, 0.1)
+    ys1, _ = draws.draw(1, 0.1 * cfg.shrink_factor)
+    points = {"base1": ys1[3], "step0": ys0[5] + ts0[5] * e2.unit(v)}
+    bad = np.array([points[p] for p in poisoned])
+
+    def evaluate(P):
+        out = f0.eval(P)
+        out[(P[:, None, :] == bad[None]).all(axis=2).any(axis=1)] = np.nan
+        return out
+
+    f = replace(f0, eval=evaluate)
+    with pytest.raises(NonFiniteValue) as fused:
+        directional_derivative(e2, f, x, v, cfg)
+    with pytest.raises(NonFiniteValue) as sequential:
+        _SequentialLadder(e2, f, x, cfg).estimate(v)
+    assert str(fused.value) == str(sequential.value)
+    assert str(fused.value) == f"f is not finite at {points[poisoned[-1]].tolist()}"
 
 
 @pytest.mark.parametrize("found,hull_norm,consistent,degenerate,note_end", [

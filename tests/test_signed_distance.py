@@ -324,6 +324,29 @@ def test_lipschitz_check_passes(half, ball, cfg):
         assert res["pairs"] == 500
 
 
+def test_lipschitz_check_sends_both_ends_in_one_call(ball, cfg, monkeypatch):
+    # the two-call form: P's and Q's signed distances in separate batches
+    center = np.array([0.3, -0.2])
+    rng = cfg.rng("sd-lipschitz", ball.f.descriptor)
+    P = sample_ball(ball.space, center, 1.0, 500, rng)
+    Q = sample_ball(ball.space, center, 1.0, 500, rng)
+    vp, _ = signed_distance_values(ball, P, cfg)
+    vq, _ = signed_distance_values(ball, Q, cfg)
+    excess = np.abs(vp - vq) - (1.02 * ball.space.norm(P - Q) + 2.0 * PROBE_RESOLUTION)
+    worst = float(np.max(excess))
+    want = {"ok": bool(worst <= 0.0), "max_excess": worst, "pairs": 500}
+
+    calls = []
+
+    def spy(inst, Y, cfg_):
+        calls.append(len(Y))
+        return signed_distance_values(inst, Y, cfg_)
+
+    monkeypatch.setattr(sd_module, "signed_distance_values", spy)
+    assert sd_lipschitz_check(ball, center, 1.0, cfg) == want
+    assert calls == [1000]
+
+
 def test_sd_instance_contract(half, cfg):
     f = sd_instance(half, cfg).f
     assert f.value_noise == PROBE_RESOLUTION
