@@ -5,7 +5,6 @@ from .core import (
     NumericConfig,
     ReferenceData,
     canonical_json,
-    finite_difference_gradients,
     internal_verify_seed,
     membership_codes,
     sample_ball,

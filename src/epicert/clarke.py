@@ -294,7 +294,7 @@ def estimate_gradient_hull(
     x: np.ndarray,
     cfg: NumericConfig,
 ) -> GradientHull:
-    """Gradients at points jittered around x, hulled.
+    """Gradients at points 1e-5 (1 + |x|) from x, hulled.
 
     Axis perturbations catch piecewise structure aligned with coordinates;
     random directions cover the rest.  The jitter keeps samples off
@@ -302,10 +302,6 @@ def estimate_gradient_hull(
     """
     x = np.asarray(x, dtype=float)
     d = space.dim
-    scale = 1.0 + float(space.norm(x))
-    perturbation = f.scales.hull_perturbation
-    if perturbation is None:
-        perturbation = 1e-5 * scale
     rng = cfg.rng("hull", f.descriptor, *np.round(x, 12).tolist())
 
     n_target = min(4 * d + 8, 48)
@@ -315,7 +311,7 @@ def estimate_gradient_hull(
         dirs.append(g / np.linalg.norm(g))
     D = np.stack(dirs)
     D /= np.linalg.norm(D, axis=1, keepdims=True)
-    pts = x[None, :] + perturbation * D
+    pts = x[None, :] + 1e-5 * (1.0 + float(space.norm(x))) * D
     return GradientHull(generators=f.gradients(pts))
 
 

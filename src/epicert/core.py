@@ -26,7 +26,6 @@ __all__ = [
     "signed_axes",
     "NonFiniteValue",
     "FunctionOracle",
-    "finite_difference_gradients",
     "itp_crossings",
     "require_integer",
     "require_number",
@@ -187,27 +186,6 @@ def signed_axes(d: int) -> np.ndarray:
     return out
 
 
-def finite_difference_gradients(
-    eval_fn: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    step: float,
-) -> np.ndarray:
-    """Central-difference gradients for a batch of points, (n, d) -> (n, d).
-
-    One eval call of size 2*n*d; fine for the modest batches we use it on.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = points.shape
-    eye = np.eye(d) * step
-    plus = points[:, None, :] + eye[None, :, :]
-    minus = points[:, None, :] - eye[None, :, :]
-    stacked = np.concatenate([plus.reshape(n * d, d), minus.reshape(n * d, d)])
-    vals = np.asarray(eval_fn(stacked), dtype=float)
-    fp = vals[: n * d].reshape(n, d)
-    fm = vals[n * d :].reshape(n, d)
-    return (fp - fm) / (2.0 * step)
-
-
 def itp_crossings(
     values: Callable[[np.ndarray], np.ndarray], origins: np.ndarray, dirs: np.ndarray,
     lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, tol: float,
@@ -287,14 +265,15 @@ class Scales:
     """Sampling scales of the certification pipeline, carried by the oracle.
 
     The plain route and the signed-distance route run the same construction
-    and differ only in these values.  A ``None`` scale takes its default
-    relative to 1 + |x| at the point under test (``dd_stab_tol``: the
-    config's ``tol_value``).  ``lipschitz`` is a Lipschitz constant the
+    with these values; besides them, ``check_theorem2`` caps the sample
+    budget at ``THEOREM2_BUDGET``, and the signed distance's oracle itself
+    (its gradient, its value noise) differs.  A ``None`` scale takes its
+    default relative to 1 + |x| at the point under test (``dd_stab_tol``:
+    the config's ``tol_value``).  ``lipschitz`` is a Lipschitz constant the
     route knows by theorem, which ``local_lipschitz_constant`` returns
     without sampling; None samples it.
     """
 
-    hull_perturbation: float | None = None  # offset of hull gradient samples
     dd_delta0: float | None = None          # first directional-derivative scale
     dd_delta_floor: float | None = None     # smallest directional-derivative scale
     dd_stab_tol: float | None = None        # agreement that ends the ladder
@@ -311,7 +290,10 @@ class FunctionOracle:
 
     eval: (n, dim) -> (n,).  grad: (n, dim) -> (n, dim) is required, and is
     trusted only away from the nonsmooth locus; estimators that need
-    derivatives at kink points use difference quotients instead.
+    derivatives at kink points use difference quotients instead.  The
+    signed distance also reads grad at the feet of its rays, points of the
+    boundary of M; at a kink there, a branch gradient is one element of
+    Clarke's generalized gradient.
     lipschitz_hint, when present, is an analytic bound on the local Lipschitz
     constant near the region of interest and is cross-checked rather than
     believed outright; a constant known by theorem is scales.lipschitz

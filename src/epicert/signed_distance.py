@@ -23,10 +23,14 @@ probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) passes:
 36 on a grid cell, 41 on a refinement bracket.  The sign is therefore
 exact; the magnitude overestimates the true distance by at most roughly
 PROBE_RESOLUTION, because only finitely many directions are tried.
-Membership codes of the signed distance are the base ones, and march no
-rays.  ``check_theorem2`` returns certify's precondition failure off the
-boundary band, else the ``clarke.NondegeneracyResult`` of the witness search
-on the signed distance.
+Each row that crossed ends at a point of the boundary, its foot, where f's
+gradient scaled to dual norm 1 is the signed distance's gradient (the
+normal of M at the nearest boundary point, Clarke 1983, ch. 2); a band
+row is its own foot, and a saturated row has none.  Membership codes of
+the signed distance are the base ones, and march no rays.
+``check_theorem2`` returns certify's precondition failure off the boundary
+band, else the ``clarke.NondegeneracyResult`` of the witness search on the
+signed distance.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .core import (
     ProblemInstance,
     Scales,
     band_codes,
-    finite_difference_gradients,
     itp_crossings,
     membership_codes,
     sample_ball,
@@ -108,14 +111,14 @@ def _refine_noise(dim: int) -> np.ndarray:
 
 
 # Scales of the Theorem 2 route: the signed distance is only known to about
-# PROBE_RESOLUTION, so derivative ladders stop well above that floor, hull
-# gradients are taken at wide offsets, and descent steps stay long.  Its
-# Lipschitz constant is 1 in the space's norm by theorem (Hiriart-Urruty
+# PROBE_RESOLUTION, so derivative ladders stop well above that floor and
+# descent steps stay long.  Its gradient is read at each ray's foot, not
+# differenced, so hull samples need no wider offsets than the plain route's.
+# Its Lipschitz constant is 1 in the space's norm by theorem (Hiriart-Urruty
 # 1979), up to the probes' additive 2 * PROBE_RESOLUTION.  Written as factors
 # of the search radius, not rounded literals: 6e-3 * 1.5 != 0.009 in
 # binary64, and certificates depend on the exact bits.
 SD_SCALES = Scales(
-    hull_perturbation=5e-3 * SEARCH_RADIUS,
     dd_delta0=0.04 * SEARCH_RADIUS,
     dd_delta_floor=6e-3 * SEARCH_RADIUS,
     dd_stab_tol=1e-3,
@@ -177,12 +180,15 @@ def signed_distance_values(
     inst: ProblemInstance,
     Y: np.ndarray,
     cfg: NumericConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch signed distances to the set of inst; returns (values, saturated_flags).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch signed distances to the set of inst; returns (values,
+    saturated_flags, feet).
 
     A flagged row found no sign change within SEARCH_RADIUS along any of
     round 0's directions (thin or empty far side); its value is the signed
-    search radius.
+    search radius and its foot is NaN.  Every other row's foot (n, dim) is
+    the point of the boundary its value measures to: y + best * best_dir on
+    the crossing ray, or y itself in the band.
     """
     space, f = inst.space, inst.f
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -190,9 +196,10 @@ def signed_distance_values(
     codes = band_codes(f0, cfg)
     vals = np.zeros(len(Y))
     flags = np.zeros(len(Y), dtype=bool)
+    feet = np.where((codes == 0)[:, None], Y, np.nan)
     active = np.nonzero(codes != 0)[0]
     if active.size == 0:
-        return vals, flags
+        return vals, flags, feet
     s = codes[active].astype(float)
     g0 = s * f0[active]
     Ya = Y[active]
@@ -202,7 +209,7 @@ def signed_distance_values(
     flags[active] = ~crossed
     vals[active] = s * SEARCH_RADIUS
     if not crossed.any():
-        return vals, flags
+        return vals, flags, feet
     # each later round refines only the rows that crossed, with a shrinking
     # cone of proposals around the best direction so far
     active, s, g0, Ya, best, best_dir = (v[crossed] for v in (active, s, g0, Ya, best, best_dir))
@@ -228,29 +235,38 @@ def signed_distance_values(
         best_dir = np.where((cand < best)[:, None], props[rows, k], best_dir)
         best = np.minimum(cand, best)
     vals[active] = s * best
-    return vals, flags
+    feet[active] = Ya + best[:, None] * best_dir
+    return vals, flags, feet
 
 
 def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     """inst with f replaced by its signed distance, for the witness machinery.
 
     The gradient, which only the gradient hull asks for (the Lipschitz
-    constant is ``SD_SCALES``' theorem 1), uses wide central differences so
-    that probe noise is averaged out instead of amplified; value_noise
-    carries the probe resolution so verification tolerances account for it,
-    and every stage, the verifier's included, samples it at ``SD_SCALES``.
-    Its sign query returns the base membership codes, which are the signed
-    distance's own, so membership codes and lambda's root finding march no
-    rays.  The probe directions and refinement cones are fixed per space,
-    and round 0 decides saturation, so cfg's seed reaches no value.
+    constant is ``SD_SCALES``' theorem 1), is the theorem's: where D is
+    differentiable its gradient is the normal of M at the nearest boundary
+    point, of dual norm 1 (Clarke 1983, ch. 2).  So it is
+    ``space.dual.unit`` of f's gradient at each row's foot, and 0 where that
+    gradient is 0 or the row saturated (D is locally constant there).
+    value_noise carries the probe resolution so verification tolerances
+    account for it, and every stage, the verifier's included, samples it at
+    ``SD_SCALES``.  Its sign query returns the base membership codes, which
+    are the signed distance's own, so membership codes and lambda's root
+    finding march no rays.  The probe directions and refinement cones are
+    fixed per space, and round 0 decides saturation, so cfg's seed reaches
+    no value.
     """
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(inst, P, cfg)[0]
 
-    step = max(1e-3 * SEARCH_RADIUS, 20.0 * PROBE_RESOLUTION)
-
     def gradient(P: np.ndarray) -> np.ndarray:
-        return finite_difference_gradients(evaluate, P, step)
+        feet = signed_distance_values(inst, P, cfg)[2]
+        g = np.zeros(feet.shape)
+        at = ~np.isnan(feet[:, 0])   # a saturated row has no foot
+        g[at] = inst.f.gradients(feet[at]) if at.any() else 0.0   # no call without a foot
+        at = inst.space.dual.norm(g) >= 1e-300   # an overflowing norm raises in unit
+        g[at] = inst.space.dual.unit(g[at])
+        return g
 
     return ProblemInstance(
         space=inst.space,
@@ -305,8 +321,8 @@ def check_theorem2(
     Certify's precondition failure for an x off f's boundary band; else
     the ``NondegeneracyResult`` of the witness search on the signed
     distance, whose ``SD_SCALES`` adapt the search to probe noise:
-    neighbourhood ladders stop well above the resolution floor and hull
-    gradients are taken at wide offsets.
+    neighbourhood ladders stop well above the resolution floor.  The hull
+    reads the signed distance's gradient at each ray's foot.
     """
     x = np.asarray(x, dtype=float)
     budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, THEOREM2_BUDGET))

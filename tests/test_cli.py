@@ -397,6 +397,25 @@ def test_theorem2_off_band_exit_1(capsys, point, side, promote):
     assert run(capsys, "certify", *argv) == (1, "", err)
 
 
+def test_theorem2_promote_failure_keeps_the_verdict_off_out(capsys, tmp_path, monkeypatch):
+    # theorem2 answered true, then the promotion failed: the verdict still
+    # goes to stdout, the failure is the one JSON line on stderr, and --out,
+    # which would hold the certificate, is not written
+    def failing(inst, x, cfg):
+        return cli.CertificationFailure(stage="radius-underflow", message="no luck")
+
+    monkeypatch.setattr(cli, "promote_to_certificate", failing)
+    path = tmp_path / "t2.json"
+    argv = ["theorem2", "--catalog", "halfspace", "--seed", "42"]
+    code, out, err = run(capsys, *argv, "--promote", "--out", str(path))
+    assert code == 2
+    assert (0, out, "") == run(capsys, *argv)
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "no luck", "failure": "radius-underflow"}
+    assert not path.exists()
+
+
 def test_sweep_rockafellar_csv(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "sweep-rockafellar", "--d-list", "1,2",
@@ -554,16 +573,18 @@ def test_bad_instance_field_exit_1(capsys, tmp_path, command, field, value):
 # inf * 0 makes f NaN everywhere; inf - inf makes it NaN beside the point, not at it
 NAN_EVERYWHERE = ["+", "x1", ["*", ["*", 1e308, 10], 0]]
 NAN_NEAR_POINT = ["-", ["*", "x1", 1e200, 1e200], ["*", "x1", 1e200, 1e200]]
-# finite values and gradients, but the gradient's norm overflows
+# finite values and gradients, but the gradient's norm overflows, at the point
+# and at every foot of the signed distance's rays
 HUGE_GRADIENT = ["+", ["*", 1e300, "x1"], ["*", 1e300, "x2"]]
 
 
 @pytest.mark.parametrize(
     "command, expression",
     [("certify", NAN_EVERYWHERE), ("theorem2", NAN_EVERYWHERE),
-     ("certify", NAN_NEAR_POINT), ("theorem2", NAN_NEAR_POINT), ("certify", HUGE_GRADIENT)],
+     ("certify", NAN_NEAR_POINT), ("theorem2", NAN_NEAR_POINT), ("certify", HUGE_GRADIENT),
+     ("theorem2", HUGE_GRADIENT)],
     ids=["certify", "theorem2", "certify-nan-near-point", "theorem2-nan-near-point",
-         "certify-overflowing-gradient"],
+         "certify-overflowing-gradient", "theorem2-overflowing-gradient"],
 )
 def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command, expression):
     inst = tmp_path / "inst.json"

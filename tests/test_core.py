@@ -350,17 +350,6 @@ def test_canonical_json_rejects_nonfinite():
         ec.canonical_json({"x": object()})
 
 
-def test_finite_difference_gradients_on_polynomial():
-    def f(P):
-        P = np.atleast_2d(P)
-        return P[:, 0] ** 2 + 3.0 * P[:, 0] * P[:, 1]
-
-    pts = np.array([[0.5, -1.0], [2.0, 0.25]])
-    G = ec.finite_difference_gradients(f, pts, 1e-6)
-    expect = np.stack([2 * pts[:, 0] + 3 * pts[:, 1], 3 * pts[:, 0]], axis=1)
-    np.testing.assert_allclose(G, expect, atol=1e-8)
-
-
 def test_internal_verify_seed_differs_and_is_stable():
     for s in (0, 1, 42, 2**40):
         m = ec.internal_verify_seed(s)

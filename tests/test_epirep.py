@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epicert as ec
-from epicert import epirep
+from epicert import cli, epirep
 from epicert.catalog import load
-from epicert.clarke import is_nondegenerate
+from epicert.clarke import GradientHull, NondegeneracyResult, is_nondegenerate
 from epicert.core import (
     NonFiniteValue,
     NormedSpace,
@@ -467,6 +467,27 @@ def test_certify_reports_degenerate_stage(cfg42):
     assert isinstance(res, CertificationFailure)
     assert res.stage == "degenerate-point"
     assert res.to_json_dict()["hull_min_norm_value"] <= 1e-3
+
+
+def test_certify_reports_a_hull_that_disagrees_with_the_witness_search(cfg42, capsys,
+                                                                     monkeypatch):
+    # a hull far from 0 with no witness found is not called degenerate: the
+    # message names the disagreement, and the CLI still exits 2
+    def disagreeing(inst, x, cfg):
+        return NondegeneracyResult(witness=None, alpha=None,
+                                   hull=GradientHull(generators=np.array([[1.0, 0.0]])),
+                                   directions_tried=20)
+
+    monkeypatch.setattr(epirep, "is_nondegenerate", disagreeing)
+    res = certify(load("halfspace").instance, np.zeros(2), cfg42)
+    assert isinstance(res, CertificationFailure)
+    assert res.stage == "degenerate-point"
+    assert res.message.endswith("hull min-norm 1 disagrees with witness search (none)")
+    assert cli.main(["certify", "--catalog", "halfspace", "--seed", "42"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": res.message, "failure": "degenerate-point",
+                               "hull_min_norm_value": 1.0}
 
 
 def test_certificate_reports_bound_formula(halfspace_cert):

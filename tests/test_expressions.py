@@ -11,11 +11,11 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from epicert.catalog import rockafellar_truncation
-from epicert.core import (
-    NonFiniteValue, NormedSpace, NumericConfig, ProblemInstance, finite_difference_gradients,
-)
+from epicert.core import NonFiniteValue, NormedSpace, NumericConfig, ProblemInstance
 from epicert.epirep import EpigraphCertificate, certify
 from epicert.expressions import ExpressionError, compile_expression
+
+from conftest import finite_difference_gradients
 
 
 def _pts(seed, n=40, d=2, scale=2.0):
@@ -74,6 +74,17 @@ def test_ops_match_numpy(expr, ref):
     gradients = np.empty_like(p)
     gradients[:, 0], gradients[:, 1] = columns
     np.testing.assert_allclose(f.gradients(p), gradients, atol=1e-14)
+
+
+def test_finite_difference_gradients_on_polynomial():
+    def f(P):
+        P = np.atleast_2d(P)
+        return P[:, 0] ** 2 + 3.0 * P[:, 0] * P[:, 1]
+
+    pts = np.array([[0.5, -1.0], [2.0, 0.25]])
+    G = finite_difference_gradients(f, pts, 1e-6)
+    expect = np.stack([2 * pts[:, 0] + 3 * pts[:, 1], 3 * pts[:, 0]], axis=1)
+    np.testing.assert_allclose(G, expect, atol=1e-8)
 
 
 @pytest.mark.parametrize(

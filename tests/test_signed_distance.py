@@ -44,6 +44,8 @@ from epicert.signed_distance import (
     signed_distance_values,
 )
 
+from conftest import finite_difference_gradients
+
 
 @pytest.fixture(scope="module")
 def cfg():
@@ -71,13 +73,13 @@ def test_ball_center_distance(ball, cfg):
 def test_halfspace_axis_values(half, cfg):
     # for {y1 <= 0} the signed distance is exactly y1 along the axis
     pts = np.array([[0.3, 0.0], [-0.4, 0.0], [1.2, 0.5], [-1.0, -0.7]])
-    vals, flags = signed_distance_values(half, pts, cfg)
+    vals, flags, _ = signed_distance_values(half, pts, cfg)
     np.testing.assert_allclose(vals, pts[:, 0], atol=2 * PROBE_RESOLUTION)
     assert not flags.any()
 
 
 def test_sign_semantics_and_band(half, cfg):
-    vals, _ = signed_distance_values(
+    vals, _, _ = signed_distance_values(
         half, np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.0]]), cfg
     )
     assert vals[0] > 0 and vals[1] < 0
@@ -88,26 +90,26 @@ def test_batch_purity(half, cfg):
     # each point's value may not depend on its batch neighbours
     rng = np.random.default_rng(10)
     pts = rng.uniform(-1, 1, (12, 2))
-    full, _ = signed_distance_values(half, pts, cfg)
+    full, _, _ = signed_distance_values(half, pts, cfg)
     singles = np.array([signed_distance_values(half, p[None, :], cfg)[0][0] for p in pts])
     np.testing.assert_array_equal(full, singles)
     perm = rng.permutation(12)
-    shuffled, _ = signed_distance_values(half, pts[perm], cfg)
+    shuffled, _, _ = signed_distance_values(half, pts[perm], cfg)
     np.testing.assert_array_equal(shuffled, full[perm])
     # a curved set, split where find_descent_radius splits a round
     union = load("union_balls").instance
     n = max(256, cfg.sample_budget // 2)
     pts = sample_ball(union.space, np.array([0.5, 0.0]), 2.0, n, rng)
-    full, _ = signed_distance_values(union, pts, cfg)
-    head, _ = signed_distance_values(union, pts[: n // 32], cfg)
-    rest, _ = signed_distance_values(union, pts[n // 32 :], cfg)
+    full, _, _ = signed_distance_values(union, pts, cfg)
+    head, _, _ = signed_distance_values(union, pts[: n // 32], cfg)
+    rest, _, _ = signed_distance_values(union, pts[n // 32 :], cfg)
     np.testing.assert_array_equal(np.concatenate([head, rest]), full)
 
 
 def test_determinism(ball, cfg):
     pts = np.array([[0.2, 0.1], [1.4, -0.3]])
-    a, _ = signed_distance_values(ball, pts, cfg)
-    b, _ = signed_distance_values(ball, pts, cfg)
+    a, _, _ = signed_distance_values(ball, pts, cfg)
+    b, _, _ = signed_distance_values(ball, pts, cfg)
     np.testing.assert_array_equal(a, b)
 
 
@@ -182,7 +184,7 @@ def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half
 
     monkeypatch.setattr(sd_module, "itp_crossings", itp)
     inst = replace(half, f=replace(half.f, eval=counted))
-    _, flags = signed_distance_values(inst, Y, cfg)
+    _, flags, _ = signed_distance_values(inst, Y, cfg)
     assert not flags.any()
     # set the solver's own passes aside, each within its call's rows
     outer, solving = [], 0
@@ -235,7 +237,7 @@ def test_proposal_crossing_a_thin_slab_twice_keeps_an_upper_bound(cfg):
     best0, _, _ = sd_module._ray_crossings(f.values, np.sign(true), np.abs(f.values(Y)), Y,
                                             sd_module._directions(inst.space))
     assert np.sum(best0[:12] > x1[:12] - 1e-9) >= 10   # round 0 misses the slab
-    vals, flags = signed_distance_values(inst, Y, cfg)
+    vals, flags, _ = signed_distance_values(inst, Y, cfg)
     assert not flags.any()
     np.testing.assert_array_equal(np.sign(vals), np.sign(true))
     assert np.all(np.abs(vals) >= np.abs(true) - 1e-12)
@@ -260,7 +262,7 @@ def test_singleton_far_side_saturates(cfg):
     n = 5
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
     Y = rng.uniform(0.2, 1.4, (n, 1)) * np.column_stack([np.cos(angle), np.sin(angle)])
-    vals, flags = signed_distance_values(inst, Y, cfg)
+    vals, flags, _ = signed_distance_values(inst, Y, cfg)
     assert flags.all()
     assert np.all(vals == SEARCH_RADIUS)
     p = len(sd_module._directions(inst.space))
@@ -284,7 +286,7 @@ def test_rows_within_one_cell_of_the_boundary_stop_after_the_first_column(monkey
         return real_itp(*args, **kwargs)
 
     monkeypatch.setattr(sd_module, "itp_crossings", itp)
-    vals, flags = signed_distance_values(inst, Y, cfg)
+    vals, flags, _ = signed_distance_values(inst, Y, cfg)
     assert not flags.any()
     assert calls[0] == [n, n * len(sd_module._directions(half.space))]
     np.testing.assert_allclose(vals, x1, atol=2 * PROBE_RESOLUTION)
@@ -312,7 +314,7 @@ def test_overestimation_is_one_sided(ball, cfg):
     rng = np.random.default_rng(4)
     pts = rng.uniform(-0.6, 0.6, (20, 2))
     true = np.linalg.norm(pts, axis=1) - 1.0
-    vals, _ = signed_distance_values(ball, pts, cfg)
+    vals, _, _ = signed_distance_values(ball, pts, cfg)
     assert np.all(vals <= true + 1e-9)
     assert np.all(vals >= true - PROBE_RESOLUTION)
 
@@ -330,8 +332,8 @@ def test_lipschitz_check_sends_both_ends_in_one_call(ball, cfg, monkeypatch):
     rng = cfg.rng("sd-lipschitz", ball.f.descriptor)
     P = sample_ball(ball.space, center, 1.0, 500, rng)
     Q = sample_ball(ball.space, center, 1.0, 500, rng)
-    vp, _ = signed_distance_values(ball, P, cfg)
-    vq, _ = signed_distance_values(ball, Q, cfg)
+    vp, _, _ = signed_distance_values(ball, P, cfg)
+    vq, _, _ = signed_distance_values(ball, Q, cfg)
     excess = np.abs(vp - vq) - (1.02 * ball.space.norm(P - Q) + 2.0 * PROBE_RESOLUTION)
     worst = float(np.max(excess))
     want = {"ok": bool(worst <= 0.0), "max_excess": worst, "pairs": 500}
@@ -347,15 +349,43 @@ def test_lipschitz_check_sends_both_ends_in_one_call(ball, cfg, monkeypatch):
     assert calls == [1000]
 
 
-def test_sd_instance_contract(half, cfg):
+def test_sd_instance_contract(half, ball, cfg):
     f = sd_instance(half, cfg).f
     assert f.value_noise == PROBE_RESOLUTION
     assert "signed-distance" in f.descriptor
     # the theorem's Lipschitz constant rides on the scales, not on the hint
     assert f.scales.lipschitz == 1.0
     assert f.lipschitz_hint is None
-    g = f.gradients(np.array([[0.4, 0.2]]))
-    np.testing.assert_allclose(g[0], [1.0, 0.0], atol=0.05)
+    # the gradient is the theorem's: the normal of M at each row's foot,
+    # scaled to dual norm 1, on both sides
+    g = f.gradients(np.array([[0.4, 0.2], [-0.3, -0.5]]))
+    np.testing.assert_array_equal(g, [[1.0, 0.0], [1.0, 0.0]])
+    Y = np.array([[1.3, 0.4], [0.3, -0.5], [-0.2, 0.6], [-1.1, -0.9]])   # two out, two in
+    f = sd_instance(ball, cfg).f
+    g = f.gradients(Y)
+    np.testing.assert_allclose(g, Y / np.linalg.norm(Y, axis=1, keepdims=True), atol=1e-3)
+    # at smooth points of D it agrees with D's central differences
+    np.testing.assert_allclose(g, finite_difference_gradients(f.values, Y, 1e-2), atol=0.05)
+    # a band row is its own foot
+    u = np.array([[0.6, 0.8]])
+    y = u * (1.0 + 2e-10)
+    assert membership_codes(ball.f, y, cfg)[0] == 0
+    np.testing.assert_array_equal(f.gradients(y), ball.space.dual.unit(ball.f.gradients(y)))
+    # under the sup norm the dual (one) norm of the face normal is 1
+    box = load("box_sup").instance
+    g = sd_instance(box, cfg).f.gradients(np.array([[1.01, 0.3]]))
+    np.testing.assert_array_equal(g, [[1.0, 0.0]])
+    # a saturated row has no foot: D is locally constant there, so 0, and
+    # the base gradient is not asked at all
+    point = load("singleton_sq").instance
+    Y = np.array([[0.3, 0.2], [-0.8, 0.5]])
+    assert signed_distance_values(point, Y, cfg)[1].all()
+
+    def no_gradient(P):
+        raise AssertionError("the base gradient was asked without a foot")
+
+    sd = sd_instance(replace(point, f=replace(point.f, grad=no_gradient)), cfg)
+    np.testing.assert_array_equal(sd.f.gradients(Y), np.zeros((2, 2)))
 
 
 def test_check_theorem2_halfspace(cfg):
@@ -438,7 +468,7 @@ def test_sign_query_agrees_with_signed_distance(cid, cfg):
     pts = np.vstack([rng.uniform(-1.5, 1.5, (24, 2)), edge, band])
     codes = membership_codes(inst.f, pts, cfg)
     assert (codes == 0).sum() >= 12 and (codes > 0).any() and (codes < 0).any()
-    sd_vals, _ = signed_distance_values(inst, pts, cfg)
+    sd_vals, _, _ = signed_distance_values(inst, pts, cfg)
     signs = sd_instance(inst, cfg).f.signs(pts)
     for got in (codes, signs):
         np.testing.assert_array_equal(got > 0, sd_vals > 0)
