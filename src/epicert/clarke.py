@@ -1,6 +1,6 @@
 """Sampling estimators for generalized derivatives of Lipschitz functions.
 
-Three pieces:
+Four pieces:
 
 * ``directional_derivative``: the generalized directional derivative at x in
   direction v, estimated as a max of difference quotients over a ladder of
@@ -14,6 +14,11 @@ Three pieces:
 * ``estimate_gradient_hull`` / ``min_norm_point``: a surrogate for the
   generalized gradient, built as the convex hull of gradients sampled at
   nearby points, with Wolfe's algorithm for the minimum-norm point.
+* ``is_nondegenerate``: the witness search.  It tries the direction
+  opposite the hull's min-norm point, at most dim + 1 times, growing the
+  hull after each failure with f's gradients at the ladder rows where that
+  direction was probed (gradient sampling, Burke-Lewis-Overton), then the
+  2 dim negated signed axes.  No candidate is random.
 * ``local_lipschitz_constant``: a certified-by-sampling bound on the local
   Lipschitz constant of f on a ball, every candidate being an honest pair
   quotient |f(a) - f(b)| / |a - b| formed by ``core.pair_quotients``.  Its
@@ -350,36 +355,52 @@ def is_nondegenerate(
 
     A unit v with negative directional derivative certifies that 0 is not in
     the generalized gradient.  Candidates in order: the direction opposite
-    the hull's min-norm point, the signed coordinate axes, then random unit
-    vectors.  The candidates share one ``_LadderBase``: the ladder's base
-    points do not depend on the direction, so each level's f(y) is evaluated
-    once however many candidates reach it.  A candidate whose ladder runs L
-    levels sends max(1, L - 1) oracle calls: levels 0 and 1 share one, and
-    each later level's base points, if new, share its step points' call.
-    The hull verdict is kept alongside as a consistency check but the
-    witness, when found, is what downstream consumes.
+    the min-norm point of the gradient hull, then the negated signed
+    coordinate axes.  The hull's direction is tried while the hull's
+    min-norm exceeds HULL_ZERO_TOL, at most dim + 1 times: each time it
+    fails, f's gradients at the deepest ladder level's base points and at
+    their steps along it join the hull in one call of 2n rows (some piece
+    that ascends along it is active there), and the next try needs a
+    min-norm point that moved.  No candidate is random.  The candidates
+    share one ``_LadderBase``: the ladder's base points do not depend on
+    the direction, so each level's f(y) is evaluated once however many
+    candidates reach it.  A candidate whose ladder runs L levels sends
+    max(1, L - 1) oracle calls: levels 0 and 1 share one, and each later
+    level's base points, if new, share its step points' call.  The last
+    hull is kept alongside as a consistency check but the witness, when
+    found, is what downstream consumes.
     """
-    space = inst.space
+    space, f = inst.space, inst.f
     x = np.asarray(x, dtype=float)
-    hull = estimate_gradient_hull(space, inst.f, x, cfg)
+    hull = estimate_gradient_hull(space, f, x, cfg)
+    base = _LadderBase(space, f, x, cfg)
 
-    candidates: list[np.ndarray] = []
-    if hull.min_norm_value > HULL_ZERO_TOL:
-        candidates.append(-hull.min_norm_point)
-    candidates.extend(-signed_axes(space.dim))
-    rng = cfg.rng("witness-dirs", inst.f.descriptor, *np.round(x, 12).tolist())
-    candidates.extend(rng.standard_normal(space.dim) for _ in range(16))
+    def candidates():
+        # every candidate is nonzero: the hull's is longer than
+        # HULL_ZERO_TOL and the axes are unit
+        nonlocal hull
+        for _ in range(space.dim + 1):
+            p = hull.min_norm_point
+            if hull.min_norm_value <= HULL_ZERO_TOL:
+                break
+            yield -p
+            # -p failed, so a piece along which it ascends is active at some
+            # ladder row: grow the hull there
+            u = space.unit(-p)
+            ys, ts = base.draws[-1]
+            grown = f.gradients(np.concatenate([ys, ys + ts[:, None] * u[None, :]]))
+            hull = GradientHull(generators=np.concatenate([hull.generators, grown]))
+            if np.array_equal(hull.min_norm_point, p):
+                break
+        yield from -signed_axes(space.dim)
 
-    # every candidate is nonzero: the hull's is longer than HULL_ZERO_TOL, the
-    # axes are unit and the Gaussian draws are nonzero
-    base = _LadderBase(space, inst.f, x, cfg)
     witness = None
     alpha = None
-    for tried, c in enumerate(candidates, 1):
+    for tried, c in enumerate(candidates(), 1):
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(c)
-        est = directional_derivative(space, inst.f, x, u, cfg, base)
+        est = directional_derivative(space, f, x, u, cfg, base)
         if est.value < -WITNESS_TOL:
             witness = space.unit(u)
             alpha = -est.value / 2.0

@@ -301,7 +301,8 @@ class FunctionOracle:
     from the ideal function it stands for (0 for closed forms; the probe
     resolution for estimated oracles); magnitude-sensitive checks add it to
     their tolerance.  Every pipeline stage samples f at f.scales.  values and
-    gradients raise NonFiniteValue on NaN or infinity.  sign, when present,
+    gradients raise NonFiniteValue on NaN or infinity, and gradients also on
+    a row whose norm overflows, naming the first such point.  sign, when present,
     is a cheaper (n, dim) -> (n,) query for f's membership codes, with
     exactly eval's signs (0 in the band); membership_codes and lambda's root
     finding ask it instead of eval; on +-1 codes the regula falsi point of
@@ -341,7 +342,11 @@ class FunctionOracle:
         g = np.asarray(self.grad(points), dtype=float)
         if g.shape != points.shape:
             raise ValueError(f"grad returned shape {g.shape}")
-        return _finite(g, points, "the gradient of f")
+        _finite(g, points, "the gradient of f")
+        # a finite gradient whose norm overflows cannot be normalised or hulled
+        with np.errstate(over="ignore"):
+            _finite(np.linalg.norm(g, axis=1), points, "the norm of the gradient of f")
+        return g
 
 
 def require_integer(value: Any, name: str) -> Any:

@@ -264,7 +264,7 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
         g = np.zeros(feet.shape)
         at = ~np.isnan(feet[:, 0])   # a saturated row has no foot
         g[at] = inst.f.gradients(feet[at]) if at.any() else 0.0   # no call without a foot
-        at = inst.space.dual.norm(g) >= 1e-300   # an overflowing norm raises in unit
+        at = inst.space.dual.norm(g) >= 1e-300   # f.gradients refuses an overflowing norm
         g[at] = inst.space.dual.unit(g[at])
         return g
 

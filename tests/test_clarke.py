@@ -25,18 +25,21 @@ from epicert.clarke import (
     min_norm_point,
 )
 from epicert.core import (
+    NORM_KINDS,
     FunctionOracle,
     NonFiniteValue,
     NormedSpace,
     NumericConfig,
+    ProblemInstance,
     Scales,
     sample_ball,
     signed_axes,
     stream_rng,
 )
-from epicert.epirep import certify
+from epicert.epirep import EpigraphCertificate, certify
 from epicert.expressions import compile_expression
 from epicert.signed_distance import THEOREM2_BUDGET, sd_instance
+from epicert.verify import run_suite
 
 
 @pytest.fixture
@@ -203,24 +206,54 @@ def test_is_nondegenerate_abs_wall():
     assert res.hull.min_norm_value <= 1e-3
 
 
-@pytest.mark.parametrize("route,calls", [("plain", 460), ("signed-distance", 40)],
-                         ids=["plain", "signed-distance"])
-def test_is_nondegenerate_shares_one_ladder_base(route, calls, monkeypatch):
-    # every candidate at singleton_sq fails, so all 20 run their ladder; each
-    # estimate is the one an independent call gives, and no batch of points
-    # is evaluated twice: each level's base points are evaluated once.  A
-    # ladder of L >= 2 levels sends L - 1 calls, levels 0 and 1 sharing one
-    entry = load("singleton_sq")
+def orthant(d, norm="euclidean", rotation_seed=None):
+    """M = {max_i (Qx)_i <= 0} at 0 as an expression instance: the negative
+    orthant when Q is the identity, else rotated by a seeded orthogonal Q.
+    Its Clarke gradient at 0 is conv{rows of Q}, and -sum of the rows descends.
+    """
+    if rotation_seed is None:
+        pieces = [f"x{j + 1}" for j in range(d)]
+    else:
+        Q = np.linalg.qr(np.random.default_rng(rotation_seed).standard_normal((d, d)))[0]
+        pieces = [["+", *(["*", float(q), f"x{j + 1}"] for j, q in enumerate(row))]
+                  for row in Q]
+    return ProblemInstance(NormedSpace(d, norm), compile_expression(["max", *pieces], d),
+                           boundary_points=(np.zeros(d),))
+
+
+@pytest.mark.parametrize("point,route,tried,calls,growths", [
+    ("singleton_sq", "plain", 4, 92, 0),
+    ("singleton_sq", "signed-distance", 4, 8, 0),
+    ("orthant_32", "plain", 2, 2, 1),
+    ("orthant_64_sup", "plain", 3, 3, 2),
+], ids=["plain", "signed-distance", "orthant-32", "orthant-64-sup"])
+def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, growths,
+                                                 monkeypatch):
+    # at singleton_sq the hull reads 0, so only the 4 negated axes run, each
+    # failing; at the orthant the hull misses pieces, so its first direction
+    # fails and the hull grows once (d = 32) or twice (d = 64, sup norm)
+    # before it descends.  Each estimate is the one an independent call
+    # gives, and no batch of points is evaluated twice: each level's base
+    # points are evaluated once.  A ladder of L >= 2 levels sends L - 1
+    # calls, levels 0 and 1 sharing one.  Each growth is one gradient call
+    # of the deepest level's n base points and their n steps
     cfg = NumericConfig(rng_seed=42)
-    inst = entry.instance
+    if point.startswith("orthant"):
+        inst = orthant(int(point.split("_")[1]), "sup" if point.endswith("sup") else "euclidean")
+    else:
+        inst = load(point).instance
     if route == "signed-distance":
         inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=THEOREM2_BUDGET)
-    x = entry.degenerate_at[0]
-    batches = []
+    x = inst.boundary_points[0]
+    batches, grad_batches = [], []
 
     def counted(P):
         batches.append(P.tobytes())
         return inst.f.eval(P)
+
+    def grad_counted(P):
+        grad_batches.append(P)
+        return inst.f.grad(P)
 
     probes = []
     real = clarke.directional_derivative
@@ -230,16 +263,71 @@ def test_is_nondegenerate_shares_one_ladder_base(route, calls, monkeypatch):
         return probes[-1][1]
 
     monkeypatch.setattr(clarke, "directional_derivative", spy)
-    res = is_nondegenerate(replace(inst, f=replace(inst.f, eval=counted)), x, cfg)
+    res = is_nondegenerate(replace(inst, f=replace(inst.f, eval=counted, grad=grad_counted)),
+                           x, cfg)
     monkeypatch.undo()
-    assert (res.witness, res.alpha, res.directions_tried) == (None, None, 20)
-    assert len(probes) == 20
+    assert res.directions_tried == len(probes) == tried
+    assert (res.witness is None) == point.startswith("singleton")
     for u, est in probes:
         assert real(inst.space, inst.f, x, u, cfg) == est
     n = max(16, cfg.sample_budget // 32)
     levels = [est.samples_used // (2 * n) for _, est in probes]
     assert min(levels) >= 2
     assert len(batches) == len(set(batches)) == sum(L - 1 for L in levels) == calls
+    # the hull's own gradient batch, then one per growth
+    assert [len(P) for P in grad_batches[1:]] == [2 * n] * growths
+    assert len(res.hull.generators) == len(grad_batches[0]) + 2 * n * growths
+
+
+def _max_of_linear_forms(count, seed):
+    """count random f = max_i <g_i, x> at 0: dim 2..4, 1..5 pieces, the three
+    norms in turn.  Three in ten of those with two or more pieces are built
+    with 0 in conv{g_i}, f's Clarke gradient at 0, so that no direction
+    descends there; else one descends exactly when conv{g_i} misses 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d, k = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        G = rng.standard_normal((k, d))
+        zero_in = k >= 2 and rng.uniform() < 0.3
+        if zero_in:
+            w = rng.dirichlet(np.ones(k))
+            G[-1] -= (w @ G) / w[-1]   # now w @ G = 0
+        f = FunctionOracle(eval=lambda P, G=G: np.max(P @ G.T, axis=1),
+                           grad=lambda P, G=G: G[np.argmax(P @ G.T, axis=1)],
+                           descriptor=f"max-linear-{i}")
+        yield ProblemInstance(NormedSpace(d, NORM_KINDS[i % 3]), f), G, zero_in
+
+
+def test_witness_search_finds_every_descent_the_pieces_allow():
+    # the hull's first direction can ascend along a piece its samples missed,
+    # on about one instance in a few hundred; the hull grown from the ladder
+    # must find that piece
+    cfg = NumericConfig(rng_seed=42)
+    found = 0
+    for i, (inst, G, zero_in) in enumerate(_max_of_linear_forms(300, seed=0)):
+        res = is_nondegenerate(inst, np.zeros(inst.space.dim), cfg)
+        if res.witness is None:
+            assert zero_in or np.linalg.norm(min_norm_point(G)[0]) <= 1e-3, i
+        else:
+            found += 1
+            assert not zero_in, i
+            assert np.max(G @ res.witness) < 0.0, i
+    assert found > 200
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+@pytest.mark.parametrize("d,rotation_seed", [(32, None), (64, None), (32, 0)],
+                         ids=["orthant-32", "orthant-64", "rotated-orthant-32"])
+def test_certify_at_the_orthant(d, rotation_seed, norm, seed):
+    # the hull's first samples miss some of the d pieces past d = 24, and the
+    # descent cone is too narrow for a guessed direction; the grown hull
+    # finds it, and the certificate passes a fresh-seed suite
+    inst = orthant(d, norm, rotation_seed)
+    cfg = NumericConfig(rng_seed=seed)
+    cert = certify(inst, inst.boundary_points[0], cfg)
+    assert isinstance(cert, EpigraphCertificate), cert.message
+    assert run_suite(inst, cert, replace(cfg, rng_seed=seed + 1)).overall
 
 
 class _SequentialLadder:

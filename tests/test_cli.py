@@ -506,6 +506,7 @@ def run_input_error(capsys, *argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "error" in json.loads(lines[0])
+    return json.loads(lines[0])["error"]
 
 
 def test_instance_file_holding_an_array_exit_1(capsys, tmp_path):
@@ -574,7 +575,8 @@ def test_bad_instance_field_exit_1(capsys, tmp_path, command, field, value):
 NAN_EVERYWHERE = ["+", "x1", ["*", ["*", 1e308, 10], 0]]
 NAN_NEAR_POINT = ["-", ["*", "x1", 1e200, 1e200], ["*", "x1", 1e200, 1e200]]
 # finite values and gradients, but the gradient's norm overflows, at the point
-# and at every foot of the signed distance's rays
+# and at every foot of the signed distance's rays; like every other value that
+# is not finite, it is reported at its point
 HUGE_GRADIENT = ["+", ["*", 1e300, "x1"], ["*", 1e300, "x2"]]
 
 
@@ -593,7 +595,7 @@ def test_non_finite_value_at_point_exit_1(capsys, tmp_path, command, expression)
         "function": {"expression": expression},
         "boundary_points": [[0.0, 0.0]],
     }))
-    run_input_error(capsys, command, "--instance", str(inst))
+    assert " at [" in run_input_error(capsys, command, "--instance", str(inst))
 
 
 def deep_instance(depth: int) -> str:

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import epicert as ec
 from epicert.core import (
-    NORM_KINDS, NonFiniteValue, itp_crossings, pair_quotients, require_number, require_vector,
-    signed_axes, stream_rng,
+    NORM_KINDS, FunctionOracle, NonFiniteValue, itp_crossings, pair_quotients, require_number,
+    require_vector, signed_axes, stream_rng,
 )
 
 DIMS = st.integers(min_value=1, max_value=5)
@@ -156,6 +156,18 @@ def test_unit_rejects_overflowing_norm():
     space = ec.NormedSpace(2, "euclidean")
     with pytest.raises(NonFiniteValue, match="norm overflows"), np.errstate(over="ignore"):
         space.unit(np.array([1e308, 1e308]))
+
+
+def test_gradients_refuse_an_overflowing_norm_at_its_point():
+    # every entry is finite, but the norms of the last two rows are not; the
+    # first of them is named
+    G = np.array([[1.0, 2.0], [1e300, 1e300], [3e300, 0.0]])
+    f = FunctionOracle(eval=lambda P: P[:, 0], grad=lambda P: G[: len(P)])
+    P = np.array([[0.0, 0.0], [0.5, -1.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(f.gradients(P[:1]), G[:1])
+    with pytest.raises(NonFiniteValue) as exc:
+        f.gradients(P)
+    assert str(exc.value) == "the norm of the gradient of f is not finite at [0.5, -1.0]"
 
 
 def test_stream_rng_deterministic_and_label_sensitive():
