@@ -13,12 +13,15 @@ Four pieces:
   call per batch would give.
 * ``estimate_gradient_hull`` / ``min_norm_point``: a surrogate for the
   generalized gradient, built as the convex hull of gradients sampled at
-  nearby points, with Wolfe's algorithm for the minimum-norm point.
+  nearby points along the jittered signed axes, with Wolfe's algorithm for
+  the minimum-norm point.
 * ``is_nondegenerate``: the witness search.  It tries the direction
   opposite the hull's min-norm point, at most dim + 1 times, growing the
   hull after each failure with f's gradients at the ladder rows where that
   direction was probed (gradient sampling, Burke-Lewis-Overton), then the
-  2 dim negated signed axes.  No candidate is random.
+  2 dim negated signed axes.  No candidate is random.  Its thresholds are
+  relative to the hull's scale, f's gradient scale at x, so its verdict
+  does not depend on f's units, except where the first hull reads 0.
 * ``local_lipschitz_constant``: a certified-by-sampling bound on the local
   Lipschitz constant of f on a ball, every candidate being an honest pair
   quotient |f(a) - f(b)| / |a - b| formed by ``core.pair_quotients``.  Its
@@ -59,13 +62,13 @@ __all__ = [
     "SAFETY",
 ]
 
-WITNESS_TOL = 1e-6     # a direction counts as descending only below this
-HULL_ZERO_TOL = 1e-3   # hull min-norm below this reads as 0 in the hull
+WITNESS_TOL = 1e-6     # descent is below minus this, times the first hull's scale unless it reads 0
+HULL_ZERO_TOL = 1e-3   # hull min-norm up to this, times the hull's scale, reads as 0
 SAFETY = 1.25          # inflation applied to raw sampled Lipschitz quotients
 CHORD_FRACTION = 1e-4  # Lipschitz chord half-length, over the radius
 STALL_RTOL = 1e-3      # an ascent step that lifts the max by less has stalled
 STALL_STEPS = 8        # consecutive stalled steps that end the ascent
-MNP_TOL = 1e-10        # Wolfe optimality tolerance, relative to max(1, |x|^2)
+MNP_TOL = 1e-10        # Wolfe optimality tolerance, relative to the largest |p_i|^2
 MNP_MAX_ITER = 10000   # Wolfe major cycles
 
 
@@ -215,12 +218,15 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     active = [start]
     w = np.array([1.0])
     x = P[start].copy()
+    # relative to the generators' scale, so the point's accuracy does not
+    # depend on the units of the points
+    tol = MNP_TOL * float(np.max(np.einsum("ij,ij->i", P, P)))
 
     for _ in range(MNP_MAX_ITER):
         dots = P @ x
         xx = float(x @ x)
         j = int(np.argmin(dots))
-        if dots[j] > xx - MNP_TOL * max(1.0, xx):
+        if dots[j] > xx - tol:
             break
         if j in active:
             break  # numerically stuck, current x is as good as it gets
@@ -244,6 +250,13 @@ def min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError:
                 sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
             u = sol[:k]
+            if u[-1] <= 0.0 and active[-1] == j:
+                # the entering generator keeps positive weight in exact
+                # arithmetic (Wolfe 1976); the Gram system squares the
+                # conditioning of nearly coplanar generators, so solve the
+                # affine problem on their differences instead
+                c = np.linalg.lstsq((S[1:] - S[0]).T, -S[0], rcond=None)[0]
+                u = np.concatenate([[1.0 - c.sum()], c])
             if np.all(u > 1e-12):
                 w = u
                 x = u @ S
@@ -292,6 +305,16 @@ class GradientHull:
         """Euclidean norm of the min-norm point."""
         return float(np.linalg.norm(self.min_norm_point))
 
+    @property
+    def scale(self) -> float:
+        """Largest euclidean norm among the generators: f's gradient scale at x."""
+        return float(np.max(np.linalg.norm(self.generators, axis=1)))
+
+    @property
+    def reads_zero(self) -> bool:
+        """The min-norm is at most HULL_ZERO_TOL times the scale: 0 is in the hull."""
+        return self.min_norm_value <= HULL_ZERO_TOL * self.scale
+
 
 def estimate_gradient_hull(
     space: NormedSpace,
@@ -299,22 +322,19 @@ def estimate_gradient_hull(
     x: np.ndarray,
     cfg: NumericConfig,
 ) -> GradientHull:
-    """Gradients at points 1e-5 (1 + |x|) from x, hulled.
+    """Gradients at points 1e-5 (1 + |x|) from x along jittered signed axes, hulled.
 
-    Axis perturbations catch piecewise structure aligned with coordinates;
-    random directions cover the rest.  The jitter keeps samples off
-    measure-zero kink sets almost surely.
+    The first min(2 dim, 48) signed axes, each jittered by 1e-3 and
+    normalised, catch piecewise structure aligned with coordinates; the
+    jitter keeps samples off measure-zero kink sets almost surely.  Pieces
+    the axes miss are found by ``is_nondegenerate``, which grows the hull
+    from its ladder wherever the hull's direction fails.
     """
     x = np.asarray(x, dtype=float)
     d = space.dim
     rng = cfg.rng("hull", f.descriptor, *np.round(x, 12).tolist())
 
-    n_target = min(4 * d + 8, 48)
-    dirs = [e + 1e-3 * rng.standard_normal(d) for e in signed_axes(d)[:n_target]]
-    while len(dirs) < n_target:
-        g = rng.standard_normal(d)
-        dirs.append(g / np.linalg.norm(g))
-    D = np.stack(dirs)
+    D = np.stack([e + 1e-3 * rng.standard_normal(d) for e in signed_axes(d)[:48]])
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     pts = x[None, :] + 1e-5 * (1.0 + float(space.norm(x))) * D
     return GradientHull(generators=f.gradients(pts))
@@ -333,7 +353,7 @@ class NondegeneracyResult:
 
     @property
     def consistent(self) -> bool:  # the witness search agrees with the hull test
-        return self.nondegenerate == (self.hull.min_norm_value > HULL_ZERO_TOL)
+        return self.nondegenerate != self.hull.reads_zero
 
     @property
     def degenerate(self) -> bool:
@@ -356,8 +376,13 @@ def is_nondegenerate(
     A unit v with negative directional derivative certifies that 0 is not in
     the generalized gradient.  Candidates in order: the direction opposite
     the min-norm point of the gradient hull, then the negated signed
-    coordinate axes.  The hull's direction is tried while the hull's
-    min-norm exceeds HULL_ZERO_TOL, at most dim + 1 times: each time it
+    coordinate axes.  With s the hull's scale (the largest generator norm),
+    the hull reads 0 when its min-norm is at most HULL_ZERO_TOL s, and a
+    candidate descends when its estimate is below -WITNESS_TOL s, s taken
+    from the first hull; where the first hull reads 0, s is only the size
+    of f's gradient 1e-5 from x (0 at a smooth critical point), and the
+    threshold is -WITNESS_TOL in f's units.  The hull's direction is tried while the hull does not
+    read 0, at most dim + 1 times: each time it
     fails, f's gradients at the deepest ladder level's base points and at
     their steps along it join the hull in one call of 2n rows (some piece
     that ascends along it is active there), and the next try needs a
@@ -376,12 +401,12 @@ def is_nondegenerate(
     base = _LadderBase(space, f, x, cfg)
 
     def candidates():
-        # every candidate is nonzero: the hull's is longer than
-        # HULL_ZERO_TOL and the axes are unit
+        # every candidate is nonzero: the hull's does not read 0 and the
+        # axes are unit
         nonlocal hull
         for _ in range(space.dim + 1):
             p = hull.min_norm_point
-            if hull.min_norm_value <= HULL_ZERO_TOL:
+            if hull.reads_zero:
                 break
             yield -p
             # -p failed, so a piece along which it ascends is active at some
@@ -396,12 +421,16 @@ def is_nondegenerate(
 
     witness = None
     alpha = None
+    # in f's units: relative to the first hull's scale where that hull's
+    # direction runs, absolute where it reads 0 (there the scale is only the
+    # size of f's gradient 1e-5 from x, and may be 0)
+    descends_below = -WITNESS_TOL * (1.0 if hull.reads_zero else hull.scale)
     for tried, c in enumerate(candidates(), 1):
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(c)
         est = directional_derivative(space, f, x, u, cfg, base)
-        if est.value < -WITNESS_TOL:
+        if est.value < descends_below:
             witness = space.unit(u)
             alpha = -est.value / 2.0
             break

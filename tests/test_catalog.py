@@ -126,6 +126,31 @@ def test_rockafellar_vertical_derivative(cfg42):
         assert ref.directional_derivative_at_witness == -1.0
 
 
+WITNESS_IDS = ("halfspace", "unit_ball_euclid", "box_sup", "max_two_planes", "union_balls",
+               "rockafellar_1", "rockafellar_4")
+
+
+def test_witness_ids_are_the_fixed_entries_with_reference_witness_data():
+    ids = [cid for cid in FIXED_IDS if load(cid).instance.reference.witness_point is not None]
+    assert ids == list(WITNESS_IDS[:5])
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+@pytest.mark.parametrize("cid", WITNESS_IDS)
+def test_reference_witness_data(cid, seed):
+    # the directional derivative along the reference direction is the
+    # reference value, and certify's witness at the reference point is the
+    # reference direction
+    inst = load(cid).instance
+    ref = inst.reference
+    cfg = NumericConfig(rng_seed=seed)
+    est = directional_derivative(inst.space, inst.f, ref.witness_point, ref.witness_direction, cfg)
+    assert est.value == pytest.approx(ref.directional_derivative_at_witness, abs=1e-9)
+    cert = ec.certify(inst, ref.witness_point, cfg)
+    assert isinstance(cert, ec.EpigraphCertificate), cert.message
+    assert np.linalg.norm(cert.witness.v - ref.witness_direction) <= 1e-6, cert.witness.v
+
+
 def test_rockafellar_lipschitz_closed_form():
     entry = load("rockafellar_3")
     k = entry.instance.reference.lipschitz_on_ball(1.0)

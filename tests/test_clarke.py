@@ -141,6 +141,30 @@ def test_min_norm_point_duplicate_rows_first_occurrence():
     np.testing.assert_allclose(p, (w[:, None] * pts).sum(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_min_norm_point_is_scale_free(c):
+    # Wolfe's stop is relative to the generators' scale: the hull of c e1
+    # and c e2 has its min-norm point at c (1/2, 1/2) in every unit
+    p, w = min_norm_point(c * np.array([[1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_allclose(p / c, [0.5, 0.5], atol=1e-9)
+    np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-9)
+
+
+def test_min_norm_point_enters_a_nearly_coplanar_generator():
+    # the last row lies 7e-8 below the plane of the other three, whose
+    # hull's min-norm point is (0, 0.609375, 0.609375): the Gram system over
+    # all four is too ill-conditioned to give the entering row its positive
+    # weight, so Wolfe's step is solved on the rows' differences instead
+    pts = np.array([[-1.6511021390183802, 1.21875, 0.0],
+                    [1.21875, 1.21875, -1.1920928960000001e-07],
+                    [1.21875, 0.0, 1.21875],
+                    [-1.0, 1.21875, 0.0]])
+    p, w = min_norm_point(pts)
+    assert w[1] > 0.0
+    np.testing.assert_allclose(p, w @ pts, atol=1e-12)
+    assert np.min(pts @ p) >= p @ p - 1e-12
+
+
 def test_min_norm_point_rejects_empty():
     with pytest.raises(ValueError):
         min_norm_point(np.zeros((0, 2)))
@@ -189,6 +213,52 @@ def test_is_nondegenerate_halfspace():
     assert res.directions_tried >= 1
 
 
+def _certify_rescaled(e2, expr, c, v):
+    inst = ProblemInstance(e2, compile_expression(["*", c, expr], 2),
+                           boundary_points=(np.zeros(2),))
+    cfg = NumericConfig(rng_seed=42)
+    cert = certify(inst, inst.boundary_points[0], cfg)
+    assert isinstance(cert, EpigraphCertificate), cert.message
+    np.testing.assert_allclose(cert.witness.v, v, atol=1e-9)
+    assert run_suite(inst, cert, replace(cfg, rng_seed=43)).overall
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e-6, 1e-4, 1e4])
+def test_witness_search_is_scale_free_at_a_rescaled_halfspace(e2, c):
+    # c x1 <= 0 is a halfspace at every c > 0: the hull's min-norm and the
+    # descent threshold are read relative to f's gradient scale c, so the
+    # verdict does not depend on f's units
+    _certify_rescaled(e2, "x1", c, [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-4, 1e4])
+def test_witness_search_is_scale_free_at_a_rescaled_orthant(e2, c):
+    # c max(x1, x2) <= 0: the hull's min-norm point c (1/2, 1/2) needs
+    # Wolfe's stop relative to the generators' scale c
+    _certify_rescaled(e2, ["max", "x1", "x2"], c, [-math.sqrt(0.5)] * 2)
+
+
+@pytest.mark.parametrize("expr", [
+    ["+", ["*", "x1", "x1", "x1"], ["sqr", "x2"]],
+    ["*", "x1", "x1", "x1"],
+], ids=["x1^3+x2^2", "x1^3"])
+def test_witness_search_at_a_smooth_critical_point_is_degenerate(e2, expr):
+    # grad f(0) = 0, so 0 is in the generalized gradient and M has a cusp
+    # (or a smooth wall with zero gradient) at 0.  The hull's scale is only
+    # the size of grad f 1e-5 from 0: the hull reads 0 relative to it, and
+    # the axes then need an absolute descent of WITNESS_TOL, which the
+    # difference quotients' bias (about -1e-10 along -e1) does not reach
+    inst = ProblemInstance(e2, compile_expression(expr, 2), boundary_points=(np.zeros(2),))
+    for seed in range(30):
+        cfg = NumericConfig(rng_seed=seed)
+        res = is_nondegenerate(inst, np.zeros(2), cfg)
+        assert res.degenerate, (seed, res.witness, res.note)
+        assert res.hull.min_norm_value <= 1e-4 * res.hull.scale, seed
+    fail = certify(inst, np.zeros(2), NumericConfig(rng_seed=42))
+    assert fail.stage == "degenerate-point"
+    assert fail.message.endswith("agrees (degenerate point)")
+
+
 def test_is_nondegenerate_singleton():
     entry = load("singleton_sq")
     cfg = NumericConfig(rng_seed=42)
@@ -226,13 +296,17 @@ def orthant(d, norm="euclidean", rotation_seed=None):
     ("singleton_sq", "signed-distance", 4, 8, 0),
     ("orthant_32", "plain", 2, 2, 1),
     ("orthant_64_sup", "plain", 3, 3, 2),
-], ids=["plain", "signed-distance", "orthant-32", "orthant-64-sup"])
+    ("x2_e1_gradient", "plain", 4, 4, 1),
+], ids=["plain", "signed-distance", "orthant-32", "orthant-64-sup", "growth-stops"])
 def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, growths,
                                                  monkeypatch):
     # at singleton_sq the hull reads 0, so only the 4 negated axes run, each
     # failing; at the orthant the hull misses pieces, so its first direction
     # fails and the hull grows once (d = 32) or twice (d = 64, sup norm)
-    # before it descends.  Each estimate is the one an independent call
+    # before it descends.  f = x2 behind a gradient that always reads e1:
+    # -e1 fails and the growth adds only e1, so the min-norm point stays,
+    # the hull stops growing and the axes run, -e2 descending fourth.
+    # Each estimate is the one an independent call
     # gives, and no batch of points is evaluated twice: each level's base
     # points are evaluated once.  A ladder of L >= 2 levels sends L - 1
     # calls, levels 0 and 1 sharing one.  Each growth is one gradient call
@@ -240,6 +314,10 @@ def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, gro
     cfg = NumericConfig(rng_seed=42)
     if point.startswith("orthant"):
         inst = orthant(int(point.split("_")[1]), "sup" if point.endswith("sup") else "euclidean")
+    elif point == "x2_e1_gradient":
+        f = FunctionOracle(eval=lambda P: P[:, 1], grad=lambda P: np.tile([1.0, 0.0], (len(P), 1)),
+                           descriptor="x2-with-e1-gradient")
+        inst = ProblemInstance(NormedSpace(2, "euclidean"), f, boundary_points=(np.zeros(2),))
     else:
         inst = load(point).instance
     if route == "signed-distance":
@@ -268,6 +346,8 @@ def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, gro
     monkeypatch.undo()
     assert res.directions_tried == len(probes) == tried
     assert (res.witness is None) == point.startswith("singleton")
+    if point == "x2_e1_gradient":
+        np.testing.assert_array_equal(res.witness, [0.0, -1.0])
     for u, est in probes:
         assert real(inst.space, inst.f, x, u, cfg) == est
     n = max(16, cfg.sample_budget // 32)
