@@ -90,13 +90,17 @@ class _LadderBase:
     a level is apart from evaluating it: ``quotients`` evaluates the levels
     it is asked for in one f.values call, and f(ys) is kept once known, so
     each level's base points are evaluated once however many directions
-    reach it.
+    reach it.  Its budget is the config's ``sample_budget``, capped at
+    ``f.scales.dd_budget``: n rows per level and at most 8 budget samples
+    in all.
     """
 
     def __init__(self, space: NormedSpace, f: FunctionOracle, x: np.ndarray,
                  cfg: NumericConfig) -> None:
         self.space, self.f, self.x = space, f, x
-        self.n = max(16, cfg.sample_budget // 32)
+        limit = f.scales.dd_budget
+        budget = cfg.sample_budget if limit is None else min(cfg.sample_budget, limit)
+        self.n, self.cap = max(16, budget // 32), 8 * budget
         self.rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
         self.draws: list[tuple[np.ndarray, np.ndarray]] = []
         self.fys: list[np.ndarray] = []   # f(ys) of the levels evaluated so far
@@ -151,7 +155,7 @@ def directional_derivative(
     probes several directions at x passes one, so f(y) is evaluated once.
     Each step sends one f.values call: the first holds levels 0 and 1
     whenever the loop would run level 1 (delta0 * shrink >= floor and
-    2n < 8 * sample_budget), else level 0 alone; each later level's base
+    2n < base.cap), else level 0 alone; each later level's base
     points, if new, and its step points go in one call.  Same points, same
     values as one call per batch, fewer calls.
     """
@@ -169,7 +173,7 @@ def directional_derivative(
         base = _LadderBase(space, f, x, cfg)
 
     delta = float(delta0)
-    shrink, cap = cfg.shrink_factor, cfg.sample_budget * 8
+    shrink, cap = cfg.shrink_factor, base.cap
     # after level 0 there is no previous level to agree with, so level 1
     # runs exactly when the floor and the sample cap allow it: its points
     # join level 0's in the first oracle call

@@ -15,7 +15,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -265,11 +265,12 @@ class Scales:
     """Sampling scales of the certification pipeline, carried by the oracle.
 
     The plain route and the signed-distance route run the same construction
-    with these values; besides them, ``check_theorem2`` caps the sample
-    budget at ``THEOREM2_BUDGET``, and the signed distance's oracle itself
-    (its gradient, its value noise) differs.  A ``None`` scale takes its
-    default relative to 1 + |x| at the point under test (``dd_stab_tol``:
-    the config's ``tol_value``).  ``lipschitz`` is a Lipschitz constant the
+    with these values; besides them, only the signed distance's oracle
+    itself (its gradient, its value noise) differs.  A ``None`` scale takes
+    its default relative to 1 + |x| at the point under test
+    (``dd_stab_tol``: the config's ``tol_value``).  ``dd_budget`` caps the
+    config's ``sample_budget`` for the directional-derivative ladder alone;
+    None leaves it uncapped.  ``lipschitz`` is a Lipschitz constant the
     route knows by theorem, which ``local_lipschitz_constant`` returns
     without sampling; None samples it.
     """
@@ -277,6 +278,7 @@ class Scales:
     dd_delta0: float | None = None          # first directional-derivative scale
     dd_delta_floor: float | None = None     # smallest directional-derivative scale
     dd_stab_tol: float | None = None        # agreement that ends the ladder
+    dd_budget: int | None = None            # cap on the ladder's sample budget
     t_min_fraction: float = 1e-4            # shortest descent-radius step, over 2r
     lipschitz: float | None = None          # Lipschitz constant known by theorem
 
@@ -384,23 +386,25 @@ def require_vector(value: Any, dim: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and budgets shared across the pipeline."""
+    """Tolerances and budgets shared across the pipeline.
+
+    ``shrink_factor``, the ratio between consecutive scales of the
+    derivative ladder and the descent radius, is a constant, not a field.
+    """
 
     tol_bisect: float = 1e-10
     tol_value: float = 1e-9
     sample_budget: int = 4096
-    shrink_factor: float = 0.5
     rng_seed: int = 0
+    shrink_factor: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
         require_integer(self.sample_budget, "sample_budget")
         require_integer(self.rng_seed, "rng_seed")
-        for name in ("tol_bisect", "tol_value", "shrink_factor"):
+        for name in ("tol_bisect", "tol_value"):
             require_number(getattr(self, name), name)
         if not (self.tol_bisect > 0 and self.tol_value > 0):
             raise ValueError("tolerances must be positive")
-        if not (0 < self.shrink_factor < 1):
-            raise ValueError("shrink_factor must be in (0, 1)")
         if not (self.sample_budget >= 16):
             raise ValueError("sample_budget too small")
         if self.sample_budget > np.iinfo(np.int64).max:   # past what numpy can index

@@ -21,8 +21,15 @@ value is a crossing distance.  The oracle's values only place each solver
 probe; its sign, which membership gives exactly, decides which end the
 probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) passes:
 36 on a grid cell, 41 on a refinement bracket.  The sign is therefore
-exact; the magnitude overestimates the true distance by at most roughly
-PROBE_RESOLUTION, because only finitely many directions are tried.
+exact, and the magnitude, a crossing distance, is never below the true
+distance by more than the solver's tolerance.  It is above it by how far
+the last cone's best direction misses the nearest boundary point.  That
+excess is second order in the cone's angle, within PROBE_RESOLUTION, only
+where the boundary is smooth near the foot and round 0 starts the search
+in the basin of the nearest point.  Near a corner of the boundary it is
+larger (about 3e-3 beside max(x1, x2)'s kink), and a row whose first
+crossing lies on a farther piece of the boundary stays in that piece's
+basin (up to 4e-2 midway between union_balls' two balls).
 Each row that crossed ends at a point of the boundary, its foot, where f's
 gradient scaled to dual norm 1 is the signed distance's gradient (the
 normal of M at the nearest boundary point, Clarke 1983, ch. 2); a band
@@ -37,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
@@ -77,12 +83,12 @@ REFINE_STEP = 0.6
 REFINE_SHRINK = 0.55
 REFINE_PROPOSALS = 4
 BISECT_TOL = 1e-12
-THEOREM2_BUDGET = 768      # check_theorem2's cap on cfg.sample_budget
 
-# Conservative bound on magnitude overestimation.  Direction search ends
-# with proposal cones of angular scale REFINE_STEP *
-# REFINE_SHRINK**(rounds-1); the induced overestimate is second order in
-# that angle, scaled to the search radius.
+# Magnitude overestimation where the boundary is smooth near the foot and
+# the search starts in the nearest point's basin; not a bound elsewhere
+# (see the module docstring).  Direction search ends with proposal cones of
+# angular scale REFINE_STEP * REFINE_SHRINK**(rounds-1); the induced
+# overestimate is second order in that angle, scaled to the search radius.
 _SIGMA = REFINE_STEP * REFINE_SHRINK ** (REFINE_ROUNDS - 1)
 PROBE_RESOLUTION = 4.0 * SEARCH_RADIUS * _SIGMA * _SIGMA + 100.0 * BISECT_TOL
 
@@ -112,16 +118,19 @@ def _refine_noise(dim: int) -> np.ndarray:
 
 # Scales of the Theorem 2 route: the signed distance is only known to about
 # PROBE_RESOLUTION, so derivative ladders stop well above that floor and
-# descent steps stay long.  Its gradient is read at each ray's foot, not
-# differenced, so hull samples need no wider offsets than the plain route's.
-# Its Lipschitz constant is 1 in the space's norm by theorem (Hiriart-Urruty
-# 1979), up to the probes' additive 2 * PROBE_RESOLUTION.  Written as factors
-# of the search radius, not rounded literals: 6e-3 * 1.5 != 0.009 in
-# binary64, and certificates depend on the exact bits.
+# descent steps stay long.  Each value is a ray search, so the ladder's
+# budget is capped: 24 rows per level at most.  Its gradient is read at each
+# ray's foot, not differenced, so hull samples need no wider offsets than the
+# plain route's.  Its Lipschitz constant is 1 in the space's norm by theorem
+# (Hiriart-Urruty 1979); the computed values keep it only up to their
+# overestimation.  Written as factors of the search radius, not rounded
+# literals: 6e-3 * 1.5 != 0.009 in binary64, and certificates depend on the
+# exact bits.
 SD_SCALES = Scales(
     dd_delta0=0.04 * SEARCH_RADIUS,
     dd_delta_floor=6e-3 * SEARCH_RADIUS,
     dd_stab_tol=1e-3,
+    dd_budget=768,
     t_min_fraction=0.05,
     lipschitz=1.0,
 )
@@ -250,11 +259,12 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     gradient is 0 or the row saturated (D is locally constant there).
     value_noise carries the probe resolution so verification tolerances
     account for it, and every stage, the verifier's included, samples it at
-    ``SD_SCALES``.  Its sign query returns the base membership codes, which
-    are the signed distance's own, so membership codes and lambda's root
-    finding march no rays.  The probe directions and refinement cones are
-    fixed per space, and round 0 decides saturation, so cfg's seed reaches
-    no value.
+    ``SD_SCALES``, so ``check_theorem2`` and ``promote_to_certificate`` run
+    one witness search on it.  Its sign query returns the base membership
+    codes, which are the signed distance's own, so membership codes and
+    lambda's root finding march no rays.  The probe directions and
+    refinement cones are fixed per space, and round 0 decides saturation,
+    so cfg's seed reaches no value.
     """
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(inst, P, cfg)[0]
@@ -321,13 +331,14 @@ def check_theorem2(
     Certify's precondition failure for an x off f's boundary band; else
     the ``NondegeneracyResult`` of the witness search on the signed
     distance, whose ``SD_SCALES`` adapt the search to probe noise:
-    neighbourhood ladders stop well above the resolution floor.  The hull
-    reads the signed distance's gradient at each ray's foot.
+    neighbourhood ladders stop well above the resolution floor, on a capped
+    budget.  The hull reads the signed distance's gradient at each ray's
+    foot.  It is the search that ``promote_to_certificate`` runs first, so
+    both report one witness and one alpha.
     """
     x = np.asarray(x, dtype=float)
-    budget_cfg = replace(cfg, sample_budget=min(cfg.sample_budget, THEOREM2_BUDGET))
     return (boundary_band_failure(inst, x, cfg)
-            or is_nondegenerate(sd_instance(inst, cfg), x, budget_cfg))
+            or is_nondegenerate(sd_instance(inst, cfg), x, cfg))
 
 
 def promote_to_certificate(inst: ProblemInstance, x: np.ndarray, cfg: NumericConfig):

@@ -38,7 +38,7 @@ from epicert.core import (
 )
 from epicert.epirep import EpigraphCertificate, certify
 from epicert.expressions import compile_expression
-from epicert.signed_distance import THEOREM2_BUDGET, sd_instance
+from epicert.signed_distance import sd_instance
 from epicert.verify import run_suite
 
 
@@ -291,6 +291,31 @@ def orthant(d, norm="euclidean", rotation_seed=None):
                            boundary_points=(np.zeros(d),))
 
 
+def ladder_budget(f, cfg):
+    """The ladder's sample budget: cfg's, capped at the oracle's dd_budget."""
+    cap = f.scales.dd_budget
+    return cfg.sample_budget if cap is None else min(cfg.sample_budget, cap)
+
+
+@pytest.mark.parametrize("budget, rows", [(256, 16), (4096, 24)])
+def test_signed_distance_ladder_takes_its_budget_from_its_scales(budget, rows):
+    # the signed distance's scales cap the ladder's budget at 768: at 256
+    # cfg's budget binds, at 4096 the cap does (24 = 768 / 32 rows per
+    # level); the plain oracle keeps cfg's budget
+    inst = load("halfspace").instance
+    cfg = NumericConfig(rng_seed=42, sample_budget=budget)
+    x = np.zeros(2)
+    f, calls = _recording(sd_instance(inst, cfg).f)
+    base = clarke._LadderBase(inst.space, f, x, cfg)
+    assert (base.n, base.cap) == (rows, 8 * min(budget, 768))
+    est = directional_derivative(inst.space, f, x, np.array([-1.0, 0.0]), cfg, base)
+    # levels 0 and 1 share the first call: base and step points of each
+    assert len(calls[0]) == 4 * rows
+    assert est.samples_used % (2 * rows) == 0
+    plain = clarke._LadderBase(inst.space, inst.f, x, cfg)
+    assert (plain.n, plain.cap) == (max(16, budget // 32), 8 * budget)
+
+
 @pytest.mark.parametrize("point,route,tried,calls,growths", [
     ("singleton_sq", "plain", 4, 92, 0),
     ("singleton_sq", "signed-distance", 4, 8, 0),
@@ -321,7 +346,7 @@ def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, gro
     else:
         inst = load(point).instance
     if route == "signed-distance":
-        inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=THEOREM2_BUDGET)
+        inst = sd_instance(inst, cfg)
     x = inst.boundary_points[0]
     batches, grad_batches = [], []
 
@@ -350,7 +375,7 @@ def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, gro
         np.testing.assert_array_equal(res.witness, [0.0, -1.0])
     for u, est in probes:
         assert real(inst.space, inst.f, x, u, cfg) == est
-    n = max(16, cfg.sample_budget // 32)
+    n = max(16, ladder_budget(inst.f, cfg) // 32)
     levels = [est.samples_used // (2 * n) for _, est in probes]
     assert min(levels) >= 2
     assert len(batches) == len(set(batches)) == sum(L - 1 for L in levels) == calls
@@ -419,7 +444,8 @@ class _SequentialLadder:
 
     def __init__(self, space, f, x, cfg):
         self.space, self.f, self.x, self.cfg = space, f, x, cfg
-        self.n = max(16, cfg.sample_budget // 32)
+        self.budget = ladder_budget(f, cfg)
+        self.n = max(16, self.budget // 32)
         self.rng = cfg.rng("dirderiv", f.descriptor, *np.round(x, 12).tolist())
         self.levels = []
 
@@ -446,7 +472,7 @@ class _SequentialLadder:
             if prev is not None and abs(level_max - prev) <= stab_tol:
                 stabilized = True
                 break
-            if delta * cfg.shrink_factor < delta_floor or used >= cfg.sample_budget * 8:
+            if delta * cfg.shrink_factor < delta_floor or used >= self.budget * 8:
                 break
             prev = level_max
             delta *= cfg.shrink_factor
@@ -482,7 +508,7 @@ def test_fused_ladder_matches_one_call_per_batch(cid, point, route, seed):
     entry = load(cid)
     inst, cfg = entry.instance, NumericConfig(rng_seed=seed)
     if route == "signed-distance":
-        inst, cfg = sd_instance(inst, cfg), replace(cfg, sample_budget=THEOREM2_BUDGET)
+        inst = sd_instance(inst, cfg)
     x = np.asarray(getattr(entry, f"{point}_at")[0], dtype=float)
     space = inst.space
     dirs = [*-signed_axes(space.dim)[:4],

@@ -555,6 +555,17 @@ def test_non_finite_config_in_file_exit_1(capsys, tmp_path, config):
     run_input_error(capsys, "certify", "--instance", str(inst))
 
 
+@pytest.mark.parametrize("value", [0.5, 0.25, "1e-3"])
+def test_config_shrink_factor_is_refused_as_unknown(capsys, tmp_path, value):
+    # the shrink factor is a constant of the pipeline, not a config field, so
+    # an instance that sets it, even to its value 0.5, is refused by name
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"function": {"catalog_id": "halfspace"},
+                                "config": {"shrink_factor": value}}))
+    error = run_input_error(capsys, "certify", "--instance", str(inst))
+    assert error == "unknown config fields: ['shrink_factor']"
+
+
 @pytest.mark.parametrize("command", ["certify", "theorem2"])
 @pytest.mark.parametrize("field, value", [("expression", ["frob", "x1"]),
                                           ("boundary_points", [["a", 0]]),

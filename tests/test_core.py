@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -279,8 +280,6 @@ def test_membership_scales_with_f():
     [
         {"tol_bisect": 0.0},
         {"tol_value": -1e-9},
-        {"shrink_factor": 0.0},
-        {"shrink_factor": 1.0},
         {"sample_budget": 4},
         {"sample_budget": 1000.0},
         {"rng_seed": 1.5},
@@ -288,7 +287,6 @@ def test_membership_scales_with_f():
         {"tol_bisect": True},
         {"tol_value": True},
         {"tol_value": "1e-3"},
-        {"shrink_factor": None},
         {"tol_bisect": math.inf},   # would pass every lemma check
         {"tol_value": math.inf},
         {"tol_bisect": math.nan},
@@ -300,6 +298,15 @@ def test_membership_scales_with_f():
 def test_numeric_config_validation(kwargs):
     with pytest.raises(ValueError):
         ec.NumericConfig(**kwargs)
+
+
+def test_shrink_factor_is_a_constant_not_a_field():
+    # the ladder and the descent radius halve their scale; no config sets it
+    assert [f.name for f in dataclasses.fields(ec.NumericConfig)] == [
+        "tol_bisect", "tol_value", "sample_budget", "rng_seed"]
+    assert ec.NumericConfig().shrink_factor == ec.NumericConfig.shrink_factor == 0.5
+    with pytest.raises(TypeError):
+        ec.NumericConfig(shrink_factor=0.5)
 
 
 @pytest.mark.parametrize("value, want", [(3, 3.0), (0.25, 0.25), (np.int64(2), 2.0),

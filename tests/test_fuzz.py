@@ -51,6 +51,7 @@ def affordable(config: dict) -> bool:
                    for name in ("tol_bisect", "tol_value"))
 
 
+# shrink_factor is a constant, not a field: a config that sets it is refused
 CONFIG_FIELDS = ("tol_bisect", "tol_value", "sample_budget", "shrink_factor", "rng_seed")
 # numbers weighted up: values in range, so that a fair share of the examples run
 # a whole certify, and integers past the float range

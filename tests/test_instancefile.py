@@ -133,7 +133,7 @@ def test_bad_instance_data(data, needle):
         parse_instance(data)
 
 
-@pytest.mark.parametrize("field", ["tol_bisect", "tol_value", "shrink_factor"])
+@pytest.mark.parametrize("field", ["tol_bisect", "tol_value"])
 def test_config_string_tolerance_names_the_field(field):
     with pytest.raises(InstanceSpecError, match=f"{field} must be a number, got '1e-3'"):
         parse_instance({"function": {"catalog_id": "halfspace"}, "config": {field: "1e-3"}})

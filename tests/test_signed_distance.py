@@ -319,6 +319,45 @@ def test_overestimation_is_one_sided(ball, cfg):
     assert np.all(vals >= true - PROBE_RESOLUTION)
 
 
+def closed_form_signed_distance(cid, Y):
+    """d_M - d_{M^c} of a certifiable catalog entry, in its own norm."""
+    if cid == "halfspace":
+        return Y[:, 0]
+    if cid == "unit_ball_euclid":
+        return np.linalg.norm(Y, axis=1) - 1.0
+    if cid == "box_sup":
+        return np.max(np.abs(Y), axis=1) - 1.0
+    if cid == "max_two_planes":
+        outside = (Y > 0.0).any(axis=1)
+        return np.where(outside, np.linalg.norm(np.maximum(Y, 0.0), axis=1), Y.max(axis=1))
+    # union_balls: the two unit balls lie 1 apart, so inside one the other
+    # is farther than its complement
+    return np.minimum(np.linalg.norm(Y - [1.5, 0.0], axis=1),
+                      np.linalg.norm(Y + [1.5, 0.0], axis=1)) - 1.0
+
+
+@pytest.mark.parametrize("cid", ["halfspace", "unit_ball_euclid", "box_sup", "max_two_planes",
+                                 "union_balls"])
+def test_values_against_closed_forms(cid, cfg):
+    # every value is a crossing distance, so none is short of the true
+    # distance by more than the solver's tolerance, and its sign is exact;
+    # the excess stays within PROBE_RESOLUTION where the boundary is smooth
+    # near the foot and the search starts in the nearest point's basin.  At
+    # max_two_planes' corner and midway between union_balls' balls it does
+    # not (about 3e-3 and 4e-2), so only the lower side is checked there
+    entry = load(cid)
+    for x, seed in itertools.product(entry.certifiable_at, range(4)):
+        Y = x + np.random.default_rng(seed).uniform(-0.5, 0.5, (2000, 2))
+        vals, flags, _ = signed_distance_values(entry.instance, Y, cfg)
+        true = closed_form_signed_distance(cid, Y)
+        assert not flags.any()
+        np.testing.assert_array_equal(np.sign(vals), np.sign(true))
+        excess = np.abs(vals) - np.abs(true)
+        assert excess.min() >= -sd_module.BISECT_TOL, (x, seed)
+        if cid not in ("max_two_planes", "union_balls"):
+            assert excess.max() <= PROBE_RESOLUTION, (x, seed)
+
+
 def test_lipschitz_check_passes(half, ball, cfg):
     for inst in (half, ball):
         res = sd_lipschitz_check(inst, np.zeros(2), 1.0, cfg)
@@ -529,6 +568,22 @@ def test_promote_halfspace_certifies(cfg):
     # crossing by up to tol_value / |grad f|
     form = entry.reference.lambda_form_at(x)
     assert np.max(np.abs(form(pts, cert.witness.v) - stored)) <= 1e-9 + cfg.tol_value
+
+
+@pytest.mark.parametrize("cid, i", [("halfspace", 0), ("unit_ball_euclid", 0),
+                                    ("unit_ball_euclid", 1), ("box_sup", 0), ("box_sup", 1),
+                                    ("max_two_planes", 0), ("max_two_planes", 1),
+                                    ("union_balls", 0), ("union_balls", 1)])
+def test_promote_certifies_theorem2s_witness(cid, i, cfg):
+    # theorem2 and promote run one witness search on one oracle, so the
+    # promoted certificate carries theorem2's witness and alpha, bit for bit
+    entry = load(cid)
+    x = entry.certifiable_at[i]
+    res = check_theorem2(entry.instance, x, cfg)
+    cert = promote_to_certificate(entry.instance, x, cfg)
+    assert isinstance(cert, EpigraphCertificate), getattr(cert, "message", cert)
+    np.testing.assert_array_equal(cert.witness.v, res.witness)
+    assert cert.witness.alpha == res.alpha
 
 
 @pytest.mark.parametrize("tol_value", [1e-9, 2.0], ids=["default", "wide-band"])
