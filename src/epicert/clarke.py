@@ -18,10 +18,9 @@ Four pieces:
 * ``is_nondegenerate``: the witness search.  It tries the direction
   opposite the hull's min-norm point, at most dim + 1 times, growing the
   hull after each failure with f's gradients at the ladder rows where that
-  direction was probed (gradient sampling, Burke-Lewis-Overton), then the
-  2 dim negated signed axes.  No candidate is random.  Its thresholds are
-  relative to the hull's scale, f's gradient scale at x, so its verdict
-  does not depend on f's units, except where the first hull reads 0.
+  direction was probed (gradient sampling, Burke-Lewis-Overton).  No
+  direction is random.  Its thresholds are relative to the hull's scale,
+  f's gradient scale at x, so its verdict does not depend on f's units.
 * ``local_lipschitz_constant``: a certified-by-sampling bound on the local
   Lipschitz constant of f on a ball, every candidate being an honest pair
   quotient |f(a) - f(b)| / |a - b| formed by ``core.pair_quotients``.  Its
@@ -62,7 +61,7 @@ __all__ = [
     "SAFETY",
 ]
 
-WITNESS_TOL = 1e-6     # descent is below minus this, times the first hull's scale unless it reads 0
+WITNESS_TOL = 1e-6     # descent is below minus this, times the first hull's scale
 HULL_ZERO_TOL = 1e-3   # hull min-norm up to this, times the hull's scale, reads as 0
 SAFETY = 1.25          # inflation applied to raw sampled Lipschitz quotients
 CHORD_FRACTION = 1e-4  # Lipschitz chord half-length, over the radius
@@ -378,65 +377,52 @@ def is_nondegenerate(
     """Search for a descent direction at a boundary point.
 
     A unit v with negative directional derivative certifies that 0 is not in
-    the generalized gradient.  Candidates in order: the direction opposite
-    the min-norm point of the gradient hull, then the negated signed
-    coordinate axes.  With s the hull's scale (the largest generator norm),
-    the hull reads 0 when its min-norm is at most HULL_ZERO_TOL s, and a
-    candidate descends when its estimate is below -WITNESS_TOL s, s taken
-    from the first hull; where the first hull reads 0, s is only the size
-    of f's gradient 1e-5 from x (0 at a smooth critical point), and the
-    threshold is -WITNESS_TOL in f's units.  The hull's direction is tried while the hull does not
-    read 0, at most dim + 1 times: each time it
-    fails, f's gradients at the deepest ladder level's base points and at
-    their steps along it join the hull in one call of 2n rows (some piece
-    that ascends along it is active there), and the next try needs a
-    min-norm point that moved.  No candidate is random.  The candidates
-    share one ``_LadderBase``: the ladder's base points do not depend on
-    the direction, so each level's f(y) is evaluated once however many
-    candidates reach it.  A candidate whose ladder runs L levels sends
-    max(1, L - 1) oracle calls: levels 0 and 1 share one, and each later
-    level's base points, if new, share its step points' call.  The last
-    hull is kept alongside as a consistency check but the witness, when
-    found, is what downstream consumes.
+    the generalized gradient.  The one candidate is the direction opposite
+    the min-norm point of the gradient hull: where 0 is not in the
+    generalized gradient, minus its min-norm element descends (Clarke 1983,
+    2.1).  With s the hull's scale (the largest generator norm), the hull
+    reads 0 when its min-norm is at most HULL_ZERO_TOL s, and a direction
+    descends when its estimate is below -WITNESS_TOL s, s taken from the
+    first hull.  The hull's direction is tried while the hull does not read
+    0, at most dim + 1 times: each time it fails, f's gradients at the
+    deepest ladder level's base points and at their steps along it join the
+    hull in one call of 2n rows (some piece that ascends along it is active
+    there), and the next try needs a min-norm point that moved.  Where the
+    first hull reads 0 no direction runs, and the verdict is the hull's.
+    The tries share one ``_LadderBase``: the ladder's base points do not
+    depend on the direction, so each level's f(y) is evaluated once
+    however many tries reach it.  A try whose ladder runs L levels
+    sends max(1, L - 1) oracle calls: levels 0 and 1 share one, and
+    each later level's base points, if new, share its step points' call.
+    The last hull is kept alongside as a consistency check but the witness,
+    when found, is what downstream consumes.
     """
     space, f = inst.space, inst.f
     x = np.asarray(x, dtype=float)
     hull = estimate_gradient_hull(space, f, x, cfg)
     base = _LadderBase(space, f, x, cfg)
-
-    def candidates():
-        # every candidate is nonzero: the hull's does not read 0 and the
-        # axes are unit
-        nonlocal hull
-        for _ in range(space.dim + 1):
-            p = hull.min_norm_point
-            if hull.reads_zero:
-                break
-            yield -p
-            # -p failed, so a piece along which it ascends is active at some
-            # ladder row: grow the hull there
-            u = space.unit(-p)
-            ys, ts = base.draws[-1]
-            grown = f.gradients(np.concatenate([ys, ys + ts[:, None] * u[None, :]]))
-            hull = GradientHull(generators=np.concatenate([hull.generators, grown]))
-            if np.array_equal(hull.min_norm_point, p):
-                break
-        yield from -signed_axes(space.dim)
-
-    witness = None
-    alpha = None
-    # in f's units: relative to the first hull's scale where that hull's
-    # direction runs, absolute where it reads 0 (there the scale is only the
-    # size of f's gradient 1e-5 from x, and may be 0)
-    descends_below = -WITNESS_TOL * (1.0 if hull.reads_zero else hull.scale)
-    for tried, c in enumerate(candidates(), 1):
+    # in f's units, relative to the first hull's scale, which is positive
+    # wherever its direction runs
+    descends_below = -WITNESS_TOL * hull.scale
+    witness = alpha = None
+    tried = 0
+    while tried <= space.dim and not hull.reads_zero:
+        tried += 1
+        p = hull.min_norm_point
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
-        u = space.unit(c)
+        u = space.unit(-p)
         est = directional_derivative(space, f, x, u, cfg, base)
         if est.value < descends_below:
             witness = space.unit(u)
             alpha = -est.value / 2.0
+            break
+        # -p failed, so a piece along which it ascends is active at some
+        # ladder row: grow the hull there
+        ys, ts = base.draws[-1]
+        grown = f.gradients(np.concatenate([ys, ys + ts[:, None] * u[None, :]]))
+        hull = GradientHull(generators=np.concatenate([hull.generators, grown]))
+        if np.array_equal(hull.min_norm_point, p):
             break
 
     return NondegeneracyResult(witness=witness, alpha=alpha, hull=hull, directions_tried=tried)

@@ -395,6 +395,22 @@ def test_function_oracle_value_shape_checks():
     assert f.value(np.array([2.5, 0.0])) == 2.5
 
 
+_LINEAR = FunctionOracle(eval=lambda P: P[:, 0], grad=lambda P: np.tile([1.0, 0.0], (len(P), 1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dataclasses.replace(_LINEAR, eval=lambda P: P).values(np.zeros((3, 2))),
+    lambda: dataclasses.replace(_LINEAR, grad=lambda P: P[:, :1]).gradients(np.zeros((3, 2))),
+    lambda: ec.core.ProblemInstance(ec.NormedSpace(2), _LINEAR, boundary_points=(np.zeros(3),)),
+    lambda: ec.sample_ball(ec.NormedSpace(2), np.zeros(2), 1.0, 0, stream_rng(0, "t")),
+    lambda: ec.catalog.rockafellar_truncation(0),
+], ids=["eval-shape", "grad-shape", "boundary-point-shape", "sample-ball-n0",
+        "rockafellar-d0"])
+def test_shape_checks_reject(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_itp_crossings_finds_linear_roots():
     # values(p) = p[1] - p[0] along +e1 from (0, c) crosses at t = c
     roots = np.array([-0.7, 0.0, 0.123456789, 0.9])
