@@ -20,7 +20,8 @@ Four pieces:
   hull after each failure with f's gradients at the ladder rows where that
   direction was probed (gradient sampling, Burke-Lewis-Overton).  No
   direction is random.  Its thresholds are relative to the hull's scale,
-  f's gradient scale at x, so its verdict does not depend on f's units.
+  f's gradient scale at x, so its verdict does not depend on f's units,
+  except where the first hull reads 0.
 * ``local_lipschitz_constant``: a certified-by-sampling bound on the local
   Lipschitz constant of f on a ball, every candidate being an honest pair
   quotient |f(a) - f(b)| / |a - b| formed by ``core.pair_quotients``.  Its
@@ -61,7 +62,7 @@ __all__ = [
     "SAFETY",
 ]
 
-WITNESS_TOL = 1e-6     # descent is below minus this, times the first hull's scale
+WITNESS_TOL = 1e-6     # descent is below minus this, times the first hull's scale unless it reads 0
 HULL_ZERO_TOL = 1e-3   # hull min-norm up to this, times the hull's scale, reads as 0
 SAFETY = 1.25          # inflation applied to raw sampled Lipschitz quotients
 CHORD_FRACTION = 1e-4  # Lipschitz chord half-length, over the radius
@@ -383,12 +384,17 @@ def is_nondegenerate(
     2.1).  With s the hull's scale (the largest generator norm), the hull
     reads 0 when its min-norm is at most HULL_ZERO_TOL s, and a direction
     descends when its estimate is below -WITNESS_TOL s, s taken from the
-    first hull.  The hull's direction is tried while the hull does not read
-    0, at most dim + 1 times: each time it fails, f's gradients at the
-    deepest ladder level's base points and at their steps along it join the
-    hull in one call of 2n rows (some piece that ascends along it is active
-    there), and the next try needs a min-norm point that moved.  Where the
-    first hull reads 0 no direction runs, and the verdict is the hull's.
+    first hull.  The hull's direction is tried at most dim + 1 times: each
+    time it fails, f's gradients at the deepest ladder level's base points
+    and at their steps along it join the hull in one call of 2n rows (some
+    piece that ascends along it is active there), and the next try needs a
+    min-norm point that moved and a hull that does not read 0.  Where the
+    first hull reads 0, its direction, if nonzero, is tried once, with the
+    threshold -WITNESS_TOL in f's units: s is then only the size of f's
+    gradient 1e-5 from x (small at a smooth critical point), and a relative
+    threshold would count a difference-quotient bias as descent.  So a kink
+    whose Clarke gradient misses 0 by less than HULL_ZERO_TOL s, such as
+    |x1| + 1e-4 x2 at 0, still gets its witness.
     The tries share one ``_LadderBase``: the ladder's base points do not
     depend on the direction, so each level's f(y) is evaluated once
     however many tries reach it.  A try whose ladder runs L levels
@@ -401,14 +407,14 @@ def is_nondegenerate(
     x = np.asarray(x, dtype=float)
     hull = estimate_gradient_hull(space, f, x, cfg)
     base = _LadderBase(space, f, x, cfg)
-    # in f's units, relative to the first hull's scale, which is positive
-    # wherever its direction runs
-    descends_below = -WITNESS_TOL * hull.scale
+    # in f's units: relative to the first hull's scale, absolute where it
+    # reads 0
+    descends_below = -WITNESS_TOL * (1.0 if hull.reads_zero else hull.scale)
     witness = alpha = None
     tried = 0
-    while tried <= space.dim and not hull.reads_zero:
+    p = hull.min_norm_point
+    while tried <= space.dim and p.any():
         tried += 1
-        p = hull.min_norm_point
         # normalize first: the estimate scales with |v|, and alpha must refer
         # to the unit witness
         u = space.unit(-p)
@@ -417,13 +423,18 @@ def is_nondegenerate(
             witness = space.unit(u)
             alpha = -est.value / 2.0
             break
+        if hull.reads_zero:
+            # only the first hull reads 0 here, and growth only lowers the
+            # min-norm, so its direction gets one try
+            break
         # -p failed, so a piece along which it ascends is active at some
         # ladder row: grow the hull there
         ys, ts = base.draws[-1]
         grown = f.gradients(np.concatenate([ys, ys + ts[:, None] * u[None, :]]))
         hull = GradientHull(generators=np.concatenate([hull.generators, grown]))
-        if np.array_equal(hull.min_norm_point, p):
+        if hull.reads_zero or np.array_equal(hull.min_norm_point, p):
             break
+        p = hull.min_norm_point
 
     return NondegeneracyResult(witness=witness, alpha=alpha, hull=hull, directions_tried=tried)
 

@@ -245,8 +245,10 @@ def test_witness_search_is_scale_free_at_a_rescaled_orthant(e2, c):
 def test_witness_search_at_a_smooth_critical_point_is_degenerate(e2, expr):
     # grad f(0) = 0, so 0 is in the generalized gradient and M has a cusp
     # (or a smooth wall with zero gradient) at 0.  The hull's scale is only
-    # the size of grad f 1e-5 from 0, and the hull reads 0 relative to it,
-    # so no direction runs and the verdict is the hull's
+    # the size of grad f 1e-5 from 0: the hull reads 0 relative to it, and
+    # its direction (about -e1) then needs an absolute descent of
+    # WITNESS_TOL, which the difference quotients' bias does not reach; a
+    # threshold relative to that scale would take the bias for descent
     inst = ProblemInstance(e2, compile_expression(expr, 2), boundary_points=(np.zeros(2),))
     for seed in range(30):
         cfg = NumericConfig(rng_seed=seed)
@@ -256,6 +258,31 @@ def test_witness_search_at_a_smooth_critical_point_is_degenerate(e2, expr):
     fail = certify(inst, np.zeros(2), NumericConfig(rng_seed=42))
     assert fail.stage == "degenerate-point"
     assert fail.message.endswith("agrees (degenerate point)")
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-4, 5e-4])
+@pytest.mark.parametrize("a, b", [((1.0, 0.0), (0.0, 1.0)), ((0.6, 0.8), (-0.8, 0.6))],
+                         ids=["axis", "rotated"])
+def test_witness_search_below_the_hulls_resolution(e2, a, b, c):
+    # f = |<a, x>| + c <b, x> at 0: its Clarke gradient [-1, 1] a + c b
+    # misses 0 by c, below the hull's resolution HULL_ZERO_TOL, so the first
+    # hull reads 0; its direction -b still descends at -c, below the
+    # absolute threshold -WITNESS_TOL, and the witness disagrees with the hull
+    def lin(w):
+        return ["+", ["*", w[0], "x1"], ["*", w[1], "x2"]]
+
+    inst = ProblemInstance(e2, compile_expression(["+", ["abs", lin(a)], ["*", c, lin(b)]], 2),
+                           boundary_points=(np.zeros(2),))
+    cfg = NumericConfig(rng_seed=42)
+    res = is_nondegenerate(inst, np.zeros(2), cfg)
+    assert res.hull.reads_zero
+    assert res.directions_tried == 1
+    np.testing.assert_allclose(res.witness, -np.array(b), atol=1e-9)
+    assert res.alpha == pytest.approx(c / 2, rel=1e-3)
+    assert not res.consistent and res.note.endswith("(found)")
+    cert = certify(inst, np.zeros(2), cfg)
+    assert isinstance(cert, EpigraphCertificate), cert.message
+    assert run_suite(inst, cert, replace(cfg, rng_seed=43)).overall
 
 
 def test_is_nondegenerate_singleton():
@@ -316,18 +343,19 @@ def test_signed_distance_ladder_takes_its_budget_from_its_scales(budget, rows):
 
 
 @pytest.mark.parametrize("point,route,tried,calls,growths", [
-    ("singleton_sq", "plain", 0, 0, 0),
-    ("singleton_sq", "signed-distance", 0, 0, 0),
+    ("singleton_sq", "plain", 1, 23, 0),
+    ("singleton_sq", "signed-distance", 1, 2, 0),
     ("orthant_32", "plain", 2, 2, 1),
     ("orthant_64_sup", "plain", 3, 3, 2),
     ("x2_e1_gradient", "plain", 1, 1, 1),
 ], ids=["plain", "signed-distance", "orthant-32", "orthant-64-sup", "growth-stops"])
 def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, growths,
                                                  monkeypatch):
-    # at singleton_sq the hull reads 0, so no direction runs and the ladder
-    # sends no call; at the orthant the hull misses pieces, so its first
-    # direction fails and the hull grows once (d = 32) or twice (d = 64, sup
-    # norm) before it descends.  f = x2 behind a gradient that always reads
+    # at singleton_sq the hull reads 0, so its direction runs once, with
+    # the absolute threshold, fails, and the hull does not grow; at the
+    # orthant the hull misses pieces, so its first direction fails and the
+    # hull grows once (d = 32) or twice (d = 64, sup norm) before it
+    # descends.  f = x2 behind a gradient that always reads
     # e1 (no oracle's contract allows that at a smooth point): -e1 fails and
     # the growth adds only e1, so the min-norm point stays and the search
     # stops without a witness, disagreeing with the hull.
@@ -378,7 +406,7 @@ def test_is_nondegenerate_shares_one_ladder_base(point, route, tried, calls, gro
         assert real(inst.space, inst.f, x, u, cfg) == est
     n = max(16, ladder_budget(inst.f, cfg) // 32)
     levels = [est.samples_used // (2 * n) for _, est in probes]
-    assert all(L >= 2 for L in levels)
+    assert min(levels) >= 2
     assert len(batches) == len(set(batches)) == sum(L - 1 for L in levels) == calls
     # the hull's own gradient batch, then one per growth
     assert [len(P) for P in grad_batches[1:]] == [2 * n] * growths
