@@ -189,20 +189,26 @@ def signed_axes(d: int) -> np.ndarray:
 def itp_crossings(
     values: Callable[[np.ndarray], np.ndarray], origins: np.ndarray, dirs: np.ndarray,
     lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, tol: float,
-    orient: np.ndarray | float = 1.0,
+    orient: np.ndarray | float = 1.0, n0: int = 0,
 ) -> np.ndarray:
     """Per-row crossing of g(t) = orient * values(origins + t dirs) on [lo, hi].
 
     The ITP method of Oliveira & Takahashi (ACM TOMS 47(1), 2020) with
-    kappa1 = 0.2 / (the row's starting width), kappa2 = 2 and n0 = 0: each
-    pass steps from the regula falsi point towards the midpoint by
+    kappa1 = 0.2 / (the row's starting width) and kappa2 = 2: each pass
+    steps from the regula falsi point towards the midpoint by
     kappa1 (hi - lo)**2, at least tol / 2, and stays within the radius that
-    keeps bisection's pass count.  Assumes g > 0 at lo and g <= 0 at hi
-    (checked by callers), whose values g_lo and g_hi the caller already
-    holds; a zero moves hi, so the result is the first crossing.  A row
-    stops once hi - lo <= tol, after at most ceil(log2(width / tol)) passes,
-    and returns its midpoint.  values must be a point function: each pass
-    asks it only for the rows still open.  Rows never mix.
+    keeps bisection's pass count plus n0.  n0 is ITP's slack: with n0 = 0 a
+    row whose steps spend that radius's spare room bisects the rest of the
+    way, while each pass of slack doubles the room, at a cost of at most n0
+    passes more than bisection.  The signed distance's rays, whose g turns
+    at a kink or a shelf, pass 1; lambda's root finder keeps 0, where a pass
+    of slack was measured to add passes, not save them.  Assumes g > 0 at lo
+    and g <= 0 at hi (checked by callers), whose values g_lo and g_hi the
+    caller already holds; a zero moves hi, so the result is the first
+    crossing.  A row stops once hi - lo <= tol, after at most
+    ceil(log2(width / tol)) + n0 passes, and returns its midpoint.  values
+    must be a point function: each pass asks it only for the rows still
+    open.  Rows never mix.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     width = hi - lo
@@ -212,6 +218,7 @@ def itp_crossings(
         m = np.maximum(np.ceil(np.log2(width) - math.log2(tol)), 0.0).astype(int)
         m += np.ldexp(tol, m) < width
         m -= (m > 0) & (np.ldexp(tol, m - 1) >= width)
+        m += n0
         kappa1 = 0.2 / width
     # per open row: bracket, g at its ends, orientation, kappa1, passes left
     # and eps * 2**(passes left) with eps = tol / 2, which is the projection

@@ -19,10 +19,11 @@ a ray that leaves and re-enters M before the best, and may solve to a later
 crossing than the first on a ray that crosses more often.  Either way the
 value is a crossing distance.  The oracle's values only place each solver
 probe; its sign, which membership gives exactly, decides which end the
-probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) passes:
-36 on a grid cell, 41 on a refinement bracket.  The sign is therefore
-exact, and the magnitude, a crossing distance, is never below the true
-distance by more than the solver's tolerance.  It is above it by how far
+probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) + 1
+passes, bisection's count plus one pass of ITP slack: 31 on a grid cell,
+35 on a refinement bracket.  The sign is therefore exact, and the
+magnitude, a crossing distance, is never below the true distance by more
+than the solver's tolerance.  It is above it by how far
 the last cone's best direction misses the nearest boundary point.  That
 excess is second order in the cone's angle, within PROBE_RESOLUTION, only
 where the boundary is smooth near the foot and round 0 starts the search
@@ -82,15 +83,18 @@ REFINE_ROUNDS = 9
 REFINE_STEP = 0.6
 REFINE_SHRINK = 0.55
 REFINE_PROPOSALS = 4
-BISECT_TOL = 1e-12
+BISECT_TOL = 1e-10
+ITP_SLACK = 1              # ITP's n0 for the signed distance's rays
 
 # Magnitude overestimation where the boundary is smooth near the foot and
 # the search starts in the nearest point's basin; not a bound elsewhere
 # (see the module docstring).  Direction search ends with proposal cones of
 # angular scale REFINE_STEP * REFINE_SHRINK**(rounds-1); the induced
 # overestimate is second order in that angle, scaled to the search radius.
+# The solver adds at most BISECT_TOL / 2 either way: it returns the midpoint
+# of a bracket no wider than BISECT_TOL around a crossing.
 _SIGMA = REFINE_STEP * REFINE_SHRINK ** (REFINE_ROUNDS - 1)
-PROBE_RESOLUTION = 4.0 * SEARCH_RADIUS * _SIGMA * _SIGMA + 100.0 * BISECT_TOL
+PROBE_RESOLUTION = 4.0 * SEARCH_RADIUS * _SIGMA * _SIGMA + BISECT_TOL
 
 
 @functools.cache
@@ -178,7 +182,7 @@ def _ray_crossings(
     if cells:
         row, col, j, g_lo, g_hi = (np.concatenate(v) for v in zip(*cells))
         dist[row, col] = itp_crossings(f_values, origins[row], dirs[col], rho[j], rho[j + 1],
-                                       g_lo, g_hi, BISECT_TOL, orient=signs[row])
+                                       g_lo, g_hi, BISECT_TOL, orient=signs[row], n0=ITP_SLACK)
     crossed = np.ones(n, dtype=bool)
     crossed[idx] = False   # the rows still open never crossed
     k = np.argmin(dist, axis=1)
@@ -238,7 +242,8 @@ def signed_distance_values(
             continue
         dist = np.full(g.shape, np.inf)
         dist[row, col] = itp_crossings(f.values, Ya[row], props[row, col], np.zeros(row.size),
-                                       best[row], g0[row], g[row, col], BISECT_TOL, orient=s[row])
+                                       best[row], g0[row], g[row, col], BISECT_TOL, orient=s[row],
+                                       n0=ITP_SLACK)
         k = np.argmin(dist, axis=1)
         cand = dist[rows, k]
         best_dir = np.where((cand < best)[:, None], props[rows, k], best_dir)

@@ -469,6 +469,7 @@ def test_itp_crossings_property(data):
     frac = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
     orient = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
     tol = data.draw(st.floats(1e-12, 1e-4))
+    n0 = data.draw(st.sampled_from([0, 1]))
     lo = c - frac * width
     hi = lo + width
     # row i runs along +e1 from (0, i), so a query point names its row
@@ -487,16 +488,36 @@ def test_itp_crossings_property(data):
     everyone = np.arange(n)
     g_lo, g_hi = g(lo, everyone), g(hi, everyone)
     assume(np.all(g_lo > 0.0) and np.all(g_hi <= 0.0))
-    got = itp_crossings(values, origins, dirs, lo, hi, g_lo, g_hi, tol, orient=orient)
+    got = itp_crossings(values, origins, dirs, lo, hi, g_lo, g_hi, tol, orient=orient, n0=n0)
     slack = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     assert np.all(np.abs(got - c) <= 0.5 * tol + slack), (kinds, got - c)
     bisection = np.ceil(np.log2(width / tol)).astype(int)
-    assert np.all(passes <= bisection), (kinds, passes, bisection)
+    assert np.all(passes <= bisection + n0), (kinds, passes, bisection, n0)
     for i in range(n):
         s = slice(i, i + 1)
         alone = itp_crossings(values, origins[s], dirs, lo[s], hi[s], g_lo[s], g_hi[s], tol,
-                              orient=orient[s])
+                              orient=orient[s], n0=n0)
         assert alone.tobytes() == got[s].tobytes()
+
+
+@pytest.mark.parametrize("n0, want", [(0, 30), (1, 11)])
+def test_itp_crossings_slack_leaves_a_shelf_early(n0, want):
+    # a signed-distance ray beside max_two_planes' kink: g is flat up to
+    # t = c - h, then falls with slope 1; the first regula falsi step lands
+    # on the shelf, far short of c, and spends all of n0 = 0's spare radius,
+    # so the row takes bisection's 30 passes, while with one pass of slack
+    # it can interpolate again once past the shelf
+    h, c = 8.382566856300541e-4, 0.02035484479564463
+    calls = []
+
+    def values(P):
+        calls.append(len(P))
+        return np.minimum(h, c - P[:, 0])
+
+    got = itp_crossings(values, np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1),
+                        np.array([0.0625]), np.array([h]), np.array([c - 0.0625]), 1e-10, n0=n0)
+    assert abs(got[0] - c) <= 0.5e-10
+    assert len(calls) == want
 
 
 @pytest.mark.parametrize("kind", ["linear", "codes"])

@@ -1,6 +1,7 @@
 """Membership-only signed distance and the derived nondegeneracy check."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import epicert.signed_distance as sd_module
-from epicert.catalog import load
+from epicert.catalog import FIXED_IDS, load
 from epicert.core import (
     NormedSpace,
     NumericConfig,
@@ -127,7 +128,8 @@ def _whole_grid_reference(f_values, signs, g0, origins, dirs):
     j = np.argmax(neg[row, col], axis=1)
     g_lo = np.where(j > 0, g[row, col, j - 1], g0[row])
     dist[row, col] = itp_crossings(f_values, origins[row], dirs[col], rho[j], rho[j + 1], g_lo,
-                                   g[row, col, j], sd_module.BISECT_TOL, orient=signs[row])
+                                   g[row, col, j], sd_module.BISECT_TOL, orient=signs[row],
+                                   n0=sd_module.ITP_SLACK)
     return np.min(dist, axis=1), dirs[np.argmin(dist, axis=1)], hit.any(axis=1)
 
 
@@ -224,7 +226,8 @@ def test_proposal_crossing_a_thin_slab_twice_keeps_an_upper_bound(cfg):
     # M is {x1 <= 0} plus a slab far thinner than one grid cell; where round
     # 0 misses the slab its best is the halfspace, so a proposal ray that
     # reaches past the slab crosses it twice before its row's best and is
-    # dropped; the value stays a crossing distance, above the true one
+    # dropped; the value stays a crossing distance, never below the true
+    # one by more than the solver's tolerance
     lo, hi = 0.5245, 0.5255
     f = compile_expression(["min", "x1", ["-", ["abs", ["-", "x1", 0.5 * (lo + hi)]],
                                                 0.5 * (hi - lo)]], 2)
@@ -240,7 +243,7 @@ def test_proposal_crossing_a_thin_slab_twice_keeps_an_upper_bound(cfg):
     vals, flags, _ = signed_distance_values(inst, Y, cfg)
     assert not flags.any()
     np.testing.assert_array_equal(np.sign(vals), np.sign(true))
-    assert np.all(np.abs(vals) >= np.abs(true) - 1e-12)
+    assert np.all(np.abs(vals) >= np.abs(true) - sd_module.BISECT_TOL)
 
 
 def _counting(inst):
@@ -290,6 +293,39 @@ def test_rows_within_one_cell_of_the_boundary_stop_after_the_first_column(monkey
     assert not flags.any()
     assert calls[0] == [n, n * len(sd_module._directions(half.space))]
     np.testing.assert_allclose(vals, x1, atol=2 * PROBE_RESOLUTION)
+
+
+def test_check_theorem2_solver_passes_at_the_fixed_points(monkeypatch):
+    # a ray takes at most bisection's passes plus ITP's slack: 31 on a grid
+    # cell, 35 on a refinement bracket; the total, 720 when measured, guards
+    # what the slack and the tolerance save together
+    tol, slack = sd_module.BISECT_TOL, sd_module.ITP_SLACK
+    assert math.ceil(math.log2(SEARCH_RADIUS / RESOLUTION / tol)) + slack == 31
+    assert math.ceil(math.log2(SEARCH_RADIUS / tol)) + slack == 35
+    real_itp = sd_module.itp_crossings
+    calls = []
+
+    def itp(values, origins, dirs, lo, hi, *args, **kwargs):
+        passes = []
+
+        def counted(P):
+            passes.append(len(P))
+            return values(P)
+
+        out = real_itp(counted, origins, dirs, lo, hi, *args, **kwargs)
+        bisection = int(np.max(np.ceil(np.log2((hi - lo) / tol))))
+        calls.append((len(passes), bisection))
+        return out
+
+    monkeypatch.setattr(sd_module, "itp_crossings", itp)
+    cfg = NumericConfig(rng_seed=42)
+    for cid in FIXED_IDS:
+        entry = load(cid)
+        for want, points in ((True, entry.certifiable_at), (False, entry.degenerate_at)):
+            for x in points:
+                assert check_theorem2(entry.instance, x, cfg).nondegenerate == want, (cid, x)
+    assert all(passes <= bisection + slack for passes, bisection in calls), calls
+    assert sum(passes for passes, _ in calls) <= 720
 
 
 def test_signed_distance_ignores_the_run_seed():
