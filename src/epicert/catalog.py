@@ -1,6 +1,7 @@
 """Built-in instance catalog.
 
-Seven fixed two-dimensional instances plus a parametric family on R^(d+1).
+Seven fixed two-dimensional instances plus two parametric families:
+rockafellar_<d> on R^(d+1) and orthant_<d> on R^d.
 Each entry carries analytic reference data (closed-form crossing heights,
 subdifferentials, Lipschitz constants) so tests can compare the sampled
 pipeline against ground truth.  Boundary points are exact zeros of the
@@ -263,6 +264,23 @@ def rockafellar_truncation(d: int) -> CatalogEntry:
     return _entry(f"rockafellar_{d}", space, f, ref, (x0,))
 
 
+def _orthant(d: int) -> CatalogEntry:
+    """f(x) = max(x1, ..., xd) on R^d, boundary point the origin.
+
+    M is the negative orthant, a cone whose descent directions at 0 are the
+    v with every coordinate negative, so no signed axis from a point of the
+    open positive orthant reaches it; lambda along such a unit v is
+    max_i(y_i / -v_i).
+    """
+    space = NormedSpace(d, "euclidean")
+    f = _expr_oracle(["max", *(f"x{j + 1}" for j in range(d))], d, 1.0)
+    x0 = np.zeros(d)
+    ref = ReferenceData(
+        lambda_forms=((x0, lambda Y, v: np.max(np.atleast_2d(Y) / -v, axis=1)),),
+    )
+    return _entry(f"orthant_{d}", space, f, ref, (x0,))
+
+
 _FIXED_BUILDERS = {
     "halfspace": _halfspace,
     "unit_ball_euclid": _unit_ball_euclid,
@@ -275,15 +293,19 @@ _FIXED_BUILDERS = {
 
 FIXED_IDS = tuple(_FIXED_BUILDERS)
 
-_ROCKAFELLAR_RE = re.compile(r"^rockafellar_([1-9][0-9]*)$")
+_FAMILIES = (
+    (re.compile(r"^rockafellar_([1-9][0-9]*)$"), rockafellar_truncation),
+    (re.compile(r"^orthant_([1-9][0-9]*)$"), _orthant),
+)
 
 
 def load(entry_id: str) -> CatalogEntry:
     if entry_id in _FIXED_BUILDERS:
         return _FIXED_BUILDERS[entry_id]()
-    m = _ROCKAFELLAR_RE.match(entry_id)
-    if m:
-        return rockafellar_truncation(int(m.group(1)))
+    for pattern, build in _FAMILIES:
+        m = pattern.match(entry_id)
+        if m:
+            return build(int(m.group(1)))
     raise KeyError(f"unknown catalog id: {entry_id!r}")
 
 
@@ -301,6 +323,13 @@ def list_catalog() -> list[dict]:
     rows.append({
         "id": "rockafellar_<d>",
         "dim": "d+1",
+        "norm": "euclidean",
+        "certifiable_points": 1,
+        "degenerate_points": 0,
+    })
+    rows.append({
+        "id": "orthant_<d>",
+        "dim": "d",
         "norm": "euclidean",
         "certifiable_points": 1,
         "degenerate_points": 0,

@@ -4,33 +4,40 @@ The value at y is the distance to M for outside points and minus the
 distance to the complement for inside points; zero inside the membership
 band.  It depends on the instance alone, never on a run seed or on batch
 position, so splitting or reordering a batch cannot change any value.
-Round 0 marches the radial grid of a fixed table of directions per space
-(the signed axes, one diagonal per open orthant for dim <= 4, unit vectors
-from a fixed stream) in doubling column blocks, one oracle call each over
-the rows with no crossing yet; core.itp_crossings solves only the rays that
-cross first in a row's earliest crossing column, since a later ray crosses
-farther out.  It decides saturation: a row with no crossing keeps the
-signed search radius.  Later rounds refine only the rows that crossed,
-with a shrinking cone of proposals, fixed per dimension, around the best
-direction so far.  A proposal can beat its row's best only if its sign has
-flipped there, so each round probes each proposal once, at its row's best,
-and solves [0, best] only where the sign flipped; it drops the rest, also
-a ray that leaves and re-enters M before the best, and may solve to a later
-crossing than the first on a ray that crosses more often.  Either way the
-value is a crossing distance.  The oracle's values only place each solver
-probe; its sign, which membership gives exactly, decides which end the
-probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) + 1
+Round 0 marches the radial grid of the 2 dim signed axes in doubling
+column blocks, one oracle call each over the rows with no crossing yet;
+core.itp_crossings solves only the rays that cross first in a row's
+earliest crossing column, since a later ray crosses farther out.  A row
+that no axis crosses, as from a point beside a narrow wedge or in the
+open positive orthant of max(x1..xd), walks instead: at most dim + 2
+projections onto the cuts of f's linearisation (Polyak 1969), one gradient
+and one value call per step over the rows still walking, and a walk that
+crosses is solved on the ray through its last point.  Round 0 and the walk
+decide saturation: a row that crossed neither way keeps the signed search
+radius.  Later rounds refine only the rows that crossed: one proposal
+along M's normal at the row's foot, then a shrinking cone of proposals,
+fixed per dimension, around the best direction so far, then one more
+foot-normal proposal.  A proposal can beat its row's best only if its sign
+has flipped there, so each round probes each proposal once, at its row's
+best, and solves [0, best] only where the sign flipped; it drops the rest,
+also a ray that leaves and re-enters M before the best, and may solve to
+a later crossing than the first on a ray that crosses more often.  Either
+way the value is a crossing distance.  The oracle's values only place each
+solver probe; its sign, which membership gives exactly, decides which end
+the probe replaces.  A ray takes at most ceil(log2(width / BISECT_TOL)) + 1
 passes, bisection's count plus one pass of ITP slack: 31 on a grid cell,
 35 on a refinement bracket.  The sign is therefore exact, and the
 magnitude, a crossing distance, is never below the true distance by more
-than the solver's tolerance.  It is above it by how far
-the last cone's best direction misses the nearest boundary point.  That
-excess is second order in the cone's angle, within PROBE_RESOLUTION, only
-where the boundary is smooth near the foot and round 0 starts the search
-in the basin of the nearest point.  Near a corner of the boundary it is
-larger (about 3e-3 beside max(x1, x2)'s kink), and a row whose first
-crossing lies on a farther piece of the boundary stays in that piece's
-basin (up to 4e-2 midway between union_balls' two balls).
+than the solver's tolerance.  It is above it by how far the last best
+direction misses the nearest boundary point: within PROBE_RESOLUTION, the
+cones' second-order term, where the boundary is smooth near the foot and
+the search starts in the basin of the nearest point, and less after the
+last foot-normal proposal, which aims along the normal at a foot near that
+point.  Beside max(x1, x2)'s corner the walk reaches the corner along its
+own direction, and midway between union_balls' two balls the axes start
+in the nearer ball's basin, so the excess on the catalog's closed forms
+stays below 1e-5.  A row whose first crossing lies on a farther piece of
+the boundary would stay in that piece's basin; nothing bounds that excess.
 Each row that crossed ends at a point of the boundary, its foot, where f's
 gradient scaled to dual norm 1 is the signed distance's gradient (the
 normal of M at the nearest boundary point, Clarke 1983, ch. 2); a band
@@ -44,7 +51,7 @@ signed distance.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 
 import numpy as np
 
@@ -77,8 +84,6 @@ __all__ = [
 
 SEARCH_RADIUS = 1.5
 RESOLUTION = 24            # radial grid points per direction
-N_DIRECTIONS = 16          # raised to 2*dim+4, or the fixed count, if below; 2 in dim 1
-DIAGONAL_MAX_DIM = 4       # up to this dim every orthant gets a diagonal
 REFINE_ROUNDS = 9
 REFINE_STEP = 0.6
 REFINE_SHRINK = 0.55
@@ -99,15 +104,9 @@ PROBE_RESOLUTION = 4.0 * SEARCH_RADIUS * _SIGMA * _SIGMA + BISECT_TOL
 
 @functools.cache
 def _directions(space: NormedSpace) -> np.ndarray:
-    # round 0's probes, shared read-only; random directions alone can miss a
-    # thin wedge of M in some orthant
-    d = space.dim
-    fixed = list(signed_axes(d))   # in dim 1 the whole unit sphere
-    if 1 < d <= DIAGONAL_MAX_DIM:
-        fixed += [space.unit(s) for s in itertools.product((1.0, -1.0), repeat=d)]
-    m = max(N_DIRECTIONS, 2 * d + 4, len(fixed)) if d > 1 else 2
-    rng = stream_rng(0, "sd-directions")
-    dirs = np.vstack([*fixed, *(space.unit(rng.standard_normal(d)) for _ in range(m - len(fixed)))])
+    # round 0's probes, shared read-only: the signed axes, of norm 1 in every
+    # norm (in dim 1 the whole unit sphere); the rows they miss walk
+    dirs = signed_axes(space.dim)
     dirs.setflags(write=False)
     return dirs
 
@@ -189,6 +188,126 @@ def _ray_crossings(
     return dist[np.arange(n), k], dirs[k], crossed
 
 
+def _walk(
+    f: FunctionOracle,
+    space: NormedSpace,
+    signs: np.ndarray,      # (n,) +-1, makes f positive at each origin
+    g0: np.ndarray,         # (n,) signs * f at each origin, > 0
+    origins: np.ndarray,    # (n, dim)
+    tau: float,             # how far past the boundary each cut aims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk each row from its origin over the boundary; (z, g, crossed), with
+    z and g = signs * f(z) the walk's last point on a crossed row.
+
+    A step moves z to its euclidean projection onto the latest cut
+    {w : g(z) + signs grad f(z) . (w - z) <= -tau} (Polyak 1969), or, where
+    that point violates the previous cut, onto both cuts: a 2x2 system whose
+    multipliers must both be >= 0, masked where it is singular.  Each step
+    sends one gradient call and one value call over the rows still open.  A
+    row stops at g(z) <= 0, which crosses, at a zero gradient, past
+    SEARCH_RADIUS from its origin, or after dim + 2 steps.
+    """
+    n, d = origins.shape
+    Z, G = origins.copy(), g0.copy()
+    A, C = np.zeros((n, d)), np.zeros(n)   # each row's latest cut A . w <= C; none yet
+    open_, crossed = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    # a cut farther than this from z puts z past the search radius in each
+    # of the three norms; a zero gradient has no cut
+    reach = 2.0 * math.sqrt(d) * SEARCH_RADIUS
+    for _ in range(d + 2):
+        i = np.nonzero(open_)[0]
+        if not i.size:
+            break
+        a = signs[i, None] * f.gradients(Z[i])
+        norm = np.linalg.norm(a, axis=1)
+        b = G[i] + tau
+        near = b / reach < norm
+        open_[i[~near]] = False
+        i, a, b = i[near], a[near] / norm[near, None], b[near] / norm[near]
+        z, a1, c1 = Z[i], A[i], C[i]
+        P = z - b[:, None] * a
+        A[i], C[i] = a, np.einsum("ij,ij->i", a, z) - b
+        r = np.nonzero(np.einsum("ij,ij->i", a1, P) > c1)[0]
+        if r.size:
+            # w = z - l1 a1 - l2 a on both cuts: [1 c; c 1] (l1, l2) = (e1, b)
+            cos = np.einsum("ij,ij->i", a1[r], a[r])
+            det = 1.0 - cos * cos
+            solvable = det > 1e-12
+            r, cos, det = r[solvable], cos[solvable], det[solvable]
+            e1 = np.einsum("ij,ij->i", a1[r], z[r]) - c1[r]
+            l1, l2 = (e1 - cos * b[r]) / det, (b[r] - cos * e1) / det
+            ok = (l1 >= 0.0) & (l2 >= 0.0)
+            r = r[ok]
+            P[r] = z[r] - l1[ok, None] * a1[r] - l2[ok, None] * a[r]
+        inside = space.norm(P - origins[i]) <= SEARCH_RADIUS
+        open_[i[~inside]] = False
+        i = i[inside]
+        if not i.size:
+            break
+        Z[i] = P[inside]
+        G[i] = signs[i] * f.values(Z[i])
+        hit = G[i] <= 0.0
+        crossed[i[hit]] = True
+        open_[i[hit]] = False
+    return Z, G, crossed
+
+
+def _improve(
+    f_values,
+    signs: np.ndarray,      # (n,) +-1, makes f positive at each origin
+    g0: np.ndarray,         # (n,) signs * f at each origin, > 0
+    origins: np.ndarray,    # (n, dim)
+    best: np.ndarray,       # (n,) each row's least crossing distance so far
+    best_dir: np.ndarray,   # (n, dim) the unit direction it was found along
+    props: np.ndarray,      # (n, p, dim) unit proposals
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (best, best_dir) after its proposals.
+
+    A proposal can beat its row's best only if its sign has flipped there;
+    then [0, best] brackets a crossing.  So each proposal is probed once, at
+    its row's best, and solved only where the sign flipped.
+    """
+    at_best = props * best[:, None, None]
+    at_best += origins[:, None, :]
+    g = signs[:, None] * f_values(at_best.reshape(-1, origins.shape[1])).reshape(props.shape[:2])
+    row, col = np.nonzero(g <= 0.0)
+    if not row.size:
+        return best, best_dir
+    dist = np.full(g.shape, np.inf)
+    dist[row, col] = itp_crossings(f_values, origins[row], props[row, col], np.zeros(row.size),
+                                   best[row], g0[row], g[row, col], BISECT_TOL, orient=signs[row],
+                                   n0=ITP_SLACK)
+    rows, k = np.arange(len(g)), np.argmin(dist, axis=1)
+    cand = dist[rows, k]
+    return np.minimum(cand, best), np.where((cand < best)[:, None], props[rows, k], best_dir)
+
+
+def _foot_normal_round(
+    f: FunctionOracle,
+    space: NormedSpace,
+    signs: np.ndarray,
+    g0: np.ndarray,
+    origins: np.ndarray,
+    best: np.ndarray,
+    best_dir: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_improve`` with one proposal per row: -signs times the unit
+    direction along which f rises fastest at the row's foot, so along M's
+    normal there.  A row keeps its best where its foot gradient is 0 or the
+    proposal is its best direction already (solving that ray again moves
+    only its midpoint, within BISECT_TOL)."""
+    grad = f.gradients(origins + best[:, None] * best_dir)
+    at = np.nonzero(space.dual.norm(grad) >= 1e-300)[0]   # space.unit refuses a zero row
+    u = -signs[at, None] * space.dual_norming_direction(grad[at])
+    new = np.any(u != best_dir[at], axis=1)
+    at, u = at[new], u[new]
+    if at.size:
+        best, best_dir = best.copy(), best_dir.copy()
+        best[at], best_dir[at] = _improve(f.values, signs[at], g0[at], origins[at], best[at],
+                                          best_dir[at], u[:, None, :])
+    return best, best_dir
+
+
 def signed_distance_values(
     inst: ProblemInstance,
     Y: np.ndarray,
@@ -197,11 +316,11 @@ def signed_distance_values(
     """Batch signed distances to the set of inst; returns (values,
     saturated_flags, feet).
 
-    A flagged row found no sign change within SEARCH_RADIUS along any of
-    round 0's directions (thin or empty far side); its value is the signed
-    search radius and its foot is NaN.  Every other row's foot (n, dim) is
-    the point of the boundary its value measures to: y + best * best_dir on
-    the crossing ray, or y itself in the band.
+    A flagged row found no sign change within SEARCH_RADIUS along the
+    signed axes nor on its walk (thin or empty far side); its value is the
+    signed search radius and its foot is NaN.  Every other row's foot
+    (n, dim) is the point of the boundary its value measures to:
+    y + best * best_dir on the crossing ray, or y itself in the band.
     """
     space, f = inst.space, inst.f
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -216,38 +335,36 @@ def signed_distance_values(
     s = codes[active].astype(float)
     g0 = s * f0[active]
     Ya = Y[active]
-    # round 0 marches the fixed directions and decides saturation: a row
-    # with no crossing keeps the signed search radius and its flag
+    # round 0 marches the signed axes; each row they leave uncrossed walks,
+    # and a walk that crosses is solved on the ray through its last point
     best, best_dir, crossed = _ray_crossings(f.values, s, g0, Ya, _directions(space))
+    w = np.nonzero(~crossed)[0]
+    if w.size:
+        Z, G, hit = _walk(f, space, s[w], g0[w], Ya[w], 2.0 * cfg.tol_value)
+        if hit.any():
+            w = w[hit]
+            step = Z[hit] - Ya[w]
+            length = space.norm(step)
+            best_dir[w] = step / length[:, None]
+            best[w] = itp_crossings(f.values, Ya[w], best_dir[w], np.zeros(w.size), length, g0[w],
+                                    G[hit], BISECT_TOL, orient=s[w], n0=ITP_SLACK)
+            crossed[w] = True
     flags[active] = ~crossed
     vals[active] = s * SEARCH_RADIUS
     if not crossed.any():
         return vals, flags, feet
-    # each later round refines only the rows that crossed, with a shrinking
-    # cone of proposals around the best direction so far
+    # the rows that crossed are refined: along the normal at their foot,
+    # then by a shrinking cone of proposals around the best direction so
+    # far, then along the normal at their new foot
     active, s, g0, Ya, best, best_dir = (v[crossed] for v in (active, s, g0, Ya, best, best_dir))
-    rows = np.arange(active.size)
+    best, best_dir = _foot_normal_round(f, space, s, g0, Ya, best, best_dir)
     sigma = REFINE_STEP
     for noise in _refine_noise(space.dim):
         props = best_dir[:, None, :] + sigma * noise[None, :, :]
         props = props / np.maximum(space.norm(props), 1e-300)[..., None]
         sigma *= REFINE_SHRINK
-        # a proposal can beat its row's best only if its sign has flipped
-        # there; then [0, best] brackets a crossing
-        at_best = props * best[:, None, None]
-        at_best += Ya[:, None, :]
-        g = s[:, None] * f.values(at_best.reshape(-1, space.dim)).reshape(props.shape[:2])
-        row, col = np.nonzero(g <= 0.0)
-        if not row.size:
-            continue
-        dist = np.full(g.shape, np.inf)
-        dist[row, col] = itp_crossings(f.values, Ya[row], props[row, col], np.zeros(row.size),
-                                       best[row], g0[row], g[row, col], BISECT_TOL, orient=s[row],
-                                       n0=ITP_SLACK)
-        k = np.argmin(dist, axis=1)
-        cand = dist[rows, k]
-        best_dir = np.where((cand < best)[:, None], props[rows, k], best_dir)
-        best = np.minimum(cand, best)
+        best, best_dir = _improve(f.values, s, g0, Ya, best, best_dir, props)
+    best, best_dir = _foot_normal_round(f, space, s, g0, Ya, best, best_dir)
     vals[active] = s * best
     feet[active] = Ya + best[:, None] * best_dir
     return vals, flags, feet
@@ -267,9 +384,9 @@ def sd_instance(inst: ProblemInstance, cfg: NumericConfig) -> ProblemInstance:
     ``SD_SCALES``, so ``check_theorem2`` and ``promote_to_certificate`` run
     one witness search on it.  Its sign query returns the base membership
     codes, which are the signed distance's own, so membership codes and
-    lambda's root finding march no rays.  The probe directions and
-    refinement cones are fixed per space, and round 0 decides saturation,
-    so cfg's seed reaches no value.
+    lambda's root finding march no rays.  The axes, the walk and the
+    refinement cones are fixed per space, and round 0 and the walk decide
+    saturation, so cfg's seed reaches no value.
     """
     def evaluate(P: np.ndarray) -> np.ndarray:
         return signed_distance_values(inst, P, cfg)[0]

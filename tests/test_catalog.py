@@ -6,8 +6,8 @@ import pytest
 import epicert as ec
 from epicert.catalog import FIXED_IDS, list_catalog, load, rockafellar_truncation
 from epicert.clarke import directional_derivative, estimate_gradient_hull, min_norm_point
-from epicert.core import NumericConfig, sample_ball
-from epicert.epirep import epsilon_formula
+from epicert.core import NumericConfig, sample_ball, stream_rng
+from epicert.epirep import DescentWitness, epsilon_formula, lambda_values, sample_cylinder
 
 from conftest import CERTIFIABLE_IDS
 
@@ -27,7 +27,17 @@ def test_rockafellar_ids_parse():
         assert rockafellar_truncation(d).instance.space.dim == d + 1
 
 
-@pytest.mark.parametrize("bad", ["nope", "rockafellar_0", "rockafellar_x", "rockafellar_"])
+def test_orthant_ids_parse():
+    for d in (1, 5, 32):
+        entry = load(f"orthant_{d}")
+        assert entry.id == entry.instance.label == f"orthant_{d}"
+        assert entry.instance.space.dim == d
+        assert entry.instance.space.norm_kind == "euclidean"
+        np.testing.assert_array_equal(entry.certifiable_at[0], np.zeros(d))
+
+
+@pytest.mark.parametrize("bad", ["nope", "rockafellar_0", "rockafellar_x", "rockafellar_",
+                                 "orthant_0", "orthant_07", "orthant_"])
 def test_unknown_ids_raise(bad):
     with pytest.raises(KeyError):
         load(bad)
@@ -36,7 +46,7 @@ def test_unknown_ids_raise(bad):
 def test_catalog_ids_and_listing():
     ids = [row["id"] for row in list_catalog()]
     assert set(FIXED_IDS) <= set(ids)
-    assert "rockafellar_<d>" in ids
+    assert "rockafellar_<d>" in ids and "orthant_<d>" in ids
 
 
 def test_declared_points_sit_on_the_boundary():
@@ -79,6 +89,26 @@ def test_lambda_closed_forms_match_bisection(catalog_certs):
         vals = np.array([v for _, v in cert.lambda_samples[:100]])
         want = form(pts, cert.witness.v)
         np.testing.assert_allclose(vals, want, atol=1e-8, err_msg=f"{cid}[{i}]")
+
+
+@pytest.mark.parametrize("d", [1, 5, 32])
+def test_orthant_lambda_closed_form_matches_lambda_values(d):
+    # along the diagonal and along a random direction with every coordinate
+    # negative, both descent directions of max(x1..xd) at 0
+    entry = load(f"orthant_{d}")
+    inst, x0 = entry.instance, entry.certifiable_at[0]
+    form = entry.reference.lambda_form_at(x0)
+    rng = stream_rng(0, "orthant-lambda", d)
+    cfg = NumericConfig(rng_seed=42)
+    for v in (-np.ones(d), -rng.uniform(0.2, 1.0, d)):
+        v /= np.linalg.norm(v)
+        alpha, r = float(-np.max(v)), 0.4
+        w = DescentWitness(x=x0, v=v, alpha=alpha, r=r, k=1.0,
+                           epsilon=epsilon_formula(alpha, r, 1.0))
+        phi = inst.space.dual.dual_norming_direction(v)
+        Y = sample_cylinder(inst.space, w, phi, 64, rng, tau_halfwidth=r / 16.0)
+        np.testing.assert_allclose(lambda_values(inst.space, inst.f, w, phi, Y, cfg), form(Y, v),
+                                   rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [42, 1])

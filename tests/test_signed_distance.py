@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import epicert.signed_distance as sd_module
 from epicert.catalog import FIXED_IDS, load
+from epicert.clarke import is_nondegenerate
 from epicert.core import (
     NormedSpace,
     NumericConfig,
@@ -46,6 +47,7 @@ from epicert.signed_distance import (
 )
 
 from conftest import finite_difference_gradients
+from test_clarke import _extreme_of_linear_forms
 
 
 @pytest.fixture(scope="module")
@@ -162,19 +164,26 @@ def test_ray_march_matches_a_whole_grid_reference(data, cfg):
         assert g.tobytes() == w.tobytes()
 
 
-def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half, cfg):
-    # after round 0, each round asks the base oracle for one point per
-    # proposal of every crossed row, then solves only the proposals whose
-    # sign flipped there
+def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, ball, cfg):
+    # after round 0, a foot-normal round asks f's gradient at every crossed
+    # row's foot and the base oracle for one point per row whose normal
+    # proposal is new; each cone round asks one point per proposal of every
+    # row; a last foot-normal round asks as the first did.  Each solves
+    # only the proposals whose sign flipped at their row's best
     rng = np.random.default_rng(5)
     n = 7
-    Y = np.column_stack([rng.uniform(0.1, 1.2, n), rng.uniform(-1.0, 1.0, n)])   # all outside
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    Y = rng.uniform(1.05, 1.35, (n, 1)) * np.column_stack([np.cos(angle), np.sin(angle)])
     calls = []
 
     def counted(P):
-        out = half.f.eval(P)
+        out = ball.f.eval(P)
         calls.append(("eval", len(P), out))
         return out
+
+    def counted_grad(P):
+        calls.append(("grad", len(P), None))
+        return ball.f.grad(P)
 
     real_itp = sd_module.itp_crossings
 
@@ -185,7 +194,7 @@ def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half
         return out
 
     monkeypatch.setattr(sd_module, "itp_crossings", itp)
-    inst = replace(half, f=replace(half.f, eval=counted))
+    inst = replace(ball, f=replace(ball.f, eval=counted, grad=counted_grad))
     _, flags, _ = signed_distance_values(inst, Y, cfg)
     assert not flags.any()
     # set the solver's own passes aside, each within its call's rows
@@ -199,8 +208,9 @@ def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half
             outer.append((kind, size, out))
             solving = size if kind == "itp" else 0
     # round 0: one call per column block [0, 1), [1, 2), [2, 4), ...,
-    # over the rows with no crossing yet, then one solver call
-    p = len(sd_module._directions(half.space))
+    # over the rows with no crossing yet, then one solver call; every row
+    # crosses along an axis, so none walks
+    p = len(sd_module._directions(ball.space))
     assert outer[0][:2] == ("eval", n)
     blocks, open_rows = 0, n
     for width in (1, 1, 2, 4, 8, 8):
@@ -213,13 +223,29 @@ def test_refinement_probes_each_proposal_once_at_its_rows_best(monkeypatch, half
     assert open_rows == 0 and blocks >= 3   # later blocks asked for fewer rows
     assert outer[1 + blocks][0] == "itp"
     rounds = outer[2 + blocks:]
-    for _ in range(sd_module.REFINE_ROUNDS):
+    for proposals in (None, *[sd_module.REFINE_PROPOSALS] * sd_module.REFINE_ROUNDS, None):
+        if proposals is None:   # a foot-normal round; no foot is on an axis
+            assert rounds.pop(0)[:2] == ("grad", n)
         kind, size, out = rounds.pop(0)
-        assert (kind, size) == ("eval", n * sd_module.REFINE_PROPOSALS)
+        assert (kind, size) == ("eval", n * (proposals or 1))
         flipped = int(np.sum(out <= 0.0))   # every row is outside: its sign is +1
         if flipped:
             assert rounds.pop(0)[:2] == ("itp", flipped)
     assert rounds == []
+
+
+def test_foot_normal_rounds_skip_a_normal_that_is_the_best_direction(half, cfg):
+    # at the halfspace every foot's normal is its row's axis, and solving
+    # that ray again would move only its midpoint, within the solver's
+    # tolerance; so every value keeps round 0's bits
+    rng = np.random.default_rng(8)
+    Y = rng.uniform(-1.0, 1.0, (200, 2))
+    vals, flags, _ = signed_distance_values(half, Y, cfg)
+    assert not flags.any()
+    s = np.sign(Y[:, 0])
+    best0, _, _ = sd_module._ray_crossings(half.f.values, s, np.abs(Y[:, 0]), Y,
+                                            sd_module._directions(half.space))
+    np.testing.assert_array_equal(vals, s * best0)
 
 
 def test_proposal_crossing_a_thin_slab_twice_keeps_an_upper_bound(cfg):
@@ -257,10 +283,21 @@ def _counting(inst):
 
 
 def test_singleton_far_side_saturates(cfg):
-    # outside, no inside found on any ray; round 0 decides that, so the
-    # oracle sees f(Y) and one call per column block, each over every row:
-    # the six blocks cover all 24 columns, and no ray is solved
-    inst, seen = _counting(load("singleton_sq").instance)
+    # outside, no inside found on any axis nor on the walk; the oracle sees
+    # f(Y) and one call per column block, each over every row: the six
+    # blocks cover all 24 columns.  Each row then walks dim + 2 = 4 steps,
+    # one gradient and one value call each over every row: each step about
+    # halves z, so it never reaches M = {0} nor leaves the search radius,
+    # and no ray is solved
+    base = load("singleton_sq").instance
+    inst, seen = _counting(base)
+    grads = []
+
+    def counted_grad(P):
+        grads.append(len(P))
+        return base.f.grad(P)
+
+    inst = replace(inst, f=replace(inst.f, grad=counted_grad))
     rng = np.random.default_rng(13)
     n = 5
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -269,7 +306,8 @@ def test_singleton_far_side_saturates(cfg):
     assert flags.all()
     assert np.all(vals == SEARCH_RADIUS)
     p = len(sd_module._directions(inst.space))
-    assert seen == [n] + [n * p * width for width in (1, 1, 2, 4, 8, 8)]
+    assert seen == [n] + [n * p * width for width in (1, 1, 2, 4, 8, 8)] + [n] * 4
+    assert grads == [n] * 4
 
 
 def test_rows_within_one_cell_of_the_boundary_stop_after_the_first_column(monkeypatch, half,
@@ -377,10 +415,8 @@ def closed_form_signed_distance(cid, Y):
 def test_values_against_closed_forms(cid, cfg):
     # every value is a crossing distance, so none is short of the true
     # distance by more than the solver's tolerance, and its sign is exact;
-    # the excess stays within PROBE_RESOLUTION where the boundary is smooth
-    # near the foot and the search starts in the nearest point's basin.  At
-    # max_two_planes' corner and midway between union_balls' balls it does
-    # not (about 3e-3 and 4e-2), so only the lower side is checked there
+    # the foot-normal rounds bring the excess within PROBE_RESOLUTION also
+    # beside max_two_planes' corner and midway between union_balls' balls
     entry = load(cid)
     for x, seed in itertools.product(entry.certifiable_at, range(4)):
         Y = x + np.random.default_rng(seed).uniform(-0.5, 0.5, (2000, 2))
@@ -390,8 +426,23 @@ def test_values_against_closed_forms(cid, cfg):
         np.testing.assert_array_equal(np.sign(vals), np.sign(true))
         excess = np.abs(vals) - np.abs(true)
         assert excess.min() >= -sd_module.BISECT_TOL, (x, seed)
-        if cid not in ("max_two_planes", "union_balls"):
-            assert excess.max() <= PROBE_RESOLUTION, (x, seed)
+        assert excess.max() <= PROBE_RESOLUTION, (x, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_pairs_beside_the_kink_keep_modulus_one(seed, cfg):
+    # pairs 1e-3 apart in max_two_planes' positive quadrant, where the
+    # nearest point of M is the corner for a quarter of the rows; a row that
+    # ended on a farther point of the boundary than its neighbour would
+    # break the modulus by far more than the slack
+    inst = load("max_two_planes").instance
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(0.0, 0.5, (3000, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    Q = P + 1e-3 * np.column_stack([np.cos(angle), np.sin(angle)])
+    vp, vq = np.split(signed_distance_values(inst, np.concatenate([P, Q]), cfg)[0], 2)
+    allowed = 1.02 * np.linalg.norm(P - Q, axis=1) + 2.0 * PROBE_RESOLUTION
+    assert np.sum(np.abs(vp - vq) > allowed) == 0
 
 
 def test_lipschitz_check_passes(half, ball, cfg):
@@ -450,17 +501,23 @@ def test_sd_instance_contract(half, ball, cfg):
     box = load("box_sup").instance
     g = sd_instance(box, cfg).f.gradients(np.array([[1.01, 0.3]]))
     np.testing.assert_array_equal(g, [[1.0, 0.0]])
-    # a saturated row has no foot: D is locally constant there, so 0, and
-    # the base gradient is not asked at all
+    # a saturated row has no foot: D is locally constant there, so 0.  The
+    # base gradient is asked only on the walk, at points within the search
+    # radius of their row, never at a missing (NaN) foot
     point = load("singleton_sq").instance
     Y = np.array([[0.3, 0.2], [-0.8, 0.5]])
     assert signed_distance_values(point, Y, cfg)[1].all()
+    asked = []
 
-    def no_gradient(P):
-        raise AssertionError("the base gradient was asked without a foot")
+    def walk_gradient(P):
+        asked.append(P.copy())
+        return point.f.grad(P)
 
-    sd = sd_instance(replace(point, f=replace(point.f, grad=no_gradient)), cfg)
+    sd = sd_instance(replace(point, f=replace(point.f, grad=walk_gradient)), cfg)
     np.testing.assert_array_equal(sd.f.gradients(Y), np.zeros((2, 2)))
+    assert [len(P) for P in asked] == [2] * 4   # dim + 2 steps of both rows
+    for P in asked:
+        assert np.all(np.linalg.norm(P - Y, axis=1) <= SEARCH_RADIUS)
 
 
 def test_check_theorem2_halfspace(cfg):
@@ -481,17 +538,24 @@ def test_check_theorem2_singleton(cfg):
 
 
 @pytest.mark.parametrize("dim, norm", [(3, "sup"), (4, "one")])
-def test_directions_cover_every_orthant(dim, norm):
+def test_directions_cover_every_orthant(dim, norm, cfg):
+    # round 0 marches the signed axes, of norm 1 in every norm; no axis ray
+    # from a point of the open positive orthant reaches M = {max_i x_i <= 0},
+    # so those rows walk, cross, and read the distance max_i y_i (sup) or
+    # sum_i y_i (one)
     space = NormedSpace(dim, norm)
-    inst = ProblemInstance(space=space, f=compile_expression("x1", dim))
-    D = sd_module._directions(inst.space)
-    assert D.shape == (max(16, 2 * dim + 2**dim), dim)
+    D = sd_module._directions(space)
+    np.testing.assert_array_equal(D, signed_axes(dim))
     np.testing.assert_allclose(space.norm(D), 1.0, rtol=1e-12)
-    np.testing.assert_array_equal(D[: 2 * dim], signed_axes(dim))
-    # every open orthant holds a probe direction, not just by luck of the
-    # fixed unit-vector fill
-    hit = {tuple(np.sign(row)) for row in D if np.all(row != 0.0)}
-    assert hit == set(itertools.product((1.0, -1.0), repeat=dim))
+    inst = ProblemInstance(space=space,
+                           f=compile_expression(["max", *(f"x{j + 1}" for j in range(dim))], dim))
+    Y = np.random.default_rng(3).uniform(0.02, 0.4, (50, dim))
+    _, _, crossed = sd_module._ray_crossings(inst.f.values, np.ones(50), inst.f.values(Y), Y, D)
+    assert not crossed.any()
+    vals, flags, _ = signed_distance_values(inst, Y, cfg)
+    assert not flags.any()
+    excess = vals - space.norm(Y)
+    assert excess.min() >= -sd_module.BISECT_TOL and excess.max() <= PROBE_RESOLUTION
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -514,9 +578,9 @@ ONE_NORM_D4 = {
                                         (ONE_NORM_D4, 5)],
                          ids=["max_two_planes", "one-norm-d4"])
 def test_check_theorem2_answers_true_at_kinks(spec, seed):
-    # the probe directions are fixed per space and cover every open orthant,
-    # so the seed picks only the witness search; at these seeds random
-    # probe directions alone once missed the orthant where M lies
+    # round 0's axes are fixed per space and the rows they miss walk, so the
+    # seed picks only the witness search; at these seeds random probe
+    # directions alone once missed the orthant where M lies
     inst, _ = parse_instance(spec)
     cfg = NumericConfig(rng_seed=seed)
     res = check_theorem2(inst, inst.boundary_points[0], cfg)
@@ -524,6 +588,47 @@ def test_check_theorem2_answers_true_at_kinks(spec, seed):
     assert res.alpha > 0.1
     for cid in ("singleton_sq", "abs_wall"):
         assert not check_theorem2(load(cid).instance, np.zeros(2), cfg).nondegenerate, cid
+
+
+# item 25's wedge: M lies between 100.3 and 114.5 degrees, and no signed
+# axis from most points near its tip meets it
+WEDGE = ["max", ["+", ["*", -1.61402428, "x1"], ["*", -0.73666679, "x2"]],
+         ["+", ["*", 1.29614913, "x1"], ["*", 0.23608312, "x2"]]]
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+@pytest.mark.parametrize("cid, want", [("orthant_5", True), ("orthant_8", True),
+                                       ("orthant_16", True), ("orthant_32", True),
+                                       ("wedge", True), ("singleton_sq", False),
+                                       ("abs_wall", False)])
+def test_check_theorem2_verdicts_in_narrow_cones(cid, want, norm, seed):
+    # certify succeeds at the orthant and the wedge; there the rows that no
+    # axis ray crosses walk to the boundary instead of saturating, so no
+    # hull row reads 0 and theorem2 agrees.  The degenerate points stay
+    # degenerate: the walk crosses nothing at singleton_sq
+    if cid == "wedge":
+        inst = ProblemInstance(space=NormedSpace(2, norm), f=compile_expression(WEDGE, 2))
+    else:
+        base = load(cid).instance
+        inst = replace(base, space=NormedSpace(base.space.dim, norm))
+    res = check_theorem2(inst, np.zeros(inst.space.dim), NumericConfig(rng_seed=seed))
+    assert res.nondegenerate == want, res.note
+
+
+def test_check_theorem2_agrees_with_the_plain_search_on_random_max_of_linear_forms(cfg):
+    # theorem2 is never true where the plain search finds no witness, and
+    # true at nearly every instance that has one (173 of 200 with a fixed
+    # direction table in place of the walk)
+    found = agreed = 0
+    for inst, _, _ in _extreme_of_linear_forms(300, seed=5):
+        x = np.zeros(inst.space.dim)
+        plain = is_nondegenerate(inst, x, cfg).witness is not None
+        t2 = check_theorem2(inst, x, cfg).nondegenerate
+        assert plain or not t2
+        found += plain
+        agreed += plain and t2
+    assert found == 200 and agreed >= 182
 
 
 @pytest.mark.parametrize("cid", ["halfspace", "unit_ball_euclid"])
