@@ -195,20 +195,26 @@ def itp_crossings(
 
     The ITP method of Oliveira & Takahashi (ACM TOMS 47(1), 2020) with
     kappa1 = 0.2 / (the row's starting width) and kappa2 = 2: each pass
-    steps from the regula falsi point towards the midpoint by
-    kappa1 (hi - lo)**2, at least tol / 2, and stays within the radius that
-    keeps bisection's pass count plus n0.  n0 is ITP's slack: with n0 = 0 a
-    row whose steps spend that radius's spare room bisects the rest of the
-    way, while each pass of slack doubles the room, at a cost of at most n0
-    passes more than bisection.  The signed distance's rays, whose g turns
-    at a kink or a shelf, pass 1; lambda's root finder keeps 0, where a pass
-    of slack was measured to add passes, not save them.  Assumes g > 0 at lo
-    and g <= 0 at hi (checked by callers), whose values g_lo and g_hi the
-    caller already holds; a zero moves hi, so the result is the first
-    crossing.  A row stops once hi - lo <= tol, after at most
-    ceil(log2(width / tol)) + n0 passes, and returns its midpoint.  values
-    must be a point function: each pass asks it only for the rows still
-    open.  Rows never mix.
+    steps from the regula falsi point x_f towards the midpoint by
+    max(min(kappa1 (hi - lo)**2, |x_f - x_f'|), tol / 2), where x_f' is the
+    row's regula falsi point one pass before, and stays within the radius
+    that keeps bisection's pass count plus n0.  x_f's last move measures
+    the interpolant's error as the solve runs (as Chandrupatla, Adv. Eng.
+    Software 28(3), 1997, does), so a row whose g is nearly linear steps
+    tol / 2 from x_f once x_f settles.  The first pass, which has no x_f',
+    and a row whose crossing end reads g = 0 exactly, whose x_f is that end
+    (membership codes in their band), step kappa1 (hi - lo)**2.  n0 is
+    ITP's slack: with n0 = 0 a row whose steps spend that radius's spare
+    room bisects the rest of the way, while each pass of slack doubles the
+    room, at a cost of at most n0 passes more than bisection.  The signed
+    distance's rays, whose g turns at a kink or a shelf, pass 1; lambda's
+    root finder keeps 0, so none of its rows takes more passes than
+    bisection.  Assumes g > 0 at lo and g <= 0 at hi (checked by callers),
+    whose values g_lo and g_hi the caller already holds; a zero moves hi,
+    so the result is the first crossing.  A row stops once hi - lo <= tol,
+    after at most ceil(log2(width / tol)) + n0 passes, and returns its
+    midpoint.  values must be a point function: each pass asks it only for
+    the rows still open.  Rows never mix.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     width = hi - lo
@@ -220,31 +226,36 @@ def itp_crossings(
         m -= (m > 0) & (np.ldexp(tol, m - 1) >= width)
         m += n0
         kappa1 = 0.2 / width
-    # per open row: bracket, g at its ends, orientation, kappa1, passes left
-    # and eps * 2**(passes left) with eps = tol / 2, which is the projection
-    # radius plus half the current width
+    # per open row: bracket, g at its ends, orientation, kappa1, passes left,
+    # eps * 2**(passes left) with eps = tol / 2, which is the projection
+    # radius plus half the current width, and last pass's regula falsi point
     state = (lo, hi, np.asarray(g_lo, dtype=float), np.asarray(g_hi, dtype=float),
              np.broadcast_to(np.asarray(orient, dtype=float), lo.shape), kappa1, m,
-             np.ldexp(0.5 * tol, m))
+             np.ldexp(0.5 * tol, m), np.full(lo.shape, np.nan))
     rows, P, U = np.arange(lo.size), origins, dirs   # U may be one row for all
     out = np.empty(lo.shape)
     while True:
-        a, b, ga, gb, s, k1, left, budget = state
+        a, b, ga, gb, s, k1, left, budget, xf_prev = state
         done = (b - a <= tol) | (left == 0)
         if done.any():
             out[rows[done]] = 0.5 * (a[done] + b[done])
             keep = ~done
             rows, P, U = rows[keep], P[keep], U[keep] if len(U) > 1 else U
-            a, b, ga, gb, s, k1, left, budget = (arr[keep] for arr in state)
+            a, b, ga, gb, s, k1, left, budget, xf_prev = (arr[keep] for arr in state)
         if not rows.size:
             return out
         w = b - a
         mid = 0.5 * (a + b)
         x_f = a + w * (ga / (ga - gb))
         sigma = np.sign(mid - x_f)
-        # (k1 * w) <= 0.2 comes first, so w * w cannot overflow; the floor
-        # keeps an endpoint with g = 0 exactly from stalling the far one
-        delta = np.maximum(k1 * w * w, 0.5 * tol)
+        # the step from x_f is no longer than x_f's last move, which measures
+        # the interpolant's error (NaN on the first pass, which fmin skips);
+        # where g = 0 exactly at b, x_f is b itself and would not move, so
+        # the step stays k1 w**2.  (k1 * w) <= 0.2 comes first, so w * w
+        # cannot overflow; the floor keeps an endpoint with g = 0 exactly
+        # from stalling the far one
+        moved = np.where(gb == 0.0, np.inf, np.abs(x_f - xf_prev))
+        delta = np.maximum(np.fmin(k1 * w * w, moved), 0.5 * tol)
         x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
         radius = np.maximum(budget - 0.5 * w, 0.0)
         x = np.where(np.abs(x_t - mid) <= radius, x_t, mid - sigma * radius)
@@ -253,7 +264,7 @@ def itp_crossings(
         g = s * values(pts)
         cross = g <= 0.0
         state = (np.where(cross, a, x), np.where(cross, x, b), np.where(cross, ga, g),
-                 np.where(cross, g, gb), s, k1, left - 1, 0.5 * budget)
+                 np.where(cross, g, gb), s, k1, left - 1, 0.5 * budget, x_f)
 
 
 class NonFiniteValue(ValueError):

@@ -290,7 +290,7 @@ def lambda_values(
     cfg: NumericConfig,
 ) -> np.ndarray:
     """lambda_batches on the one batch Y, raising its CylinderError or
-    BracketViolation.  core.itp_crossings takes 5-9 passes per call on the
+    BracketViolation.  core.itp_crossings takes 5-7 passes per call on the
     2-D catalog, never more than bisection's 33.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))

@@ -500,13 +500,14 @@ def test_itp_crossings_property(data):
         assert alone.tobytes() == got[s].tobytes()
 
 
-@pytest.mark.parametrize("n0, want", [(0, 30), (1, 11)])
+@pytest.mark.parametrize("n0, want", [(0, 30), (1, 9)])
 def test_itp_crossings_slack_leaves_a_shelf_early(n0, want):
     # a signed-distance ray beside max_two_planes' kink: g is flat up to
     # t = c - h, then falls with slope 1; the first regula falsi step lands
     # on the shelf, far short of c, and spends all of n0 = 0's spare radius,
     # so the row takes bisection's 30 passes, while with one pass of slack
-    # it can interpolate again once past the shelf
+    # it can interpolate again once past the shelf, where its regula falsi
+    # point barely moves between passes and so truncates by that move
     h, c = 8.382566856300541e-4, 0.02035484479564463
     calls = []
 
@@ -518,6 +519,52 @@ def test_itp_crossings_slack_leaves_a_shelf_early(n0, want):
                         np.array([0.0625]), np.array([h]), np.array([c - 0.0625]), 1e-10, n0=n0)
     assert abs(got[0] - c) <= 0.5e-10
     assert len(calls) == want
+
+
+@pytest.mark.parametrize("n0", [0, 1])
+@pytest.mark.parametrize("c", [0.123456789, 0.2, 0.45])
+def test_itp_crossings_truncates_by_the_interpolants_move(c, n0):
+    # g = c - t on [0, 0.5]: regula falsi lands on c up to rounding; the
+    # first pass still steps kappa1 w**2 away from it, but from the second
+    # on x_f moves by a rounding error, so the steps shrink to tol / 2 on
+    # either side of c; a fixed kappa1 w**2 step took 9 passes here
+    calls = []
+
+    def values(P):
+        calls.append(len(P))
+        return c - P[:, 0]
+
+    got = itp_crossings(values, np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1),
+                        np.array([0.5]), np.array([c]), np.array([c - 0.5]), 1e-10, n0=n0)
+    assert abs(got[0] - c) <= 0.5e-10
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n0, lo, hi, want, passes", [
+    (0, -0.0625, 0.0625, "0x1.948b0f742e7e8p-7", 31),
+    (1, -0.0625, 0.0625, "0x1.948b0f742e7e8p-7", 32),
+    (0, 0.0, 0.03, "0x1.948b0f742e7e8p-7", 29),
+    (1, -0.25, 0.5, "0x1.948b0f742e7ecp-7", 34),
+])
+def test_itp_crossings_codes_with_a_band_keep_their_step(n0, lo, hi, want, passes):
+    # membership codes: +1 before a, 0 on the band [a, b], -1 beyond; once
+    # the crossing end reads 0, regula falsi sits on it and the step stays
+    # kappa1 w**2, so root and pass count are those of the fixed step
+    a, b = 0.0123456789, 0.0523456789
+    calls = []
+
+    def codes(t):
+        return np.where(t < a, 1.0, np.where(t <= b, 0.0, -1.0))
+
+    def values(P):
+        calls.append(len(P))
+        return codes(P[:, 0])
+
+    got = itp_crossings(values, np.zeros((1, 1)), np.ones((1, 1)), np.array([lo]),
+                        np.array([hi]), codes(np.array([lo])), codes(np.array([hi])), 1e-10,
+                        n0=n0)
+    assert got[0] == float.fromhex(want) == pytest.approx(a, abs=1e-10)
+    assert len(calls) == passes
 
 
 @pytest.mark.parametrize("kind", ["linear", "codes"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import epicert.epirep as epirep
 import epicert.signed_distance as sd_module
 from epicert.catalog import FIXED_IDS, load
 from epicert.clarke import is_nondegenerate
@@ -709,6 +710,32 @@ def test_promote_halfspace_certifies(cfg):
     # crossing by up to tol_value / |grad f|
     form = entry.reference.lambda_form_at(x)
     assert np.max(np.abs(form(pts, cert.witness.v) - stored)) <= 1e-9 + cfg.tol_value
+
+
+def test_promote_halfspace_lambda_rows_take_29_passes(monkeypatch, cfg):
+    # lambda asks the signed distance's membership codes: +-1 ends give the
+    # midpoint, and once a probe lands in the band the crossing end reads 0
+    # and keeps its kappa1 w**2 step, so every row stops after 29 of
+    # bisection's 33 passes
+    passes = []
+    real_itp = epirep.itp_crossings
+
+    def itp(values, *args, **kwargs):
+        calls = []
+
+        def counted(P):
+            calls.append(len(P))
+            return values(P)
+
+        out = real_itp(counted, *args, **kwargs)
+        passes.append(len(calls))
+        return out
+
+    monkeypatch.setattr(epirep, "itp_crossings", itp)
+    entry = load("halfspace")
+    cert = promote_to_certificate(entry.instance, entry.certifiable_at[0], cfg)
+    assert isinstance(cert, EpigraphCertificate), getattr(cert, "message", cert)
+    assert passes and set(passes) == {29}
 
 
 @pytest.mark.parametrize("cid, i", [("halfspace", 0), ("unit_ball_euclid", 0),
